@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .coeffs import (DissipationForm, LeslieCoefficients, RegimeReport,
                      dissipation_form, eta_margin, from_alpha, validate)
-from .diagnostics import (BlowupMonitorState, EnergyReport, blowup_update,
+from .diagnostics import (BlowupMonitorState, EnergyReport,
                           case2_lower_bound_check, channels, energy_law_audit,
                           quantity_A, quantity_Ys, total_energy,
                           write_timeseries)
@@ -22,7 +22,7 @@ __all__ = [
     "DissipationForm", "EnergyReport", "FieldState", "LeslieCoefficients",
     "ParameterError", "RegimeError", "RegimeReport", "RegularizationConfig",
     "SpectralGrid", "Stepper", "TimeStepperConfig", "Trajectory",
-    "blowup_update", "case2_lower_bound_check", "channels", "constitutive",
+    "case2_lower_bound_check", "channels", "constitutive",
     "director_rhs", "dissipation_form", "energy_law_audit", "ericksen_stress",
     "eta_margin", "from_alpha", "leslie_stress", "load_snapshot",
     "momentum_rhs", "penalty", "quantity_A", "quantity_Ys",

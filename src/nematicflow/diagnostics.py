@@ -171,22 +171,25 @@ def case2_lower_bound_check(report: EnergyReport, eta: float, tol: float = 1e-10
 # -- blow-up criterion monitors -------------------------------------------------
 
 
-def quantity_A(state: FieldState) -> float:
+def quantity_A(state: FieldState, bundle: ConstitutiveBundle | None = None) -> float:
     """A(t) = ||grad u||^2 + ||Lap d - grad_d W||^2 (grid quadrature)."""
     g = state.grid
-    grad_u = g.gradient(state.u)
-    _, gradW = penalty(state.d, state.coeffs.epsilon)
-    tension = g.laplacian(state.d) - g.dealias(gradW)
-    return g.l2_inner(grad_u, grad_u) + g.l2_inner(tension, tension)
+    if bundle is None:
+        bundle = constitutive(state)
+    return g.l2_inner(bundle.grad_u, bundle.grad_u) + g.l2_inner(bundle.tension, bundle.tension)
 
 
-def quantity_Ys(state: FieldState, s: float) -> float:
-    """Y_s = ||L^s u||^2 + ||grad (L^s d)||^2 with L = (1 - Lap)^(1/2)."""
+def quantity_Ys(state: FieldState, s: float, u_norm: float | None = None) -> float:
+    """Y_s = ||L^s u||^2 + ||grad (L^s d)||^2 with L = (1 - Lap)^(1/2).
+
+    u_norm, when given, is ||L^s u|| already computed by the caller.
+    """
     g = state.grid
-    yu = g.sobolev_norm(state.u, s) ** 2
+    if u_norm is None:
+        u_norm = g.sobolev_norm(state.u, s)
     filt_d = g.sobolev_filter(state.d, s)
     grad_fd = g.gradient(filt_d)
-    return yu + g.l2_inner(grad_fd, grad_fd)
+    return u_norm ** 2 + g.l2_inner(grad_fd, grad_fd)
 
 
 class BlowupMonitorState:
@@ -213,7 +216,13 @@ class BlowupMonitorState:
         self.logsob_history: list[float] = []
         self.B_integral = 0.0
 
-    def update(self, state: FieldState) -> "BlowupMonitorState":
+    def update(self, state: FieldState,
+               bundle: ConstitutiveBundle | None = None) -> "BlowupMonitorState":
+        """Append the quantities of one sampled state.
+
+        bundle, when given, must be constitutive(state); grad u, grad d and
+        the tension are read from it instead of being recomputed.
+        """
         g = state.grid
         c = state.coeffs
         t = float(state.time)
@@ -221,11 +230,11 @@ class BlowupMonitorState:
             raise ParameterError(
                 f"monitor updates need strictly increasing times, got {t} after {self.times[-1]}"
             )
+        if bundle is None:
+            bundle = constitutive(state)
         curl = g.curl(state.u)
-        grad_u = g.gradient(state.u)
-        grad_d = g.gradient(state.d)
         a = g.sup_norm(curl)
-        b = g.sup_norm(grad_d)
+        b = g.sup_norm(bundle.grad_d)
 
         integrand = a + b ** 4
         if self.times:
@@ -233,12 +242,10 @@ class BlowupMonitorState:
         self._last_integrand = integrand
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        y3 = quantity_Ys(state, 3.0)
-        _, gradW = penalty(state.d, c.epsilon)
-        tension = g.laplacian(state.d) - g.dealias(gradW)
-        a_qty = g.l2_inner(grad_u, grad_u) + g.l2_inner(tension, tension)
         h3 = g.sobolev_norm(state.u, 3.0)
-        logsob = g.sup_norm(grad_u) / (1.0 + g.l2_norm(curl) + a * math.log(math.e + h3))
+        y3 = quantity_Ys(state, 3.0, u_norm=h3)
+        a_qty = quantity_A(state, bundle)
+        logsob = g.sup_norm(bundle.grad_u) / (1.0 + g.l2_norm(curl) + a * math.log(math.e + h3))
 
         self.times.append(t)
         self.sup_curl_u.append(a)
@@ -249,11 +256,6 @@ class BlowupMonitorState:
         self.A_history.append(a_qty)
         self.logsob_history.append(logsob)
         return self
-
-
-def blowup_update(monitor: BlowupMonitorState, state: FieldState) -> BlowupMonitorState:
-    """Functional-style wrapper around BlowupMonitorState.update."""
-    return monitor.update(state)
 
 
 # -- CSV output -----------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import BlowupMonitorState, EnergyReport, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      _momentum_force, constitutive, director_rhs, momentum_rhs)
+                      _momentum_force, constitutive, director_rhs)
 
 SCHEMES = ("semi-implicit-euler", "imex-bdf2")
 
@@ -62,8 +62,9 @@ class Stepper:
     """Caches the Fourier-diagonal propagators for one (grid, coeffs, cfg, reg).
 
     step() is stateless for semi-implicit-euler.  For imex-bdf2 the instance
-    keeps one level of history; the first call (or any call whose input time
-    does not chain from the previous output) falls back to the euler step.
+    keeps one level of history; the first call (or any call whose input is not
+    the very state object the previous call returned) falls back to the euler
+    step.
     """
 
     def __init__(self, grid, coeffs, cfg: TimeStepperConfig,
@@ -85,10 +86,7 @@ class Stepper:
         self._phi_d = dt * _phi1(dt * sym_d)
         self._den_u = 3.0 - 2.0 * dt * sym_u
         self._den_d = 3.0 - 2.0 * dt * sym_d
-        self._hist = None  # (time, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
-
-    def reset_history(self):
-        self._hist = None
+        self._hist = None  # (output state, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
 
     def _mask_project(self, u_hat, d_hat):
         g = self.grid
@@ -107,11 +105,16 @@ class Stepper:
         return u_hat, d_hat
 
     def step_pair(self, state: FieldState) -> tuple[FieldState, ConstitutiveBundle]:
-        """Advance one dt; returns (new state, bundle evaluated at the input state)."""
+        """Advance one dt; returns (new state, bundle evaluated at the input state).
+
+        The bundle is the step's only constitutive evaluation of `state`;
+        run() samples `state` from it instead of evaluating it again.  A
+        BlowUpError discards it.
+        """
         g = self.grid
         dt = self.cfg.dt
         bundle = constitutive(state)
-        fu = momentum_rhs(state, bundle, reg=self.reg).explicit
+        fu = g.leray(_momentum_force(state, bundle, self.reg, "convective"))
         fd = director_rhs(state, bundle).explicit
 
         u_hat = g.fft(state.u)
@@ -122,7 +125,7 @@ class Stepper:
         use_bdf2 = (
             self.cfg.scheme == "imex-bdf2"
             and self._hist is not None
-            and self._hist[0] == state.time
+            and self._hist[0] is state
         )
         if use_bdf2:
             _, up_hat, dp_hat, fup_hat, fdp_hat = self._hist
@@ -151,9 +154,9 @@ class Stepper:
                     state=state, time=state.time,
                 )
 
-        if self.cfg.scheme == "imex-bdf2":
-            self._hist = (t_new, u_hat, d_hat, fu_hat, fd_hat)
         new_state = state.with_fields(u_new, d_new, t_new)
+        if self.cfg.scheme == "imex-bdf2":
+            self._hist = (new_state, u_hat, d_hat, fu_hat, fd_hat)
         return new_state, bundle
 
 
@@ -192,6 +195,12 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     compare against the previous sample with the channel sum evaluated there
     (first row: zero residuals).  A blow-up mid-run is caught and returned as
     a flagged partial trajectory, not raised.
+
+    Each state is evaluated by constitutive() once: a due state i is sampled
+    right after step_pair(state_i) succeeds, from the bundle that call
+    returns, and that bundle is held only until the next step returns.  Only
+    the final state, and a due state whose step raised BlowUpError, are
+    sampled from a fresh constitutive() call.
     """
     if cadence < 1:
         raise ParameterError(f"cadence must be >= 1, got {cadence}")
@@ -225,7 +234,7 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             max_increase = max(max_increase, rep.E_total - prev_sample.E_total)
         reports.append(rep)
         sample_steps.append(step_index)
-        monitor.update(state)
+        monitor.update(state, bundle)
         if collect_states:
             states.append(state)
         for hook in hooks:
@@ -236,22 +245,24 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     blown_up = False
     blowup_time = None
     blowup_step = None
-    bundle0 = constitutive(state)
-    sample(state, bundle0, 0)
-
     for i in range(n_steps):
+        due = i % cadence == 0
         try:
-            new_state, _ = stepper.step_pair(state)
+            new_state, bundle = stepper.step_pair(state)
         except BlowUpError:
+            if due:
+                sample(state, constitutive(state), i)
             blown_up = True
             blowup_time = state.time
             blowup_step = i
             break
+        if due:
+            sample(state, bundle, i)
+        # Not freed before the next step on purpose: freeing it lets malloc
+        # return the heap top every step, and the next step faults it back.
         state = new_state
-        step_index = i + 1
-        if step_index % cadence == 0 or step_index == n_steps:
-            bundle_here = constitutive(state)
-            sample(state, bundle_here, step_index)
+    if not blown_up:
+        sample(state, constitutive(state), n_steps)
 
     return Trajectory(
         final_state=state,

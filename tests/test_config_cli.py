@@ -318,6 +318,16 @@ def test_console_script_installed(cfg_file, tmp_path):
     assert "unknown section [solvr]" in res.stderr
 
 
+def test_python_m_nematicflow(tmp_path):
+    """`python -m nematicflow` runs the same command as the entry point."""
+    pkg_root = str(Path(nematicflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": pkg_root}
+    res = subprocess.run([sys.executable, "-m", "nematicflow", "--version"],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"nematicflow {nematicflow.__version__}"
+
+
 @pytest.mark.skipif(not _installed_by_installer(),
                     reason="nematicflow is not installed by an installer "
                            "(no distribution with an INSTALLER file; "

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from nematicflow import (BlowupMonitorState, FieldState, LeslieCoefficients,
-                         ParameterError, TimeStepperConfig, blowup_update,
-                         case2_lower_bound_check, channels, energy_law_audit,
-                         eta_margin, from_alpha, quantity_A, quantity_Ys, run,
-                         total_energy, write_timeseries)
+                         ParameterError, TimeStepperConfig,
+                         case2_lower_bound_check, channels, constitutive,
+                         energy_law_audit, eta_margin, from_alpha, quantity_A,
+                         quantity_Ys, run, total_energy, write_timeseries)
 from nematicflow.diagnostics import CSV_COLUMNS, energies
 from nematicflow.config import taylor_green_velocity
 
@@ -160,7 +160,7 @@ class TestBlowupMonitor:
         st = quiescent(grid2d, alpha_one).with_fields(
             taylor_green_velocity(grid2d, a), circle_director(grid2d), 0.0)
         mon = BlowupMonitorState()
-        blowup_update(mon, st)
+        mon.update(st)
         assert mon.sup_curl_u[-1] == pytest.approx(4.0 * np.pi * a, abs=1e-10)
         assert mon.sup_grad_d[-1] == pytest.approx(TWO_PI, abs=1e-10)
 
@@ -182,6 +182,16 @@ class TestBlowupMonitor:
         B = traj.monitor.B_history
         assert all(B[i] <= B[i + 1] for i in range(len(B) - 1))
         assert B[0] == 0.0
+
+    def test_update_with_bundle_is_bitwise_equal(self, grid2d, alpha_one):
+        st = smooth_state(grid2d, alpha_one, seed=6)
+        states = run(st, TimeStepperConfig(dt=1e-3, t_end=0.004),
+                     collect_states=True).states
+        fresh, handed = BlowupMonitorState(), BlowupMonitorState()
+        for s in states:
+            fresh.update(s)
+            handed.update(s, constitutive(s))
+        assert vars(handed) == vars(fresh)
 
     def test_quiescent_values(self, grid2d, alpha_one):
         mon = BlowupMonitorState()

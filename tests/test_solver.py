@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nematicflow import (BlowUpError, FieldState, ParameterError,
-                         RegularizationConfig, RegimeError, Stepper,
-                         TimeStepperConfig, from_alpha, reconstruct_pressure,
-                         run, step)
+import nematicflow.diagnostics
+import nematicflow.solver
+from nematicflow import (BlowUpError, FieldState, LeslieCoefficients,
+                         ParameterError, RegularizationConfig, RegimeError,
+                         Stepper, TimeStepperConfig, case2_lower_bound_check,
+                         constitutive, eta_margin, from_alpha,
+                         reconstruct_pressure, run, step)
 from nematicflow.config import taylor_green_velocity
 from nematicflow.spectral import random_band_limited
 
@@ -113,10 +116,24 @@ def test_bdf2_reboots_on_time_mismatch(grid2d, alpha_one):
     stepper = Stepper(grid2d, alpha_one, cfg)
     a, _ = stepper.step_pair(st)
     stepper.step_pair(a)
-    # restart from t=0: history keyed on time no longer matches
+    # restart from st, which is not the state the last step returned
     b, _ = stepper.step_pair(st)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.d, b.d)
+
+
+def test_bdf2_reboots_on_new_state_at_same_time(grid2d, alpha_one):
+    """History belongs to the state object the stepper returned: another
+    state at the same time takes the one-step scheme, bitwise."""
+    st = smooth_state(grid2d, alpha_one, seed=3)
+    cfg = TimeStepperConfig(dt=1e-3, t_end=0.01, scheme="imex-bdf2")
+    stepper = Stepper(grid2d, alpha_one, cfg)
+    a, _ = stepper.step_pair(st)
+    b = a.with_fields(0.5 * a.u, a.d, a.time)
+    got, _ = stepper.step_pair(b)
+    want, _ = Stepper(grid2d, alpha_one, cfg).step_pair(b)
+    assert np.array_equal(got.u, want.u)
+    assert np.array_equal(got.d, want.d)
 
 
 def test_one_shot_step_matches_stepper(grid2d, alpha_one):
@@ -193,6 +210,68 @@ def test_run_sampling_times(grid2d, alpha_one):
     assert traj.n_steps == 10
     with pytest.raises(ParameterError):
         run(st, TimeStepperConfig(dt=1e-3, t_end=0.01), cadence=0)
+
+
+@pytest.mark.parametrize("cadence", [1, 7])
+def test_run_evaluates_each_state_once(grid2d, alpha_one, monkeypatch, cadence):
+    """Steps hand their bundle to the sampler: n_steps calls inside the
+    steps plus one for the final state, at any cadence."""
+    calls = []
+
+    def counted(state):
+        calls.append(state.time)
+        return constitutive(state)
+
+    monkeypatch.setattr(nematicflow.solver, "constitutive", counted)
+    monkeypatch.setattr(nematicflow.diagnostics, "constitutive", counted)
+    st = smooth_state(grid2d, alpha_one, seed=9)
+    traj = run(st, TimeStepperConfig(dt=1e-3, t_end=0.01), cadence=cadence)
+    assert len(calls) == traj.n_steps + 1
+
+
+@pytest.mark.parametrize("blowup_step", [7, 8])
+def test_run_blowup_samples_before_the_failed_step(grid2d, alpha_one, blowup_step):
+    """A guard tripping at a later step keeps the sample-before-step rule:
+    the trajectory is the unguarded one cut after the state whose step
+    failed, that state included when it is due (8) and excluded when not (7)."""
+    st = smooth_state(grid2d, alpha_one, seed=11, u_amp=0.0)
+    cfg = TimeStepperConfig(dt=1e-4, t_end=2e-3)
+    states = run(st, cfg, collect_states=True).states
+    w = [grid2d.sup_norm(grid2d.curl(s.u)) for s in states]
+    assert w[: blowup_step + 2] == sorted(w[: blowup_step + 2])  # vorticity grows
+    threshold = 0.5 * (w[blowup_step] + w[blowup_step + 1])
+    guarded = TimeStepperConfig(dt=1e-4, t_end=2e-3, max_vorticity_sup=threshold)
+
+    ref = run(st, cfg, cadence=4)
+    traj = run(st, guarded, cadence=4)
+    kept = sum(1 for i in ref.sample_steps if i <= blowup_step)
+    assert traj.blown_up and traj.blowup_step == blowup_step
+    assert traj.sample_steps == ref.sample_steps[:kept] == [0, 4, 8][:kept]
+    assert traj.reports == ref.reports[:kept]
+    assert traj.monitor.A_history == ref.monitor.A_history[:kept]
+    assert traj.monitor.B_history == ref.monitor.B_history[:kept]
+
+
+def test_case2_3d_run(grid3d):
+    """3D, non-Parodi Case 2 set: energy decays, the coercivity bound holds
+    at every sample, and run() is the plain step_pair chain."""
+    c = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
+                           mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
+    st = smooth_state(grid3d, c, seed=12)
+    cfg = TimeStepperConfig(dt=1e-3, t_end=0.01)
+    traj = run(st, cfg, cadence=1)
+    energy = [r.E_total for r in traj.reports]
+    assert len(energy) == 11
+    assert all(b <= a for a, b in zip(energy, energy[1:]))
+    eta = eta_margin(c)
+    assert eta > 0.0
+    assert all(case2_lower_bound_check(r, eta) for r in traj.reports)
+    stepper = Stepper(grid3d, c, cfg)
+    cur = st
+    for _ in range(traj.n_steps):
+        cur, _ = stepper.step_pair(cur)
+    assert np.array_equal(cur.u, traj.final_state.u)
+    assert np.array_equal(cur.d, traj.final_state.d)
 
 
 def test_run_rejects_non_multiple_horizon(grid2d, alpha_one):
