@@ -1,6 +1,6 @@
 """Pseudo-spectral Ericksen-Leslie nematic solver with energy-law verification."""
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the only copy: pyproject.toml reads it from here
 
 from .coeffs import (DissipationForm, LeslieCoefficients, RegimeReport,
                      dissipation_form, eta_margin, from_alpha, validate)
@@ -11,7 +11,7 @@ from .diagnostics import (BlowupMonitorState, EnergyReport,
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       constitutive, director_rhs, ericksen_stress,
-                      leslie_stress, momentum_rhs, penalty, transport_N)
+                      leslie_stress, momentum_rhs, penalty)
 from .solver import (Stepper, TimeStepperConfig, Trajectory,
                      reconstruct_pressure, run, step)
 from .spectral import (SpectralGrid, load_snapshot, random_band_limited,
@@ -27,5 +27,5 @@ __all__ = [
     "eta_margin", "from_alpha", "leslie_stress", "load_snapshot",
     "momentum_rhs", "penalty", "quantity_A", "quantity_Ys",
     "random_band_limited", "reconstruct_pressure", "run", "save_snapshot",
-    "step", "total_energy", "transport_N", "validate", "write_timeseries",
+    "step", "total_energy", "validate", "write_timeseries",
 ]

@@ -179,17 +179,19 @@ def quantity_A(state: FieldState, bundle: ConstitutiveBundle | None = None) -> f
     return g.l2_inner(bundle.grad_u, bundle.grad_u) + g.l2_inner(bundle.tension, bundle.tension)
 
 
-def quantity_Ys(state: FieldState, s: float, u_norm: float | None = None) -> float:
+def quantity_Ys(state: FieldState, s: float,
+                bundle: ConstitutiveBundle | None = None) -> float:
     """Y_s = ||L^s u||^2 + ||grad (L^s d)||^2 with L = (1 - Lap)^(1/2).
 
-    u_norm, when given, is ||L^s u|| already computed by the caller.
+    bundle, when given, must be constitutive(state); its spectral
+    coefficients of u and d are used instead of transforming them again.
     """
     g = state.grid
-    if u_norm is None:
-        u_norm = g.sobolev_norm(state.u, s)
-    filt_d = g.sobolev_filter(state.d, s)
-    grad_fd = g.gradient(filt_d)
-    return u_norm ** 2 + g.l2_inner(grad_fd, grad_fd)
+    if bundle is None:
+        u_hat, d_hat = g.fft(state.u), g.fft(state.d)
+    else:
+        u_hat, d_hat = bundle.u_hat, bundle.d_hat
+    return g.sobolev_norm_hat(u_hat, s) ** 2 + g.sobolev_norm_hat(g.grad_hat(d_hat), s) ** 2
 
 
 class BlowupMonitorState:
@@ -232,7 +234,7 @@ class BlowupMonitorState:
             )
         if bundle is None:
             bundle = constitutive(state)
-        curl = g.curl(state.u)
+        curl = g.ifft(g.curl_hat(bundle.u_hat))
         a = g.sup_norm(curl)
         b = g.sup_norm(bundle.grad_d)
 
@@ -242,8 +244,8 @@ class BlowupMonitorState:
         self._last_integrand = integrand
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        h3 = g.sobolev_norm(state.u, 3.0)
-        y3 = quantity_Ys(state, 3.0, u_norm=h3)
+        h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
+        y3 = quantity_Ys(state, 3.0, bundle)
         a_qty = quantity_A(state, bundle)
         logsob = g.sup_norm(bundle.grad_u) / (1.0 + g.l2_norm(curl) + a * math.log(math.e + h3))
 

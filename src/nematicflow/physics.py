@@ -20,15 +20,18 @@ here through its constitutive form N = -(lambda2 A d + (Lap d - grad_d W))
 / lambda1.
 
 Discrete staging rule (load-bearing for the energy identities): N, Ad,
-omega d, d(x)d, and d.Ad are dealiased BEFORE entering outer products, and
-the state fields are kept band-limited by the solver.  With collocation
-(grid-mean) quadrature the semi-discrete energy law then balances to
-rounding error; see tests.
+d(x)d, d.Ad and grad_d W are dealiased BEFORE entering outer products, and
+the state fields are kept band-limited by the solver.  Every field lives in
+physical space once: each product is formed pointwise, transformed forward
+once and masked to the dealias band in Fourier space (half-spectrum rfftn
+coefficients), where divergence, Leray projection and time integration act.
+With collocation (grid-mean) quadrature the semi-discrete energy law then
+balances to rounding error; see tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,100 +130,107 @@ class RegularizationConfig:
 class ConstitutiveBundle:
     """Every field the stepper and the energy audit share, computed once.
 
-    Staged (dealiased) quantities: Ad, omega_d, N, dAd, tension, sigma_nl.
-    tension = Lap d - dealias(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
+    Staged (dealiased) quantities: Ad, tension, N, dAd, dd and gradW_hat.
+    tension = Lap d - stage(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
     so lambda1 N + lambda2 Ad + tension = 0 holds to rounding by construction.
+    sigma is pointwise in the staged fields; the momentum force masks it
+    when it transforms the stress.
     """
 
+    u_hat: np.ndarray        # half-spectrum coefficients of u
+    d_hat: np.ndarray        # half-spectrum coefficients of d
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     A: np.ndarray            # symmetric part
     omega: np.ndarray        # antisymmetric part
     grad_d: np.ndarray       # (dim, 3) + grid
-    lap_d: np.ndarray        # (3,) + grid
     W_val: np.ndarray        # scalar grid field, pointwise
-    gradW: np.ndarray        # (3,) + grid, pointwise
-    Ad: np.ndarray           # dealias(A d), 3 components
-    omega_d: np.ndarray      # dealias(omega d), 3 components
-    tension: np.ndarray      # Lap d - dealias(gradW)
+    gradW_hat: np.ndarray    # stage(grad_d W), half spectrum
+    Ad: np.ndarray           # stage(A d), 3 components
+    tension: np.ndarray      # Lap d - stage(grad_d W)
     N: np.ndarray            # co-rotational rate via the constitutive identity
-    dAd: np.ndarray          # scalar dealias(dealias(d(x)d) : A)
-    dd: np.ndarray           # dealias(d(x)d), (dim, dim) + grid block
-    sigma_nl: np.ndarray     # Leslie stress minus the mu4 A part, dealiased
-    sigma: np.ndarray        # mu4 A + sigma_nl
+    dAd: np.ndarray          # scalar stage(dd : A)
+    dd: np.ndarray           # stage(d(x)d), (dim, dim) + grid block
+    sigma: np.ndarray        # Leslie stress
+
+    def is_finite(self) -> bool:
+        """False when a field overflowed, as the products of a huge state do."""
+        return all(np.isfinite(f).all() for f in vars(self).values())
+
+
+def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    """Mask f to the dealias band.  Unlike SpectralGrid.dealias it does not
+    reject non-finite input: overflow in a huge state reaches the step's
+    finiteness guard and ends as a BlowUpError."""
+    return g.ifft(g.fft(f) * g.dealias_mask)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("i...,j...->ij...", a, b)
+
+
+def _stage_dd(g: SpectralGrid, d: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """stage(d(x)d) on the (dim, dim) block, one transform per distinct entry,
+    and stage(dd : A)."""
+    iu, ju = np.triu_indices(g.dim)
+    dd = np.empty((g.dim, g.dim) + g.shape)
+    dd[iu, ju] = dd[ju, iu] = _stage(g, d[iu] * d[ju])
+    return dd, _stage(g, np.einsum("ij...,ij...->...", dd, A))
 
 
 def constitutive(state: FieldState) -> ConstitutiveBundle:
     """Assemble all constitutive fields for one state.
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
-    algebra.  One FFT pass per field, dealiasing applied per the staging rule.
+    algebra.  u and d are transformed once; each staged field is one forward
+    and one inverse transform.
     """
     g = state.grid
     c = state.coeffs
     if c.lambda1 >= 0.0:
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
+    d = state.d
 
-    grad_u = g.gradient(state.u)
+    u_hat = g.fft(state.u)
+    d_hat = g.fft(d)
+    grad_u = g.ifft(g.grad_hat(u_hat))
     A = 0.5 * (grad_u + grad_u.swapaxes(0, 1))
     omega = 0.5 * (grad_u - grad_u.swapaxes(0, 1))
-    grad_d = g.gradient(state.d)
-    lap_d = g.laplacian(state.d)
-    W_val, gradW = penalty(state.d, c.epsilon)
+    grad_d = g.ifft(g.grad_hat(d_hat))
+    W_val, gradW = penalty(d, c.epsilon)
+    gradW_hat = g.fft(gradW) * g.dealias_mask
+    tension = g.ifft(-g.ksq * d_hat - gradW_hat)
 
-    Ad = g.dealias(mat_vec_director(A, state.d))
-    omega_d = g.dealias(mat_vec_director(omega, state.d))
-    tension = lap_d - g.dealias(gradW)
+    Ad = mat_vec_director(A, d)
+    Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
     N = -(c.lambda2 * Ad + tension) / c.lambda1
-
-    d_blk = state.d[: g.dim]
-    dd = g.dealias(np.einsum("i...,j...->ij...", d_blk, d_blk))
-    dAd = g.dealias(np.einsum("ij...,ij...->...", dd, A))
-
-    N_blk = N[: g.dim]
-    Ad_blk = Ad[: g.dim]
-    pieces = (
-        c.mu1 * dAd * dd
-        + c.mu2 * np.einsum("i...,j...->ij...", N_blk, d_blk)
-        + c.mu3 * np.einsum("i...,j...->ij...", d_blk, N_blk)
-        + c.mu5 * np.einsum("i...,j...->ij...", Ad_blk, d_blk)
-        + c.mu6 * np.einsum("i...,j...->ij...", d_blk, Ad_blk)
-    )
-    sigma_nl = g.dealias(pieces)
-    sigma = c.mu4 * A + sigma_nl
+    dd, dAd = _stage_dd(g, d, A)
 
     return ConstitutiveBundle(
-        grad_u=grad_u, A=A, omega=omega, grad_d=grad_d, lap_d=lap_d,
-        W_val=W_val, gradW=gradW, Ad=Ad, omega_d=omega_d, tension=tension,
-        N=N, dAd=dAd, dd=dd, sigma_nl=sigma_nl, sigma=sigma,
+        u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, A=A, omega=omega,
+        grad_d=grad_d, W_val=W_val, gradW_hat=gradW_hat, Ad=Ad,
+        tension=tension, N=N, dAd=dAd, dd=dd,
+        sigma=leslie_stress(g, c, d, A, N, Ad, dd, dAd),
     )
 
 
 def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
-                  A: np.ndarray, N: np.ndarray, Ad: np.ndarray) -> np.ndarray:
-    """Assemble sigma from already-staged ingredient fields.
+                  A: np.ndarray, N: np.ndarray, Ad: np.ndarray,
+                  dd: np.ndarray | None = None, dAd: np.ndarray | None = None) -> np.ndarray:
+    """Leslie stress from staged ingredient fields, pointwise:
 
-    Used by tests against hand-computed single-point values; constitutive()
-    inlines the same expression.
+        sigma = mu4 A + mu1 dAd dd + mu2 N(x)d + mu3 d(x)N + mu5 Ad(x)d + mu6 d(x)Ad
+
+    dd = stage(d(x)d) and dAd = stage(dd : A) are staged here unless given.
+    The result is not staged again: the momentum force masks the stress
+    when it transforms it.
     """
     dim = grid.dim
-    d_blk, N_blk, Ad_blk = d[:dim], N[:dim], Ad[:dim]
-    dd = grid.dealias(np.einsum("i...,j...->ij...", d_blk, d_blk))
-    dAd = grid.dealias(np.einsum("ij...,ij...->...", dd, A))
-    pieces = (
-        c.mu1 * dAd * dd
-        + c.mu2 * np.einsum("i...,j...->ij...", N_blk, d_blk)
-        + c.mu3 * np.einsum("i...,j...->ij...", d_blk, N_blk)
-        + c.mu5 * np.einsum("i...,j...->ij...", Ad_blk, d_blk)
-        + c.mu6 * np.einsum("i...,j...->ij...", d_blk, Ad_blk)
-    )
-    return c.mu4 * A + grid.dealias(pieces)
-
-
-def transport_N(state: FieldState, bundle: ConstitutiveBundle | None = None) -> np.ndarray:
-    """Co-rotational rate N = d_t + (u.grad)d - omega d via the director equation."""
-    if bundle is None:
-        bundle = constitutive(state)
-    return bundle.N
+    if dd is None or dAd is None:
+        dd, dAd = _stage_dd(grid, d, A)
+    d_blk = d[:dim]
+    left = c.mu2 * N[:dim] + c.mu5 * Ad[:dim]    # (.)(x)d terms
+    right = c.mu3 * N[:dim] + c.mu6 * Ad[:dim]   # d(x)(.) terms
+    return c.mu4 * A + c.mu1 * dAd * dd + _outer(left, d_blk) + _outer(d_blk, right)
 
 
 @dataclass
@@ -232,56 +242,72 @@ class SplitRHS:
     explicit: np.ndarray
 
 
+def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
+    """Explicit director RHS in the masked half spectrum:
+
+        -(u.grad)d + omega d - (lambda2/lambda1) Ad + stage(grad_d W)/lambda1.
+    """
+    g = state.grid
+    c = state.coeffs
+    f = mat_vec_director(bundle.omega, state.d) - (c.lambda2 / c.lambda1) * bundle.Ad
+    f -= np.einsum("i...,ic...->c...", state.u, bundle.grad_d)
+    return g.fft(f) * g.dealias_mask + bundle.gradW_hat / c.lambda1
+
+
 def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) -> SplitRHS:
     """d_t = -(u.grad)d + omega d - (lambda2/lambda1) Ad - (1/lambda1)(Lap d - grad_d W).
 
     diffusion = -(1/lambda1) Lap d (a positive multiple, since lambda1 < 0);
-    the penalty gradient stays explicit.
+    the penalty gradient stays explicit.  A physical-space view of the
+    spectral RHS the stepper integrates.
     """
     g = state.grid
-    c = state.coeffs
     if bundle is None:
         bundle = constitutive(state)
-    transport = g.dealias(np.einsum("i...,ic...->c...", state.u, bundle.grad_d))
-    dealiased_gradW = bundle.lap_d - bundle.tension
-    explicit = (
-        -transport
-        + bundle.omega_d
-        - (c.lambda2 / c.lambda1) * bundle.Ad
-        + dealiased_gradW / c.lambda1
-    )
-    diffusion = bundle.lap_d / (-c.lambda1)
+    explicit = g.ifft(_director_force_hat(state, bundle))
+    diffusion = g.ifft(bundle.d_hat * (g.ksq / state.coeffs.lambda1))
     return SplitRHS(total=diffusion + explicit, diffusion=diffusion, explicit=explicit)
+
+
+def _visco_flux(grad_u: np.ndarray, r: float) -> np.ndarray:
+    mag2 = np.sum(grad_u * grad_u, axis=(0, 1))
+    return mag2 ** (0.5 * (r - 2.0)) * grad_u
 
 
 def visco_reg_stress(grid: SpectralGrid, grad_u: np.ndarray, r: float) -> np.ndarray:
     """dealias(|grad u|^(r-2) grad u) with the pointwise Frobenius magnitude."""
-    mag2 = np.sum(grad_u * grad_u, axis=(0, 1))
-    return grid.dealias(mag2 ** (0.5 * (r - 2.0)) * grad_u)
+    return grid.dealias(_visco_flux(grad_u, r))
 
 
-def _momentum_force(state: FieldState, bundle: ConstitutiveBundle,
-                    reg: RegularizationConfig | None, convective: str) -> np.ndarray:
-    """Unprojected momentum RHS minus the pressure gradient and the mu4 diffusion."""
+def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
+                       reg: RegularizationConfig | None = None,
+                       convective: str = "convective") -> np.ndarray:
+    """Unprojected momentum RHS minus the pressure gradient and the mu4
+    diffusion, in the masked half spectrum.
+
+    The Leslie stress without its mu4 A part (integrated implicitly) minus
+    the Ericksen stress, plus in the regularised scheme the monitor stress
+    and -[u]_M (x) u, is transformed as one tensor.
+    """
     g = state.grid
+    u = state.u
+    stress = bundle.sigma - state.coeffs.mu4 * bundle.A - ericksen_stress(bundle.grad_d)
+    conv = None
     if reg is not None and reg.enabled:
         # divergence form with the truncated advecting velocity [u]_M
-        u_M = g.truncate_modes(state.u, min(reg.M, g.n // 2))
-        uu = g.dealias(np.einsum("i...,j...->ij...", u_M, state.u))
-        conv = g.div_tensor(uu)
-        stress = bundle.sigma_nl - ericksen_stress(bundle.grad_d) \
-            + visco_reg_stress(g, bundle.grad_u, reg.r) / float(reg.M)
+        u_M = g.ifft(bundle.u_hat * g.box_mask(min(reg.M, g.n // 2)))
+        stress += _visco_flux(bundle.grad_u, reg.r) / float(reg.M) - _outer(u_M, u)
+    elif convective == "convective":
+        conv = np.einsum("i...,ij...->j...", u, bundle.grad_u)
+    elif convective == "skew":
+        stress -= 0.5 * _outer(u, u)
+        conv = 0.5 * np.einsum("i...,ij...->j...", u, bundle.grad_u)
     else:
-        if convective == "convective":
-            conv = g.dealias(np.einsum("i...,ij...->j...", state.u, bundle.grad_u))
-        elif convective == "skew":
-            adv = g.dealias(np.einsum("i...,ij...->j...", state.u, bundle.grad_u))
-            uu = g.dealias(np.einsum("i...,j...->ij...", state.u, state.u))
-            conv = 0.5 * (adv + g.div_tensor(uu))
-        else:
-            raise ParameterError(f"unknown convective form {convective!r}")
-        stress = bundle.sigma_nl - ericksen_stress(bundle.grad_d)
-    return g.div_tensor(g.dealias(stress)) - conv
+        raise ParameterError(f"unknown convective form {convective!r}")
+    force_hat = g.div_hat(g.fft(stress) * g.dealias_mask)
+    if conv is not None:
+        force_hat -= g.fft(conv) * g.dealias_mask
+    return force_hat
 
 
 def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
@@ -290,12 +316,12 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
     """Leray-projected u_t; diffusion = (mu4/2) Lap u handled spectrally.
 
     Precondition: u divergence-free and band-limited (then the projected
-    diffusion equals the raw Laplacian and the split is consistent).
+    diffusion equals the raw Laplacian and the split is consistent).  A
+    physical-space view of the spectral RHS the stepper integrates.
     """
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    force = _momentum_force(state, bundle, reg, convective)
-    explicit = g.leray(force)
-    diffusion = 0.5 * state.coeffs.mu4 * g.laplacian(state.u)
+    explicit = g.ifft(g.leray_hat(_momentum_force_hat(state, bundle, reg, convective)))
+    diffusion = g.ifft(bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.ksq))
     return SplitRHS(total=diffusion + explicit, diffusion=diffusion, explicit=explicit)

@@ -10,9 +10,11 @@ remaining terms explicitly:
                           bootstrapped by one euler step.
 
 Linear symbols: -(mu4/2)|kappa|^2 for u and |kappa|^2/lambda1 for d (both
-nonpositive).  After each step u is re-projected divergence-free and both
-fields re-masked to the dealias band, so a quiescent state is a bitwise
-fixed point and pure Stokes decay integrates exactly.
+nonpositive).  y, F(y) and both updates live in the half spectrum; each step
+transforms u and d forward once and the new fields back once.  After each
+step u is re-projected divergence-free and both fields re-masked to the
+dealias band, so a quiescent state is a bitwise fixed point and pure Stokes
+decay integrates exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .diagnostics import BlowupMonitorState, EnergyReport, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      _momentum_force, constitutive, director_rhs)
+                      _director_force_hat, _momentum_force_hat, constitutive)
 
 SCHEMES = ("semi-implicit-euler", "imex-bdf2")
 
@@ -36,7 +38,6 @@ class TimeStepperConfig:
     dt: float
     t_end: float
     scheme: str = "semi-implicit-euler"
-    dealias: bool = True
     max_vorticity_sup: float | None = None
 
     def __post_init__(self):
@@ -86,23 +87,14 @@ class Stepper:
         self._phi_d = dt * _phi1(dt * sym_d)
         self._den_u = 3.0 - 2.0 * dt * sym_u
         self._den_d = 3.0 - 2.0 * dt * sym_d
+        self._mask_u = grid.dealias_mask
+        if reg is not None and reg.enabled and reg.N_modes is not None:
+            self._mask_u = self._mask_u & grid.box_mask(reg.N_modes)
         self._hist = None  # (output state, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
 
     def _mask_project(self, u_hat, d_hat):
         g = self.grid
-        if self.cfg.dealias:
-            u_hat = u_hat * g.dealias_mask
-            d_hat = d_hat * g.dealias_mask
-        if self.reg is not None and self.reg.enabled and self.reg.N_modes is not None:
-            keep = np.all(np.abs(g.k) <= self.reg.N_modes, axis=0)
-            u_hat = u_hat * keep
-        dot = np.zeros(g.shape, dtype=complex)
-        for i in range(g.dim):
-            dot = dot + g.kappa_d[i] * u_hat[i]
-        dot *= g.inv_ksq_d
-        for i in range(g.dim):
-            u_hat[i] = u_hat[i] - g.kappa_d[i] * dot
-        return u_hat, d_hat
+        return g.leray_hat(u_hat * self._mask_u), d_hat * g.dealias_mask
 
     def step_pair(self, state: FieldState) -> tuple[FieldState, ConstitutiveBundle]:
         """Advance one dt; returns (new state, bundle evaluated at the input state).
@@ -114,13 +106,9 @@ class Stepper:
         g = self.grid
         dt = self.cfg.dt
         bundle = constitutive(state)
-        fu = g.leray(_momentum_force(state, bundle, self.reg, "convective"))
-        fd = director_rhs(state, bundle).explicit
-
-        u_hat = g.fft(state.u)
-        d_hat = g.fft(state.d)
-        fu_hat = g.fft(fu)
-        fd_hat = g.fft(fd)
+        u_hat, d_hat = bundle.u_hat, bundle.d_hat
+        fu_hat = g.leray_hat(_momentum_force_hat(state, bundle, self.reg))
+        fd_hat = _director_force_hat(state, bundle)
 
         use_bdf2 = (
             self.cfg.scheme == "imex-bdf2"
@@ -146,7 +134,7 @@ class Stepper:
                 state=state, time=state.time,
             )
         if self.cfg.max_vorticity_sup is not None:
-            w = g.sup_norm(g.curl(u_new))
+            w = g.sup_norm(g.ifft(g.curl_hat(u_new_hat)))
             if w > self.cfg.max_vorticity_sup:
                 raise BlowUpError(
                     f"sup|curl u| = {w:.6g} exceeded threshold "
@@ -200,7 +188,8 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     right after step_pair(state_i) succeeds, from the bundle that call
     returns, and that bundle is held only until the next step returns.  Only
     the final state, and a due state whose step raised BlowUpError, are
-    sampled from a fresh constitutive() call.
+    sampled from a fresh constitutive() call; the latter only when that
+    bundle is finite.
     """
     if cadence < 1:
         raise ParameterError(f"cadence must be >= 1, got {cadence}")
@@ -251,7 +240,10 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             new_state, bundle = stepper.step_pair(state)
         except BlowUpError:
             if due:
-                sample(state, constitutive(state), i)
+                # a finite state whose products overflow has no finite sample
+                bundle = constitutive(state)
+                if bundle.is_finite():
+                    sample(state, bundle, i)
             blown_up = True
             blowup_time = state.time
             blowup_step = i
@@ -283,11 +275,5 @@ def reconstruct_pressure(state: FieldState,
                          reg: RegularizationConfig | None = None) -> np.ndarray:
     """Solve Lap P = div F for the zero-mean pressure, F the unprojected force."""
     g = state.grid
-    bundle = constitutive(state)
-    force = _momentum_force(state, bundle, reg, "convective")
-    fhat = g.fft(force)
-    dot = np.zeros(g.shape, dtype=complex)
-    for i in range(g.dim):
-        dot = dot + g.kappa_d[i] * fhat[i]
-    p_hat = -1j * dot * g.inv_ksq_d
-    return g.ifft(p_hat)
+    force_hat = _momentum_force_hat(state, constitutive(state), reg)
+    return g.ifft(-1j * g.potential_hat(force_hat))

@@ -10,7 +10,11 @@ Conventions, fixed for the whole package:
     * (grad f)[i, c] = d f_c / d x_i, (div T)_j = d_i T_ij;
     * the dealias mask keeps |k_j| <= floor(n/3) on every axis.  n is a
       power of two, so 3*floor(n/3) <= n - 1 and products of three masked
-      fields are evaluated alias-free by the collocation grid sum.
+      fields are evaluated alias-free by the collocation grid sum;
+    * spectral arrays hold the half spectrum of numpy's rfftn: the last grid
+      axis keeps k = 0..n/2 only, the other modes follow by conjugate
+      symmetry.  Spectral shape (ncomp, ..) + hshape with
+      hshape = (n,)*(dim-1) + (n//2 + 1,).
 """
 
 from __future__ import annotations
@@ -45,23 +49,24 @@ class SpectralGrid:
         self.npoints = self.n ** self.dim
         self.band = self.n // 3
 
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integers as floats
-        mesh = np.meshgrid(*([k1] * self.dim), indexing="ij")
-        self.k = np.stack(mesh)                      # (dim,) + shape, integer lattice
-        self.kappa = 2.0 * np.pi * self.k            # physical wavenumbers
-        self.ksq = np.sum(self.kappa ** 2, axis=0)
-        with np.errstate(divide="ignore"):
-            inv = np.where(self.ksq > 0.0, 1.0 / np.where(self.ksq > 0.0, self.ksq, 1.0), 0.0)
-        self.inv_ksq = inv                           # zero at the mean mode
-        self.dealias_mask = np.all(np.abs(self.k) <= self.band, axis=0)
+        kf = np.fft.fftfreq(self.n, d=1.0 / self.n)   # integers as floats
+        kr = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # last axis: 0..n/2
+        mesh = np.meshgrid(*([kf] * (self.dim - 1) + [kr]), indexing="ij")
+        self.k = np.stack(mesh)                      # (dim,) + hshape, integer lattice
+        self.hshape = self.k.shape[1:]
+        self.ksq = np.sum((2.0 * np.pi * self.k) ** 2, axis=0)
+        self.dealias_mask = self.box_mask(self.band)
+        # Half-spectrum multiplicity in a full-spectrum sum: interior last-axis
+        # modes stand for themselves and their conjugate partner.
+        self.hweight = np.where((self.k[-1] == 0) | (self.k[-1] == self.n // 2), 1.0, 2.0)
 
-        # Odd-derivative multipliers zero the unpaired Nyquist mode: k = -n/2
-        # has no +n/2 partner, so i*kappa there would break conjugate symmetry
-        # and real-to-real differentiation.  Band-limited fields never carry
-        # those bins; this only hardens the operators for raw input.
-        self.kappa_d = self.kappa.copy()
-        for i in range(self.dim):
-            self.kappa_d[i][np.abs(self.k[i]) == self.n // 2] = 0.0
+        # Odd-derivative multipliers zero the Nyquist mode |k_j| = n/2: it is
+        # its own conjugate partner, so i*kappa there would break conjugate
+        # symmetry and real-to-real differentiation.  Band-limited fields
+        # never carry those bins; this only hardens the operators for raw input.
+        self.kappa_d = 2.0 * np.pi * self.k
+        self.kappa_d[np.abs(self.k) == self.n // 2] = 0.0
+        self.ikappa_d = 1j * self.kappa_d
         ksq_d = np.sum(self.kappa_d ** 2, axis=0)
         self.inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
 
@@ -70,10 +75,52 @@ class SpectralGrid:
     # -- transforms ---------------------------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f, axes=self._axes)
+        """Half-spectrum coefficients of a real field over the grid axes."""
+        return np.fft.rfftn(f, axes=self._axes)
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fhat, axes=self._axes).real
+        """Real field from half-spectrum coefficients."""
+        return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
+
+    # -- spectral operators (on half-spectrum arrays) --------------------------
+
+    def box_mask(self, M: int) -> np.ndarray:
+        """True on the modes with every |k_j| <= M."""
+        return np.all(np.abs(self.k) <= M, axis=0)
+
+    def grad_hat(self, fhat: np.ndarray) -> np.ndarray:
+        """i*kappa_i fhat along a new leading axis."""
+        ik = self.ikappa_d.reshape((self.dim,) + (1,) * (fhat.ndim - self.dim) + self.hshape)
+        return ik * fhat
+
+    def div_hat(self, vhat: np.ndarray) -> np.ndarray:
+        """sum_i i*kappa_i vhat[i]: the divergence of a vector, or (div T)_j of a tensor."""
+        out = self.ikappa_d[0] * vhat[0]
+        for i in range(1, self.dim):
+            out += self.ikappa_d[i] * vhat[i]
+        return out
+
+    def curl_hat(self, uhat: np.ndarray) -> np.ndarray:
+        """Scalar vorticity in 2D, the curl vector in 3D."""
+        ik = self.ikappa_d
+        if self.dim == 2:
+            return ik[0] * uhat[1] - ik[1] * uhat[0]
+        return np.stack([ik[1] * uhat[2] - ik[2] * uhat[1],
+                         ik[2] * uhat[0] - ik[0] * uhat[2],
+                         ik[0] * uhat[1] - ik[1] * uhat[0]])
+
+    def potential_hat(self, vhat: np.ndarray) -> np.ndarray:
+        """q = (kappa . vhat)/|kappa|^2, so vhat = leray_hat(vhat) + kappa q;
+        the gradient part is grad p with p_hat = -i q."""
+        q = self.kappa_d[0] * vhat[0]
+        for i in range(1, self.dim):
+            q += self.kappa_d[i] * vhat[i]
+        q *= self.inv_ksq_d
+        return q
+
+    def leray_hat(self, vhat: np.ndarray) -> np.ndarray:
+        """Divergence-free part of vhat; the mean mode passes through."""
+        return vhat - self.kappa_d * self.potential_hat(vhat)
 
     def coords(self) -> np.ndarray:
         """Collocation coordinates, shape (dim,) + grid shape."""
@@ -101,32 +148,21 @@ class SpectralGrid:
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """d/dx_i along a new leading axis: result[i, ...] = d f[...] / d x_i."""
         f = self._check(f, "gradient")
-        fhat = self.fft(f)
-        dhat = np.stack([1j * self.kappa_d[i] * fhat for i in range(self.dim)])
-        return self.ifft(dhat)
+        return self.ifft(self.grad_hat(self.fft(f)))
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
         """Scalar d_i v_i for a velocity-like field of shape (dim,) + grid."""
         v = self._check(v, "divergence", ncomp_axes=1)
         if v.shape[0] != self.dim:
             raise ParameterError(f"divergence: expected {self.dim} components, got {v.shape[0]}")
-        vhat = self.fft(v)
-        out = np.zeros(self.shape, dtype=complex)
-        for i in range(self.dim):
-            out += 1j * self.kappa_d[i] * vhat[i]
-        return self.ifft(out)
+        return self.ifft(self.div_hat(self.fft(v)))
 
     def div_tensor(self, T: np.ndarray) -> np.ndarray:
         """(div T)_j = d_i T_ij for T of shape (dim, dim) + grid."""
         T = self._check(T, "div_tensor", ncomp_axes=2)
         if T.shape[:2] != (self.dim, self.dim):
             raise ParameterError(f"div_tensor: expected leading shape {(self.dim, self.dim)}, got {T.shape[:2]}")
-        That = self.fft(T)
-        out = np.zeros((self.dim,) + self.shape, dtype=complex)
-        for j in range(self.dim):
-            for i in range(self.dim):
-                out[j] += 1j * self.kappa_d[i] * That[i, j]
-        return self.ifft(out)
+        return self.ifft(self.div_hat(self.fft(T)))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         f = self._check(f, "laplacian")
@@ -137,29 +173,14 @@ class SpectralGrid:
         u = self._check(u, "curl", ncomp_axes=1)
         if u.shape[0] != self.dim:
             raise ParameterError(f"curl: expected {self.dim} components, got {u.shape[0]}")
-        uhat = self.fft(u)
-        if self.dim == 2:
-            w = 1j * self.kappa_d[0] * uhat[1] - 1j * self.kappa_d[1] * uhat[0]
-            return self.ifft(w)
-        w = np.empty((3,) + self.shape, dtype=complex)
-        w[0] = 1j * self.kappa_d[1] * uhat[2] - 1j * self.kappa_d[2] * uhat[1]
-        w[1] = 1j * self.kappa_d[2] * uhat[0] - 1j * self.kappa_d[0] * uhat[2]
-        w[2] = 1j * self.kappa_d[0] * uhat[1] - 1j * self.kappa_d[1] * uhat[0]
-        return self.ifft(w)
+        return self.ifft(self.curl_hat(self.fft(u)))
 
     def leray(self, v: np.ndarray) -> np.ndarray:
         """Project onto divergence-free fields; the mean mode passes through."""
         v = self._check(v, "leray", ncomp_axes=1)
         if v.shape[0] != self.dim:
             raise ParameterError(f"leray: expected {self.dim} components, got {v.shape[0]}")
-        vhat = self.fft(v)
-        dot = np.zeros(self.shape, dtype=complex)
-        for i in range(self.dim):
-            dot += self.kappa_d[i] * vhat[i]
-        dot *= self.inv_ksq_d
-        for i in range(self.dim):
-            vhat[i] -= self.kappa_d[i] * dot
-        return self.ifft(vhat)
+        return self.ifft(self.leray_hat(self.fft(v)))
 
     # -- filters -------------------------------------------------------------
 
@@ -173,19 +194,16 @@ class SpectralGrid:
         if not isinstance(M, (int, np.integer)) or not (1 <= int(M) <= self.n // 2):
             raise ParameterError(f"truncate_modes: M must be an integer in [1, {self.n // 2}], got {M}")
         f = self._check(f, "truncate_modes")
-        mask = np.all(np.abs(self.k) <= int(M), axis=0)
-        return self.ifft(self.fft(f) * mask)
-
-    def sobolev_filter(self, f: np.ndarray, s: float) -> np.ndarray:
-        """Apply the multiplier (1 + |kappa|^2)^(s/2) mode by mode."""
-        f = self._check(f, "sobolev_filter")
-        return self.ifft((1.0 + self.ksq) ** (0.5 * s) * self.fft(f))
+        return self.ifft(self.fft(f) * self.box_mask(int(M)))
 
     def sobolev_norm(self, f: np.ndarray, s: float) -> float:
         """|| (1+|kappa|^2)^(s/2) f ||_{L2}; s = 0 is the plain L2 norm."""
         f = self._check(f, "sobolev_norm")
-        fhat = self.fft(f)
-        w = (1.0 + self.ksq) ** s
+        return self.sobolev_norm_hat(self.fft(f), s)
+
+    def sobolev_norm_hat(self, fhat: np.ndarray, s: float) -> float:
+        """sobolev_norm from half-spectrum coefficients."""
+        w = self.hweight * (1.0 + self.ksq) ** s
         total = float(np.sum(w * (fhat.real ** 2 + fhat.imag ** 2)))
         return float(np.sqrt(total)) / self.npoints
 
@@ -241,9 +259,8 @@ def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.rando
     """
     if not (1 <= kmax <= grid.band):
         raise ParameterError(f"kmax must be in [1, {grid.band}], got {kmax}")
-    mask = np.all(np.abs(grid.k) <= kmax, axis=0)
     f = rng.standard_normal((ncomp,) + grid.shape)
-    f = grid.ifft(grid.fft(f) * mask)
+    f = grid.ifft(grid.fft(f) * grid.box_mask(kmax))
     peak = np.sqrt(np.sum(f * f, axis=0).max())
     if peak == 0.0:
         raise ParameterError("degenerate random draw, zero field")

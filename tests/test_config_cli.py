@@ -1,5 +1,6 @@
 """Config parsing round-trips and the command-line surface."""
 
+import importlib
 import importlib.metadata
 import json
 import os
@@ -263,10 +264,21 @@ class TestSweepCommand:
         assert "comma-separated" in capsys.readouterr().err
 
 
-def _declared_project():
+def _pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(REPO_ROOT / "pyproject.toml", "rb") as f:
-        return tomllib.load(f)["project"]
+        return tomllib.load(f)
+
+
+def _declared_version(pyproject):
+    """[project] version, or for a dynamic version the attribute that
+    [tool.setuptools.dynamic] names, resolved as setuptools resolves it."""
+    project = pyproject["project"]
+    if "version" not in project.get("dynamic", []):
+        return project["version"]
+    spec = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, _, attr = spec.rpartition(".")
+    return getattr(importlib.import_module(module), attr)
 
 
 def _installed_by_installer():
@@ -292,8 +304,8 @@ sys.exit(main())
 def test_console_script_installed(cfg_file, tmp_path):
     """The declared `nematicflow` console script resolves to `cli.main` and
     behaves as a command, whether or not the package is installed."""
-    project = _declared_project()
-    value = project.get("scripts", {}).get("nematicflow")
+    pyproject = _pyproject()
+    value = pyproject["project"].get("scripts", {}).get("nematicflow")
     assert value is not None, "[project.scripts] declares no nematicflow command"
     ep = importlib.metadata.EntryPoint(name="nematicflow", value=value,
                                        group="console_scripts")
@@ -311,7 +323,7 @@ def test_console_script_installed(cfg_file, tmp_path):
 
     res = command("--version")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == f"nematicflow {project['version']}"
+    assert res.stdout.strip() == f"nematicflow {_declared_version(pyproject)}"
 
     res = command("validate", "--config", cfg_file("[solvr]\ndt = 0.1\n"))
     assert res.returncode == 1

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from nematicflow import (FieldState, ParameterError, RegimeError,
-                         RegularizationConfig, constitutive, director_rhs,
+from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
+                         RegimeError, RegularizationConfig, channels,
+                         constitutive, director_rhs,
                          ericksen_stress, from_alpha, leslie_stress,
-                         momentum_rhs, penalty, transport_N)
+                         momentum_rhs, penalty)
 from nematicflow.physics import mat_vec_director, visco_reg_stress
 
 from conftest import smooth_state
@@ -105,12 +106,6 @@ def test_leslie_stress_matches_bundle(grid2d, alpha_one):
     b = constitutive(st)
     sig = leslie_stress(grid2d, alpha_one, st.d, b.A, b.N, b.Ad)
     assert grid2d.sup_norm(sig - b.sigma) < 1e-12
-
-
-def test_transport_N_equals_bundle_N(grid2d, alpha_one):
-    st = smooth_state(grid2d, alpha_one, seed=6)
-    b = constitutive(st)
-    assert np.array_equal(transport_N(st, b), b.N)
 
 
 def test_director_rhs_linearized_oracle(grid2d):
@@ -223,3 +218,28 @@ def test_constitutive_3d(grid3d):
     assert b.sigma.shape == (3, 3) + grid3d.shape
     rhs = momentum_rhs(st)
     assert grid3d.sup_norm(grid3d.divergence(rhs.total)) < 1e-9
+
+
+CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
+                               mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
+
+
+@pytest.mark.parametrize("reg", [None, RegularizationConfig(M=4, r=4.0)],
+                         ids=["plain", "regularised"])
+@pytest.mark.parametrize("grid_name, coeffs", [("grid2d", from_alpha(1.0, 1.0)),
+                                               ("grid3d", CASE2_SET)],
+                         ids=["2d-alpha", "3d-case2"])
+def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
+    """<u, u_t> + <grad d, grad d_t> + <grad_d W, d_t> = -(sum of the general
+    channels) to rounding: the spatial assembly balances the energy law exactly."""
+    grid = request.getfixturevalue(grid_name)
+    st = smooth_state(grid, coeffs, seed=31)
+    u_t = momentum_rhs(st, reg=reg).total
+    d_t = director_rhs(st).total
+    _, gradW = penalty(st.d, coeffs.epsilon)
+    rate = (grid.l2_inner(st.u, u_t)
+            + grid.l2_inner(grid.gradient(st.d), grid.gradient(d_t))
+            + grid.l2_inner(gradW, d_t))
+    dissipation = channels(st, reg=reg).dissipation_general
+    assert dissipation > 0.0
+    assert abs(rate + dissipation) <= 1e-12 * dissipation

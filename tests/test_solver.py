@@ -12,7 +12,11 @@ from nematicflow import (BlowUpError, FieldState, LeslieCoefficients,
                          Stepper, TimeStepperConfig, case2_lower_bound_check,
                          constitutive, eta_margin, from_alpha,
                          reconstruct_pressure, run, step)
-from nematicflow.config import taylor_green_velocity
+from nematicflow.cli import main
+from nematicflow.config import (build_coefficients, build_grid,
+                                build_initial_state, build_regularization,
+                                build_stepper_config, parse_config_text,
+                                taylor_green_velocity)
 from nematicflow.spectral import random_band_limited
 
 from conftest import smooth_state
@@ -313,3 +317,49 @@ def test_reconstruct_pressure_taylor_green(grid2d):
                                 + np.cos(2.0 * 2.0 * np.pi * x[1]))
     assert grid2d.sup_norm(p - expect) < 1e-12
     assert abs(grid2d.mean(p)) < 1e-15
+
+
+OVERFLOW_CFG = """\
+[grid]
+dim = 3
+n = 16
+
+[coefficients]
+alpha = 1.0
+nu = 1.0
+
+[initial_condition]
+preset = perturbed-director
+amplitude = 0.1
+
+[stepper]
+dt = 0.0005
+t_end = 0.005
+
+[regularization]
+enabled = true
+m = 4
+
+[diagnostics]
+cadence = 1
+"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_state_ends_as_blowup(tmp_path):
+    """The 3D regularised scheme at this dt grows u to ~1e171 in six steps:
+    the state is still finite but its products overflow.  The run ends as a
+    flagged blow-up with a finite final state, and the command exits 2."""
+    cfg = parse_config_text(OVERFLOW_CFG)
+    grid = build_grid(cfg)
+    state0 = build_initial_state(cfg, grid, build_coefficients(cfg))
+    traj = run(state0, build_stepper_config(cfg), reg=build_regularization(cfg))
+    assert traj.blown_up
+    assert traj.blowup_step is not None and 0 < traj.blowup_step < traj.n_steps
+    assert traj.blowup_time == traj.final_state.time
+    assert np.isfinite(traj.final_state.u).all() and np.isfinite(traj.final_state.d).all()
+
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOW_CFG)
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2

@@ -154,15 +154,16 @@ def test_quadrature_exact_for_band_limited_products(grid2d):
     f = random_band_limited(grid2d, 1, grid2d.band // 3, rng)[0]
     g3 = f * f * f
     fhat = grid2d.fft(f)
-    # oracle: zero-pad to a 4x finer grid, where the cubic is fully resolved
+    # oracle: zero-pad the half spectrum to a 4x finer grid, where the cubic
+    # is fully resolved; the last axis holds k = 0..n/2 on both grids
     fine = SpectralGrid(2, 128)
-    pad = np.zeros(fine.shape, dtype=complex)
+    pad = np.zeros(fine.hshape, dtype=complex)
     kf = np.fft.fftfreq(128, 1.0 / 128).astype(int)
     kc = np.fft.fftfreq(32, 1.0 / 32).astype(int)
     ixf = {int(k): i for i, k in enumerate(kf)}
     for i, ki in enumerate(kc):
-        for j, kj in enumerate(kc):
-            pad[ixf[int(ki)], ixf[int(kj)]] = fhat[i, j] * (128 / 32) ** 2
+        for j in range(fhat.shape[1]):
+            pad[ixf[int(ki)], j] = fhat[i, j] * (128 / 32) ** 2
     f_fine = fine.ifft(pad[None])[0]
     assert grid2d.mean(g3) == pytest.approx(fine.mean(f_fine ** 3), abs=1e-13)
 
