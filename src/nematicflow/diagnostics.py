@@ -101,19 +101,20 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
     c = state.coeffs
     if bundle is None:
         bundle = constitutive(state)
+    inner = g.l2_inner_unchecked  # FieldState validates u and d; the bundle derives from them
 
-    ek = 0.5 * g.l2_inner(state.u, state.u)
-    ee = 0.5 * g.l2_inner(bundle.grad_d, bundle.grad_d)
-    ep = g.mean(bundle.W_val)
+    ek = 0.5 * inner(state.u, state.u)
+    ee = 0.5 * inner(bundle.grad_d, bundle.grad_d)
+    ep = g.mean_unchecked(bundle.W_val)
 
-    n2_N = g.l2_inner(bundle.N, bundle.N)
-    n2_Ad = g.l2_inner(bundle.Ad, bundle.Ad)
-    d_visc = c.mu4 * g.l2_inner(bundle.A, bundle.A)
-    d_mu1 = c.mu1 * g.l2_inner(bundle.dAd, bundle.dAd)
+    n2_N = inner(bundle.N, bundle.N)
+    n2_Ad = inner(bundle.Ad, bundle.Ad)
+    d_visc = c.mu4 * inner(bundle.A, bundle.A)
+    d_mu1 = c.mu1 * inner(bundle.dAd, bundle.dAd) if c.mu1 != 0.0 else 0.0
     d_n = -c.lambda1 * n2_N
     d_ad = (c.mu5 + c.mu6) * n2_Ad
-    d_cross = -(c.lambda2 - c.mu2 - c.mu3) * g.l2_inner(bundle.N, bundle.Ad)
-    d_c1_dir = g.l2_inner(bundle.tension, bundle.tension) / (-c.lambda1)
+    d_cross = -(c.lambda2 - c.mu2 - c.mu3) * inner(bundle.N, bundle.Ad)
+    d_c1_dir = inner(bundle.tension, bundle.tension) / (-c.lambda1)
     d_c1_ad = (c.mu5 + c.mu6 + c.lambda2 ** 2 / c.lambda1) * n2_Ad
 
     d_reg = 0.0
@@ -176,7 +177,8 @@ def quantity_A(state: FieldState, bundle: ConstitutiveBundle | None = None) -> f
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    return g.l2_inner(bundle.grad_u, bundle.grad_u) + g.l2_inner(bundle.tension, bundle.tension)
+    return (g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u)
+            + g.l2_inner_unchecked(bundle.tension, bundle.tension))
 
 
 def quantity_Ys(state: FieldState, s: float,
@@ -235,8 +237,8 @@ class BlowupMonitorState:
         if bundle is None:
             bundle = constitutive(state)
         curl = g.ifft(g.curl_hat(bundle.u_hat))
-        a = g.sup_norm(curl)
-        b = g.sup_norm(bundle.grad_d)
+        a = g.sup_norm_unchecked(curl)
+        b = g.sup_norm_unchecked(bundle.grad_d)
 
         integrand = a + b ** 4
         if self.times:
@@ -247,7 +249,8 @@ class BlowupMonitorState:
         h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
         y3 = quantity_Ys(state, 3.0, bundle)
         a_qty = quantity_A(state, bundle)
-        logsob = g.sup_norm(bundle.grad_u) / (1.0 + g.l2_norm(curl) + a * math.log(math.e + h3))
+        logsob = (g.sup_norm_unchecked(bundle.grad_u)
+                  / (1.0 + g.l2_norm_unchecked(curl) + a * math.log(math.e + h3)))
 
         self.times.append(t)
         self.sup_curl_u.append(a)
@@ -258,6 +261,11 @@ class BlowupMonitorState:
         self.A_history.append(a_qty)
         self.logsob_history.append(logsob)
         return self
+
+    def row(self, i: int) -> tuple[float, ...]:
+        """Sample i's values in CSV column order, sup_curl_u .. logsob_ratio."""
+        return (self.sup_curl_u[i], self.sup_grad_d[i], self.B_history[i], self.G_history[i],
+                self.Y3_history[i], self.A_history[i], self.logsob_history[i])
 
 
 # -- CSV output -----------------------------------------------------------------
@@ -285,10 +293,7 @@ def write_timeseries(path, reports: list[EnergyReport], monitor: BlowupMonitorSt
             rep.D_mu1, rep.D_visc, rep.D_Ad, rep.D_N, rep.D_cross,
             rep.D_case1_director, rep.D_case1_Ad, rep.D_reg,
             rep.residual_general, rep.residual_case1,
-            monitor.sup_curl_u[i], monitor.sup_grad_d[i], monitor.B_history[i],
-            monitor.G_history[i], monitor.Y3_history[i], monitor.A_history[i],
-            monitor.logsob_history[i],
-        )
+        ) + monitor.row(i)
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -133,6 +133,7 @@ class ConstitutiveBundle:
     Staged (dealiased) quantities: Ad, tension, N, dAd, dd and gradW_hat.
     tension = Lap d - stage(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
     so lambda1 N + lambda2 Ad + tension = 0 holds to rounding by construction.
+    dd and dAd feed only the mu1 terms, so they are None when mu1 = 0.
     sigma is pointwise in the staged fields; the momentum force masks it
     when it transforms the stress.
     """
@@ -148,13 +149,9 @@ class ConstitutiveBundle:
     Ad: np.ndarray           # stage(A d), 3 components
     tension: np.ndarray      # Lap d - stage(grad_d W)
     N: np.ndarray            # co-rotational rate via the constitutive identity
-    dAd: np.ndarray          # scalar stage(dd : A)
-    dd: np.ndarray           # stage(d(x)d), (dim, dim) + grid block
+    dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
+    dd: np.ndarray | None    # stage(d(x)d), (dim, dim) + grid block; None when mu1 = 0
     sigma: np.ndarray        # Leslie stress
-
-    def is_finite(self) -> bool:
-        """False when a field overflowed, as the products of a huge state do."""
-        return all(np.isfinite(f).all() for f in vars(self).values())
 
 
 def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -182,7 +179,8 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
     algebra.  u and d are transformed once; each staged field is one forward
-    and one inverse transform.
+    and one inverse transform.  The mu1 block dd, dAd is staged only when
+    mu1 != 0.
     """
     g = state.grid
     c = state.coeffs
@@ -203,7 +201,9 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     Ad = mat_vec_director(A, d)
     Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
     N = -(c.lambda2 * Ad + tension) / c.lambda1
-    dd, dAd = _stage_dd(g, d, A)
+    dd = dAd = None
+    if c.mu1 != 0.0:
+        dd, dAd = _stage_dd(g, d, A)
 
     return ConstitutiveBundle(
         u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, A=A, omega=omega,
@@ -220,17 +220,20 @@ def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
 
         sigma = mu4 A + mu1 dAd dd + mu2 N(x)d + mu3 d(x)N + mu5 Ad(x)d + mu6 d(x)Ad
 
-    dd = stage(d(x)d) and dAd = stage(dd : A) are staged here unless given.
-    The result is not staged again: the momentum force masks the stress
-    when it transforms it.
+    The mu1 term is skipped when mu1 = 0; otherwise dd = stage(d(x)d) and
+    dAd = stage(dd : A) are staged here unless given.  The result is not
+    staged again: the momentum force masks the stress when it transforms it.
     """
     dim = grid.dim
-    if dd is None or dAd is None:
-        dd, dAd = _stage_dd(grid, d, A)
     d_blk = d[:dim]
     left = c.mu2 * N[:dim] + c.mu5 * Ad[:dim]    # (.)(x)d terms
     right = c.mu3 * N[:dim] + c.mu6 * Ad[:dim]   # d(x)(.) terms
-    return c.mu4 * A + c.mu1 * dAd * dd + _outer(left, d_blk) + _outer(d_blk, right)
+    sigma = c.mu4 * A
+    if c.mu1 != 0.0:
+        if dd is None or dAd is None:
+            dd, dAd = _stage_dd(grid, d, A)
+        sigma = sigma + c.mu1 * dAd * dd
+    return sigma + _outer(left, d_blk) + _outer(d_blk, right)
 
 
 @dataclass
@@ -280,39 +283,31 @@ def visco_reg_stress(grid: SpectralGrid, grad_u: np.ndarray, r: float) -> np.nda
 
 
 def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
-                       reg: RegularizationConfig | None = None,
-                       convective: str = "convective") -> np.ndarray:
+                       reg: RegularizationConfig | None = None) -> np.ndarray:
     """Unprojected momentum RHS minus the pressure gradient and the mu4
     diffusion, in the masked half spectrum.
 
     The Leslie stress without its mu4 A part (integrated implicitly) minus
     the Ericksen stress, plus in the regularised scheme the monitor stress
-    and -[u]_M (x) u, is transformed as one tensor.
+    and -[u]_M (x) u, is transformed as one tensor; the plain scheme
+    subtracts the convective (u.grad)u.
     """
     g = state.grid
     u = state.u
     stress = bundle.sigma - state.coeffs.mu4 * bundle.A - ericksen_stress(bundle.grad_d)
-    conv = None
-    if reg is not None and reg.enabled:
+    regularised = reg is not None and reg.enabled
+    if regularised:
         # divergence form with the truncated advecting velocity [u]_M
         u_M = g.ifft(bundle.u_hat * g.box_mask(min(reg.M, g.n // 2)))
         stress += _visco_flux(bundle.grad_u, reg.r) / float(reg.M) - _outer(u_M, u)
-    elif convective == "convective":
-        conv = np.einsum("i...,ij...->j...", u, bundle.grad_u)
-    elif convective == "skew":
-        stress -= 0.5 * _outer(u, u)
-        conv = 0.5 * np.einsum("i...,ij...->j...", u, bundle.grad_u)
-    else:
-        raise ParameterError(f"unknown convective form {convective!r}")
     force_hat = g.div_hat(g.fft(stress) * g.dealias_mask)
-    if conv is not None:
-        force_hat -= g.fft(conv) * g.dealias_mask
+    if not regularised:
+        force_hat -= g.fft(np.einsum("i...,ij...->j...", u, bundle.grad_u)) * g.dealias_mask
     return force_hat
 
 
 def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
-                 reg: RegularizationConfig | None = None,
-                 convective: str = "convective") -> SplitRHS:
+                 reg: RegularizationConfig | None = None) -> SplitRHS:
     """Leray-projected u_t; diffusion = (mu4/2) Lap u handled spectrally.
 
     Precondition: u divergence-free and band-limited (then the projected
@@ -322,6 +317,6 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    explicit = g.ifft(g.leray_hat(_momentum_force_hat(state, bundle, reg, convective)))
+    explicit = g.ifft(g.leray_hat(_momentum_force_hat(state, bundle, reg)))
     diffusion = g.ifft(bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.ksq))
     return SplitRHS(total=diffusion + explicit, diffusion=diffusion, explicit=explicit)

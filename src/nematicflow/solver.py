@@ -19,6 +19,7 @@ decay integrates exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -134,7 +135,7 @@ class Stepper:
                 state=state, time=state.time,
             )
         if self.cfg.max_vorticity_sup is not None:
-            w = g.sup_norm(g.ifft(g.curl_hat(u_new_hat)))
+            w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat)))
             if w > self.cfg.max_vorticity_sup:
                 raise BlowUpError(
                     f"sup|curl u| = {w:.6g} exceeded threshold "
@@ -188,8 +189,8 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     right after step_pair(state_i) succeeds, from the bundle that call
     returns, and that bundle is held only until the next step returns.  Only
     the final state, and a due state whose step raised BlowUpError, are
-    sampled from a fresh constitutive() call; the latter only when that
-    bundle is finite.
+    sampled from a fresh constitutive() call; the latter only when every
+    value of its sample (report and monitor row) is finite.
     """
     if cadence < 1:
         raise ParameterError(f"cadence must be >= 1, got {cadence}")
@@ -209,8 +210,9 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     prev_sample: EnergyReport | None = None
     max_increase = 0.0
 
-    def sample(state: FieldState, bundle, step_index: int):
-        nonlocal prev_sample, max_increase
+    def sample(state: FieldState, bundle, step_index: int, finite_only: bool = False):
+        """Record one sample; with finite_only, drop it unless all its values are finite."""
+        nonlocal monitor, prev_sample, max_increase
         rep = channels(state, bundle, reg=reg)
         if prev_sample is not None:
             gap = rep.time - prev_sample.time
@@ -220,10 +222,15 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
                    "residual_general": rate + prev_sample.dissipation_general,
                    "residual_case1": rate + prev_sample.dissipation_case1},
             )
+        mon = copy.deepcopy(monitor) if finite_only else monitor
+        mon.update(state, bundle)
+        if finite_only and not all(map(math.isfinite, (*rep.__dict__.values(), *mon.row(-1)))):
+            return
+        monitor = mon
+        if prev_sample is not None:
             max_increase = max(max_increase, rep.E_total - prev_sample.E_total)
         reports.append(rep)
         sample_steps.append(step_index)
-        monitor.update(state, bundle)
         if collect_states:
             states.append(state)
         for hook in hooks:
@@ -240,10 +247,13 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             new_state, bundle = stepper.step_pair(state)
         except BlowUpError:
             if due:
-                # a finite state whose products overflow has no finite sample
-                bundle = constitutive(state)
-                if bundle.is_finite():
-                    sample(state, bundle, i)
+                # the products of a finite but huge state may overflow, so
+                # its sample is kept only when every value of it is finite
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        sample(state, constitutive(state), i, finite_only=True)
+                    except OverflowError:  # the monitor's sup|grad d| ** 4 past the float range
+                        pass
             blown_up = True
             blowup_time = state.time
             blowup_step = i

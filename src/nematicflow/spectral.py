@@ -71,6 +71,7 @@ class SpectralGrid:
         self.inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
 
         self._axes = tuple(range(-self.dim, 0))
+        self._sobolev_weights: dict[float, np.ndarray] = {}
 
     # -- transforms ---------------------------------------------------------
 
@@ -203,16 +204,20 @@ class SpectralGrid:
 
     def sobolev_norm_hat(self, fhat: np.ndarray, s: float) -> float:
         """sobolev_norm from half-spectrum coefficients."""
-        w = self.hweight * (1.0 + self.ksq) ** s
+        w = self._sobolev_weights.get(s)
+        if w is None:
+            w = self._sobolev_weights[s] = self.hweight * (1.0 + self.ksq) ** s
         total = float(np.sum(w * (fhat.real ** 2 + fhat.imag ** 2)))
         return float(np.sqrt(total)) / self.npoints
 
     # -- quadrature (collocation sums on the unit box) ------------------------
+    #
+    # The public forms validate their input; the *_unchecked kernels hold the
+    # formulas and serve callers whose fields are finite by construction.
 
     def mean(self, f: np.ndarray) -> float:
         """Grid average of a scalar field == its integral over the unit box."""
-        f = self._check(f, "mean", ncomp_axes=0)
-        return float(f.mean())
+        return self.mean_unchecked(self._check(f, "mean", ncomp_axes=0))
 
     def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """<a, b> = mean over the grid of the full component contraction."""
@@ -220,15 +225,25 @@ class SpectralGrid:
         b = self._check(b, "l2_inner rhs")
         if a.shape != b.shape:
             raise ParameterError(f"l2_inner: shape mismatch {a.shape} vs {b.shape}")
-        return float(np.sum(a * b)) / self.npoints
+        return self.l2_inner_unchecked(a, b)
 
     def l2_norm(self, f: np.ndarray) -> float:
-        f = self._check(f, "l2_norm")
-        return float(np.sqrt(np.sum(f * f) / self.npoints))
+        return self.l2_norm_unchecked(self._check(f, "l2_norm"))
 
     def sup_norm(self, f: np.ndarray) -> float:
         """max over grid points of the pointwise Euclidean (Frobenius) magnitude."""
-        f = self._check(f, "sup_norm")
+        return self.sup_norm_unchecked(self._check(f, "sup_norm"))
+
+    def mean_unchecked(self, f: np.ndarray) -> float:
+        return float(f.mean())
+
+    def l2_inner_unchecked(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.sum(a * b)) / self.npoints
+
+    def l2_norm_unchecked(self, f: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(f * f) / self.npoints))
+
+    def sup_norm_unchecked(self, f: np.ndarray) -> float:
         if f.ndim == self.dim:
             return float(np.abs(f).max())
         mag2 = np.sum(f * f, axis=tuple(range(f.ndim - self.dim)))
@@ -300,6 +315,8 @@ def read_snapshot_header(path) -> dict:
         raise ParameterError(f"{path}: unsupported snapshot version {version}")
     if dim not in (2, 3) or n < 8 or not _is_power_of_two(n) or not (1 <= ncomp <= 9):
         raise ParameterError(f"{path}: implausible header dim={dim} n={n} ncomp={ncomp}")
+    if not np.isfinite(time):
+        raise ParameterError(f"{path}: non-finite snapshot time {time}")
     return {"dim": dim, "n": n, "ncomp": ncomp, "time": time}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
-                         RegimeError, RegularizationConfig, channels,
+                         RegimeError, RegularizationConfig, SpectralGrid, channels,
                          constitutive, director_rhs,
                          ericksen_stress, from_alpha, leslie_stress,
                          momentum_rhs, penalty)
@@ -155,16 +155,6 @@ def test_momentum_reduces_to_navier_stokes(grid2d):
     assert g.sup_norm(rhs.total - expect) < 1e-10
 
 
-def test_momentum_skew_form_close_to_convective(grid2d, alpha_one):
-    st = smooth_state(grid2d, alpha_one, seed=23)
-    a = momentum_rhs(st, convective="convective").total
-    b = momentum_rhs(st, convective="skew").total
-    # both forms agree for divergence-free band-limited u (products resolved)
-    assert grid2d.sup_norm(a - b) < 1e-10
-    with pytest.raises(ParameterError):
-        momentum_rhs(st, convective="upwind")
-
-
 def test_regularization_config_validation():
     with pytest.raises(ParameterError):
         RegularizationConfig(M=0)
@@ -243,3 +233,45 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
     dissipation = channels(st, reg=reg).dissipation_general
     assert dissipation > 0.0
     assert abs(rate + dissipation) <= 1e-12 * dissipation
+
+
+def _count_transforms(monkeypatch):
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        def counted(self, f, _orig=getattr(SpectralGrid, name), _name=name):
+            counts[_name] += 1
+            return _orig(self, f)
+        monkeypatch.setattr(SpectralGrid, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("grid_name, coeffs, transforms", [
+    ("grid2d", from_alpha(1.0, 1.0), 4),
+    ("grid2d", CASE2_SET, 6),
+    ("grid3d", CASE2_SET, 6),
+], ids=["2d-alpha", "2d-case2", "3d-case2"])
+def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
+                                                     grid_name, coeffs, transforms):
+    """u, d, grad_d W and Ad take 4 forward and 4 inverse transforms; d(x)d
+    and dd : A add one each, and only when mu1 != 0."""
+    grid = request.getfixturevalue(grid_name)
+    st = smooth_state(grid, coeffs, seed=37)
+    counts = _count_transforms(monkeypatch)
+    b = constitutive(st)
+    assert counts == {"fft": transforms, "ifft": transforms}
+    if coeffs.mu1 == 0.0:
+        assert b.dd is None and b.dAd is None
+        assert channels(st, b).D_mu1 == 0.0
+    else:
+        assert b.dd.shape == (grid.dim, grid.dim) + grid.shape
+        assert channels(st, b).D_mu1 > 0.0
+
+
+@pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
+def test_leslie_stress_stages_mu1_block_bitwise(request, grid_name):
+    """With mu1 != 0, leslie_stress staging d(x)d and dd : A itself gives the
+    bundle's sigma bit for bit."""
+    grid = request.getfixturevalue(grid_name)
+    st = smooth_state(grid, CASE2_SET, seed=41)
+    b = constitutive(st)
+    assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad), b.sigma)

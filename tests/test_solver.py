@@ -1,5 +1,6 @@
 """Time stepping: fixed points, invariant maintenance, convergence, blow-up paths."""
 
+import json
 import math
 
 import numpy as np
@@ -362,4 +363,28 @@ def test_overflowing_state_ends_as_blowup(tmp_path):
 
     path = tmp_path / "overflow.ini"
     path.write_text(OVERFLOW_CFG)
-    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    # the overflowing state itself has no finite sample, so none is written
+    rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
+    assert len(rows) == traj.blowup_step == len(traj.reports)
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in run_manifest.json")
+    manifest = json.loads((out / "run_manifest.json").read_text(), parse_constant=reject)
+    assert manifest["blown_up"] and manifest["samples"] == len(rows)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_huge_director_blows_up_at_once_without_a_sample(grid2d, alpha_one):
+    """|d| ~ 1e80 overflows the penalty in the first step, and sup|grad d|^4
+    overflows a float power in the monitor: the state gets no sample, and
+    run() still returns the flagged blow-up instead of raising."""
+    st = smooth_state(grid2d, alpha_one, seed=3)
+    st = st.with_fields(st.u, 1e80 * st.d, 0.0)
+    traj = run(st, TimeStepperConfig(dt=1e-3, t_end=5e-3))
+    assert traj.blown_up and traj.blowup_step == 0
+    assert traj.reports == [] and traj.monitor.times == []
+    assert traj.final_state is st

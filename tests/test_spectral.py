@@ -1,9 +1,14 @@
 """Spectral grid operators, quadrature identities, and snapshot I/O."""
 
+import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nematicflow import ParameterError, SpectralGrid
 from nematicflow.spectral import (SNAPSHOT_MAGIC, load_snapshot,
@@ -178,6 +183,19 @@ def test_l2_and_sup_norms(grid2d):
     assert grid2d.sup_norm(v) == pytest.approx(5.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["l2_inner", "l2_norm", "sup_norm", "mean"])
+def test_quadrature_rejects_non_finite(grid2d, name, bad):
+    f = np.ones(grid2d.shape)
+    f[3, 5] = bad
+    args = (f, np.ones(grid2d.shape)) if name == "l2_inner" else (f,)
+    with pytest.raises(ParameterError, match="non-finite"):
+        getattr(grid2d, name)(*args)
+    if name == "l2_inner":
+        with pytest.raises(ParameterError, match="non-finite"):
+            grid2d.l2_inner(args[1], f)
+
+
 def test_mean_is_scalar_only(grid2d):
     v = np.ones((2,) + grid2d.shape)
     with pytest.raises(ParameterError):
@@ -254,3 +272,57 @@ class TestSnapshots:
         payload = 2 * grid2d.npoints * 8
         assert p.stat().st_size == 32 + payload
         assert p.read_bytes()[:8] == SNAPSHOT_MAGIC
+
+
+_SNAP_GRID = SpectralGrid(2, 8)
+
+
+def _snapshot_bytes(field, time):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.field")
+        save_snapshot(path, field, time, _SNAP_GRID)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _flip(raw, flips):
+    out = bytearray(raw)
+    for pos, mask in flips:
+        out[pos % len(out)] ^= mask
+    return bytes(out)
+
+
+@st.composite
+def damaged_snapshots(draw):
+    """A valid 2D n=8 snapshot, then truncated or with a few bytes flipped."""
+    ncomp = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    field = rng.standard_normal((ncomp,) + _SNAP_GRID.shape)
+    raw = _snapshot_bytes(field, draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+    return _flip(raw, draw(st.lists(flips, min_size=1, max_size=4)))
+
+
+_ZEROS = _snapshot_bytes(np.zeros((1,) + _SNAP_GRID.shape), 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=damaged_snapshots())
+@example(raw=_flip(_ZEROS, [(32 + 7, 0x7F), (32 + 6, 0xF0)]))  # a stored +inf
+@example(raw=_flip(_ZEROS, [(32 + 7, 0x7F), (32 + 6, 0xF8)]))  # a stored NaN
+@example(raw=_flip(_ZEROS, [(31, 0x40), (30, 0x20)]))          # time 0.25 -> +inf
+def test_load_snapshot_damaged_bytes(raw):
+    """Truncated or corrupted bytes raise ParameterError, never another
+    exception, and a snapshot that loads is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.field")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            field, time, _ = load_snapshot(path)
+        except ParameterError:
+            return
+    assert np.isfinite(field).all()
+    assert math.isfinite(time)
