@@ -35,6 +35,11 @@ def member_label(axis: str, value) -> str:
     return f"{axis}_{text.replace('-', 'm').replace('.', 'p')}"
 
 
+def _num(x, spec: str) -> str:
+    """x formatted by spec; empty for the None of a run without samples."""
+    return "" if x is None else format(x, spec)
+
+
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
@@ -108,6 +113,7 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
     save_snapshot(os.path.join(outdir, "d_final.field"),
                   traj.final_state.d, traj.final_state.time, grid)
 
+    reports = traj.reports  # empty when the first step blows up
     summary = {
         "version": __version__,
         "config_sha256": config_sha256(cfg),
@@ -116,12 +122,12 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
         "case1": report.case1,
         "case2": report.case2,
         "n_steps": traj.n_steps,
-        "samples": len(traj.reports),
+        "samples": len(reports),
         "final_time": traj.final_state.time,
-        "final_E_total": traj.reports[-1].E_total,
+        "final_E_total": reports[-1].E_total if reports else None,
         "max_energy_increase": traj.max_energy_increase,
-        "max_abs_residual_general": max(abs(r.residual_general) for r in traj.reports),
-        "max_abs_residual_case1": max(abs(r.residual_case1) for r in traj.reports),
+        "max_abs_residual_general": max((abs(r.residual_general) for r in reports), default=None),
+        "max_abs_residual_case1": max((abs(r.residual_case1) for r in reports), default=None),
         "blown_up": traj.blown_up,
         "blowup_time": traj.blowup_time,
         "blowup_step": traj.blowup_step,
@@ -143,9 +149,10 @@ def cmd_run(args) -> int:
     else:
         print(f"wrote {outdir}/diagnostics.csv ({summary['samples']} rows, "
               f"{summary['n_steps']} steps, {summary['wall_time_s']:.2f}s)")
-        print(f"final E_total = {summary['final_E_total']:.12g} at t = {summary['final_time']}")
-        print(f"max |residual_general| = {summary['max_abs_residual_general']:.3e}, "
-              f"max |residual_case1| = {summary['max_abs_residual_case1']:.3e}")
+        if summary["samples"]:
+            print(f"final E_total = {summary['final_E_total']:.12g} at t = {summary['final_time']}")
+            print(f"max |residual_general| = {summary['max_abs_residual_general']:.3e}, "
+                  f"max |residual_case1| = {summary['max_abs_residual_case1']:.3e}")
         if summary["blown_up"]:
             print(f"BLOW-UP at step {summary['blowup_step']}, t = {summary['blowup_time']}")
     return 2 if summary["blown_up"] else 0
@@ -203,18 +210,18 @@ def cmd_sweep(args) -> int:
         label = member_label(args.axis, v)
         lines.append(",".join([
             label, args.axis, format(float(v), ".17g"),
-            format(s["final_E_total"], ".17g"),
-            format(s["max_abs_residual_general"], ".17g"),
-            format(s["max_abs_residual_case1"], ".17g"),
+            _num(s["final_E_total"], ".17g"),
+            _num(s["max_abs_residual_general"], ".17g"),
+            _num(s["max_abs_residual_case1"], ".17g"),
             str(s["blown_up"]).lower(), format(s["wall_time_s"], ".3f"),
         ]))
-        print(f"{label:<16} {v:>12} {s['final_E_total']:>18.12g} "
-              f"{s['max_abs_residual_case1']:>16.3e} {s['blown_up']}")
+        print(f"{label:<16} {v:>12} {_num(s['final_E_total'], '.12g'):>18} "
+              f"{_num(s['max_abs_residual_case1'], '.3e'):>16} {s['blown_up']}")
     with open(os.path.join(outdir, "sweep_summary.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     if args.axis == "dt" and len(values) >= 2 \
-            and all(s["max_abs_residual_case1"] > 0 for s in summaries):
+            and all((s["max_abs_residual_case1"] or 0.0) > 0 for s in summaries):
         logs = [(math.log(v), math.log(s["max_abs_residual_case1"]))
                 for v, s in zip(values, summaries)]
         xs, ys = zip(*logs)

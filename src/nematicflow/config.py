@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -96,30 +96,16 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
 
 
+def _kind(annotation: str) -> str:
+    """Value kind of a section field: its type name, with an 'opt' prefix for X | None."""
+    base, _, rest = annotation.partition(" | ")
+    return "opt" + base if rest == "None" else base
+
+
+# section -> (dataclass, {key: kind}), both in declaration order
 _SECTIONS = {
-    "grid": (GridSection, {"dim": "int", "n": "int"}),
-    "coefficients": (CoeffSection, {
-        "alpha": "optfloat", "nu": "optfloat",
-        "lambda1": "optfloat", "lambda2": "optfloat",
-        "mu1": "optfloat", "mu2": "optfloat", "mu3": "optfloat",
-        "mu4": "optfloat", "mu5": "optfloat", "mu6": "optfloat",
-        "epsilon": "float",
-    }),
-    "initial_condition": (ICSection, {
-        "preset": "str", "amplitude": "float", "kmax": "int",
-        "u_path": "optstr", "d_path": "optstr",
-    }),
-    "stepper": (StepperSection, {
-        "dt": "float", "t_end": "float", "scheme": "str",
-        "max_vorticity_sup": "optfloat",
-    }),
-    "regularization": (RegSection, {
-        "enabled": "bool", "m": "int", "r": "float", "n_modes": "optint",
-    }),
-    "diagnostics": (DiagSection, {
-        "cadence": "int", "snapshot_cadence": "int", "output_dir": "str",
-    }),
-    "run": (RunSection, {"seed": "int"}),
+    sec.name: (sec.default_factory, {f.name: _kind(f.type) for f in fields(sec.default_factory)})
+    for sec in fields(RunConfig)
 }
 
 PRESETS = ("quiescent", "taylor-green-uniform-director", "perturbed-director", "snapshot")

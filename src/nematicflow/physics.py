@@ -236,15 +236,6 @@ def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
     return sigma + _outer(left, d_blk) + _outer(d_blk, right)
 
 
-@dataclass
-class SplitRHS:
-    """total = diffusion + explicit; diffusion is the Fourier-diagonal part."""
-
-    total: np.ndarray
-    diffusion: np.ndarray
-    explicit: np.ndarray
-
-
 def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
     """Explicit director RHS in the masked half spectrum:
 
@@ -257,29 +248,24 @@ def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.nda
     return g.fft(f) * g.dealias_mask + bundle.gradW_hat / c.lambda1
 
 
-def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) -> SplitRHS:
+def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) -> np.ndarray:
     """d_t = -(u.grad)d + omega d - (lambda2/lambda1) Ad - (1/lambda1)(Lap d - grad_d W).
 
-    diffusion = -(1/lambda1) Lap d (a positive multiple, since lambda1 < 0);
-    the penalty gradient stays explicit.  A physical-space view of the
-    spectral RHS the stepper integrates.
+    A physical-space view of the spectral RHS the stepper integrates: the
+    diffusion -(1/lambda1) Lap d (implicit in the step) plus the explicit
+    force.  Only tests call it; it stays public while perfbench/tracing.py
+    binds it by name.
     """
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    explicit = g.ifft(_director_force_hat(state, bundle))
-    diffusion = g.ifft(bundle.d_hat * (g.ksq / state.coeffs.lambda1))
-    return SplitRHS(total=diffusion + explicit, diffusion=diffusion, explicit=explicit)
+    return g.ifft(bundle.d_hat * (g.ksq / state.coeffs.lambda1)
+                  + _director_force_hat(state, bundle))
 
 
 def _visco_flux(grad_u: np.ndarray, r: float) -> np.ndarray:
     mag2 = np.sum(grad_u * grad_u, axis=(0, 1))
     return mag2 ** (0.5 * (r - 2.0)) * grad_u
-
-
-def visco_reg_stress(grid: SpectralGrid, grad_u: np.ndarray, r: float) -> np.ndarray:
-    """dealias(|grad u|^(r-2) grad u) with the pointwise Frobenius magnitude."""
-    return grid.dealias(_visco_flux(grad_u, r))
 
 
 def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
@@ -307,16 +293,17 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
 
 
 def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
-                 reg: RegularizationConfig | None = None) -> SplitRHS:
-    """Leray-projected u_t; diffusion = (mu4/2) Lap u handled spectrally.
+                 reg: RegularizationConfig | None = None) -> np.ndarray:
+    """Leray-projected u_t: the diffusion (mu4/2) Lap u (implicit in the step)
+    plus the projected explicit force.
 
-    Precondition: u divergence-free and band-limited (then the projected
-    diffusion equals the raw Laplacian and the split is consistent).  A
-    physical-space view of the spectral RHS the stepper integrates.
+    Precondition: u divergence-free and band-limited, so the diffusion needs
+    no projection.  A physical-space view of the spectral RHS the stepper
+    integrates.  Only tests call it; it stays public while
+    perfbench/tracing.py binds it by name.
     """
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    explicit = g.ifft(g.leray_hat(_momentum_force_hat(state, bundle, reg)))
-    diffusion = g.ifft(bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.ksq))
-    return SplitRHS(total=diffusion + explicit, diffusion=diffusion, explicit=explicit)
+    return g.ifft(bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.ksq)
+                  + g.leray_hat(_momentum_force_hat(state, bundle, reg)))

@@ -22,11 +22,11 @@ from __future__ import annotations
 import copy
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BlowupMonitorState, EnergyReport, channels
+from .diagnostics import BlowupMonitorState, EnergyReport, _residuals, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       _director_force_hat, _momentum_force_hat, constitutive)
@@ -171,13 +171,11 @@ class Trajectory:
     blowup_step: int | None = None
     max_energy_increase: float = 0.0
     wall_time: float = 0.0
-    states: list[FieldState] = field(default_factory=list)
 
 
 def run(initial: FieldState, cfg: TimeStepperConfig,
         reg: RegularizationConfig | None = None,
-        hooks: tuple = (), cadence: int = 1,
-        collect_states: bool = False) -> Trajectory:
+        hooks: tuple = (), cadence: int = 1) -> Trajectory:
     """Integrate to t_end, sampling diagnostics every `cadence` steps.
 
     Sample rows carry energies and channels of the sampled state; residuals
@@ -206,7 +204,6 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     monitor = BlowupMonitorState()
     reports: list[EnergyReport] = []
     sample_steps: list[int] = []
-    states: list[FieldState] = []
     prev_sample: EnergyReport | None = None
     max_increase = 0.0
 
@@ -215,13 +212,7 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
         nonlocal monitor, prev_sample, max_increase
         rep = channels(state, bundle, reg=reg)
         if prev_sample is not None:
-            gap = rep.time - prev_sample.time
-            rate = (rep.E_total - prev_sample.E_total) / gap
-            rep = EnergyReport(
-                **{**rep.__dict__,
-                   "residual_general": rate + prev_sample.dissipation_general,
-                   "residual_case1": rate + prev_sample.dissipation_case1},
-            )
+            rep = replace(rep, **_residuals(prev_sample, rep.E_total, rep.time - prev_sample.time))
         mon = copy.deepcopy(monitor) if finite_only else monitor
         mon.update(state, bundle)
         if finite_only and not all(map(math.isfinite, (*rep.__dict__.values(), *mon.row(-1)))):
@@ -231,8 +222,6 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             max_increase = max(max_increase, rep.E_total - prev_sample.E_total)
         reports.append(rep)
         sample_steps.append(step_index)
-        if collect_states:
-            states.append(state)
         for hook in hooks:
             hook(state, step_index)
         prev_sample = rep
@@ -250,10 +239,7 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
                 # the products of a finite but huge state may overflow, so
                 # its sample is kept only when every value of it is finite
                 with np.errstate(over="ignore", invalid="ignore"):
-                    try:
-                        sample(state, constitutive(state), i, finite_only=True)
-                    except OverflowError:  # the monitor's sup|grad d| ** 4 past the float range
-                        pass
+                    sample(state, constitutive(state), i, finite_only=True)
             blown_up = True
             blowup_time = state.time
             blowup_step = i
@@ -277,7 +263,6 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
         blowup_step=blowup_step,
         max_energy_increase=max_increase,
         wall_time=_time.perf_counter() - t0,
-        states=states,
     )
 
 

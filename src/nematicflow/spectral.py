@@ -130,77 +130,66 @@ class SpectralGrid:
 
     # -- validation ---------------------------------------------------------
 
-    def _check(self, f: np.ndarray, what: str, ncomp_axes: int | None = None):
+    def _check(self, f: np.ndarray, what: str, lead: tuple | None = None):
+        """f as an array whose trailing axes are the grid, whose leading
+        (component) shape is `lead` when given, and whose values are finite."""
         f = np.asarray(f)
         if f.shape[-self.dim:] != self.shape:
             raise ParameterError(
                 f"{what}: trailing axes {f.shape[-self.dim:]} do not match grid {self.shape}"
             )
-        if ncomp_axes is not None and f.ndim != self.dim + ncomp_axes:
+        if lead is not None and f.shape[:-self.dim] != lead:
             raise ParameterError(
-                f"{what}: expected {ncomp_axes} component axes, got shape {f.shape}"
+                f"{what}: expected leading shape {lead}, got {f.shape[:-self.dim]}"
             )
         if not np.isfinite(f).all():
             raise ParameterError(f"{what}: non-finite values in input field")
         return f
 
+    def _via_fourier(self, f: np.ndarray, what: str, op, lead: tuple | None = None) -> np.ndarray:
+        """ifft(op(fft(f))) for a field that passes _check."""
+        return self.ifft(op(self.fft(self._check(f, what, lead))))
+
     # -- calculus (exact on the retained modes) ------------------------------
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """d/dx_i along a new leading axis: result[i, ...] = d f[...] / d x_i."""
-        f = self._check(f, "gradient")
-        return self.ifft(self.grad_hat(self.fft(f)))
+        return self._via_fourier(f, "gradient", self.grad_hat)
 
     def divergence(self, v: np.ndarray) -> np.ndarray:
         """Scalar d_i v_i for a velocity-like field of shape (dim,) + grid."""
-        v = self._check(v, "divergence", ncomp_axes=1)
-        if v.shape[0] != self.dim:
-            raise ParameterError(f"divergence: expected {self.dim} components, got {v.shape[0]}")
-        return self.ifft(self.div_hat(self.fft(v)))
+        return self._via_fourier(v, "divergence", self.div_hat, (self.dim,))
 
     def div_tensor(self, T: np.ndarray) -> np.ndarray:
         """(div T)_j = d_i T_ij for T of shape (dim, dim) + grid."""
-        T = self._check(T, "div_tensor", ncomp_axes=2)
-        if T.shape[:2] != (self.dim, self.dim):
-            raise ParameterError(f"div_tensor: expected leading shape {(self.dim, self.dim)}, got {T.shape[:2]}")
-        return self.ifft(self.div_hat(self.fft(T)))
+        return self._via_fourier(T, "div_tensor", self.div_hat, (self.dim, self.dim))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        f = self._check(f, "laplacian")
-        return self.ifft(-self.ksq * self.fft(f))
+        return self._via_fourier(f, "laplacian", lambda fhat: -self.ksq * fhat)
 
     def curl(self, u: np.ndarray) -> np.ndarray:
         """Scalar vorticity d_1 u_2 - d_2 u_1 in 2D, the full curl vector in 3D."""
-        u = self._check(u, "curl", ncomp_axes=1)
-        if u.shape[0] != self.dim:
-            raise ParameterError(f"curl: expected {self.dim} components, got {u.shape[0]}")
-        return self.ifft(self.curl_hat(self.fft(u)))
+        return self._via_fourier(u, "curl", self.curl_hat, (self.dim,))
 
     def leray(self, v: np.ndarray) -> np.ndarray:
         """Project onto divergence-free fields; the mean mode passes through."""
-        v = self._check(v, "leray", ncomp_axes=1)
-        if v.shape[0] != self.dim:
-            raise ParameterError(f"leray: expected {self.dim} components, got {v.shape[0]}")
-        return self.ifft(self.leray_hat(self.fft(v)))
+        return self._via_fourier(v, "leray", self.leray_hat, (self.dim,))
 
     # -- filters -------------------------------------------------------------
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Zero every mode with any |k_j| > floor(n/3)."""
-        f = self._check(f, "dealias")
-        return self.ifft(self.fft(f) * self.dealias_mask)
+        return self._via_fourier(f, "dealias", lambda fhat: fhat * self.dealias_mask)
 
     def truncate_modes(self, f: np.ndarray, M: int) -> np.ndarray:
         """Zero every mode with max_j |k_j| > M.  Requires 1 <= M <= n/2."""
         if not isinstance(M, (int, np.integer)) or not (1 <= int(M) <= self.n // 2):
             raise ParameterError(f"truncate_modes: M must be an integer in [1, {self.n // 2}], got {M}")
-        f = self._check(f, "truncate_modes")
-        return self.ifft(self.fft(f) * self.box_mask(int(M)))
+        return self._via_fourier(f, "truncate_modes", lambda fhat: fhat * self.box_mask(int(M)))
 
     def sobolev_norm(self, f: np.ndarray, s: float) -> float:
         """|| (1+|kappa|^2)^(s/2) f ||_{L2}; s = 0 is the plain L2 norm."""
-        f = self._check(f, "sobolev_norm")
-        return self.sobolev_norm_hat(self.fft(f), s)
+        return self.sobolev_norm_hat(self.fft(self._check(f, "sobolev_norm")), s)
 
     def sobolev_norm_hat(self, fhat: np.ndarray, s: float) -> float:
         """sobolev_norm from half-spectrum coefficients."""
@@ -217,7 +206,7 @@ class SpectralGrid:
 
     def mean(self, f: np.ndarray) -> float:
         """Grid average of a scalar field == its integral over the unit box."""
-        return self.mean_unchecked(self._check(f, "mean", ncomp_axes=0))
+        return self.mean_unchecked(self._check(f, "mean", ()))
 
     def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """<a, b> = mean over the grid of the full component contraction."""
@@ -248,22 +237,6 @@ class SpectralGrid:
             return float(np.abs(f).max())
         mag2 = np.sum(f * f, axis=tuple(range(f.ndim - self.dim)))
         return float(np.sqrt(mag2.max()))
-
-    # -- derived kinematics ----------------------------------------------------
-
-    def strain_rate(self, u: np.ndarray) -> np.ndarray:
-        """A = (grad u + grad u^T)/2, shape (dim, dim) + grid."""
-        G = self.gradient(u)
-        if G.shape[1] != self.dim:
-            raise ParameterError(f"strain_rate: expected {self.dim}-component velocity")
-        return 0.5 * (G + G.swapaxes(0, 1))
-
-    def vorticity_tensor(self, u: np.ndarray) -> np.ndarray:
-        """omega = (grad u - grad u^T)/2, shape (dim, dim) + grid."""
-        G = self.gradient(u)
-        if G.shape[1] != self.dim:
-            raise ParameterError(f"vorticity_tensor: expected {self.dim}-component velocity")
-        return 0.5 * (G - G.swapaxes(0, 1))
 
 
 def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.random.Generator) -> np.ndarray:

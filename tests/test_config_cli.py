@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nematicflow
 from nematicflow import ConfigError
 from nematicflow.cli import main, member_label
-from nematicflow.config import (RunConfig, build_coefficients,
+from nematicflow.config import (_SECTIONS, RunConfig, build_coefficients,
                                 build_initial_state, config_sha256,
                                 parse_config_text, serialize_config)
 
@@ -65,6 +67,22 @@ mu5 = 0.6
 mu6 = 0.3
 """
 
+# Any value of each key kind; strings avoid the INI syntax (spaces, '#', newlines).
+_KIND_VALUES = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCZ0123456789._-/"),
+    "bool": st.booleans(),
+}
+_CONFIGS = st.builds(RunConfig, **{
+    section: st.builds(cls, **{
+        key: st.none() | _KIND_VALUES[kind.removeprefix("opt")] if kind.startswith("opt")
+        else _KIND_VALUES[kind]
+        for key, kind in schema.items()
+    })
+    for section, (cls, schema) in _SECTIONS.items()
+})
+
 
 class TestConfigParsing:
     def test_round_trip_is_exact(self):
@@ -72,6 +90,13 @@ class TestConfigParsing:
         text = serialize_config(cfg)
         assert parse_config_text(text) == cfg
         # canonical form is a fixed point
+        assert serialize_config(parse_config_text(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIGS)
+    def test_round_trip_property(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config_text(text) == cfg
         assert serialize_config(parse_config_text(text)) == text
 
     def test_defaults(self):
@@ -262,6 +287,38 @@ class TestSweepCommand:
                    "--values", "abc"])
         assert rc == 1
         assert "comma-separated" in capsys.readouterr().err
+
+
+HUGE_CFG = ALPHA_CFG.replace("preset = quiescent",
+                             "preset = perturbed-director\namplitude = 1e80")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_first_step_blowup_writes_a_run_without_samples(cfg_file, tmp_path, capsys, command):
+    """|d| ~ 1e80 blows up in the first step, before any sample: the command
+    exits 2 and writes a manifest with no sample values and a CSV with no rows."""
+    outdir = tmp_path / "out"
+    args = [command, "--config", cfg_file(HUGE_CFG), "--output-dir", str(outdir)]
+    if command == "sweep":
+        args += ["--axis", "dt", "--values", "0.001"]
+    assert main(args) == 2
+    member = outdir / "dt_0p001" if command == "sweep" else outdir
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in run_manifest.json")
+    manifest = json.loads((member / "run_manifest.json").read_text(), parse_constant=reject)
+    assert manifest["blown_up"] and manifest["blowup_step"] == 0
+    assert manifest["samples"] == 0
+    for key in ("final_E_total", "max_abs_residual_general", "max_abs_residual_case1"):
+        assert manifest[key] is None
+    lines = (member / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# units") and lines[1].startswith("time,")
+    if command == "sweep":
+        rows = (outdir / "sweep_summary.csv").read_text().splitlines()
+        assert rows[1].split(",")[-2] == "true"
+        assert "dt_0p001" in capsys.readouterr().out
 
 
 def _pyproject():

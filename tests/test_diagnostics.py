@@ -185,13 +185,25 @@ class TestBlowupMonitor:
 
     def test_update_with_bundle_is_bitwise_equal(self, grid2d, alpha_one):
         st = smooth_state(grid2d, alpha_one, seed=6)
-        states = run(st, TimeStepperConfig(dt=1e-3, t_end=0.004),
-                     collect_states=True).states
+        states = []
+        run(st, TimeStepperConfig(dt=1e-3, t_end=0.004),
+            hooks=(lambda s, i: states.append(s),))
         fresh, handed = BlowupMonitorState(), BlowupMonitorState()
         for s in states:
             fresh.update(s)
             handed.update(s, constitutive(s))
         assert vars(handed) == vars(fresh)
+
+    def test_update_overflows_to_inf(self, grid2d, alpha_one):
+        """sup|grad d| ~ 1e81 puts sup|grad d|^4 past the float range: the
+        update gives inf, as numpy does, instead of raising OverflowError."""
+        st = smooth_state(grid2d, alpha_one, seed=3)
+        st = st.with_fields(st.u, 1e80 * st.d, 0.0)
+        mon = BlowupMonitorState()
+        with np.errstate(all="ignore"):
+            mon.update(st)
+        assert mon.sup_grad_d[0] > 1e77
+        assert np.isinf(mon.row(0)).any()
 
     def test_quiescent_values(self, grid2d, alpha_one):
         mon = BlowupMonitorState()

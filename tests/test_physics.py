@@ -1,4 +1,4 @@
-"""Constitutive assembly: penalty, Leslie stress, and the split right-hand sides."""
+"""Constitutive assembly: penalty, Leslie stress, and the right-hand sides."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
                          constitutive, director_rhs,
                          ericksen_stress, from_alpha, leslie_stress,
                          momentum_rhs, penalty)
-from nematicflow.physics import mat_vec_director, visco_reg_stress
+from nematicflow.physics import _visco_flux, mat_vec_director
 
 from conftest import smooth_state
 
@@ -122,9 +122,7 @@ def test_director_rhs_linearized_oracle(grid2d):
     rhs = director_rhs(st)
     expect = np.zeros_like(d)
     expect[0] = -4.0 * np.pi ** 2 * delta * np.sin(TWO_PI * x[0])
-    assert grid2d.sup_norm(rhs.total - expect) < 1e-8
-    # u = 0 and the split is exact
-    assert grid2d.sup_norm(rhs.total - rhs.diffusion - rhs.explicit) < 1e-15
+    assert grid2d.sup_norm(rhs - expect) < 1e-8
 
 
 def test_director_rhs_quiescent_zero(grid2d, alpha_one):
@@ -132,9 +130,9 @@ def test_director_rhs_quiescent_zero(grid2d, alpha_one):
     st = FieldState(grid=grid2d, coeffs=alpha_one, time=0.0,
                     u=np.zeros((2,) + grid2d.shape), d=d)
     rhs = director_rhs(st)
-    assert grid2d.sup_norm(rhs.total) == 0.0
+    assert grid2d.sup_norm(rhs) == 0.0
     mom = momentum_rhs(st)
-    assert grid2d.sup_norm(mom.total) == 0.0
+    assert grid2d.sup_norm(mom) == 0.0
 
 
 def test_momentum_reduces_to_navier_stokes(grid2d):
@@ -152,7 +150,7 @@ def test_momentum_reduces_to_navier_stokes(grid2d):
     gu = g.gradient(u)
     adv = np.einsum("i...,ij...->j...", u, gu)
     expect = g.leray(-g.dealias(adv)) + 0.5 * c.mu4 * g.laplacian(u)
-    assert g.sup_norm(rhs.total - expect) < 1e-10
+    assert g.sup_norm(rhs - expect) < 1e-10
 
 
 def test_regularization_config_validation():
@@ -166,10 +164,10 @@ def test_regularization_config_validation():
     assert cfg.enabled
 
 
-def test_visco_reg_stress_constant_gradient(grid2d):
+def test_visco_flux_constant_gradient(grid2d):
     G = np.zeros((2, 2) + grid2d.shape)
     G[0, 1] = 2.0
-    out = visco_reg_stress(grid2d, G, 4.0)
+    out = _visco_flux(G, 4.0)
     # |G|^2 = 4, so |G|^(r-2) G has the single entry 4 * 2 = 8
     assert np.max(np.abs(out[0, 1] - 8.0)) < 1e-12
     assert np.max(np.abs(out[0, 0])) < 1e-12
@@ -180,8 +178,8 @@ def test_regularized_force_fixed_points(grid2d, alpha_one):
     director rhs never sees the regularization at all."""
     st = smooth_state(grid2d, alpha_one, seed=8, u_amp=0.0)
     reg = RegularizationConfig(M=8, r=4.0)
-    plain = momentum_rhs(st).total
-    regd = momentum_rhs(st, reg=reg).total
+    plain = momentum_rhs(st)
+    regd = momentum_rhs(st, reg=reg)
     assert grid2d.sup_norm(plain - regd) < 1e-12
 
 
@@ -207,7 +205,7 @@ def test_constitutive_3d(grid3d):
     assert grid3d.sup_norm(resid) < 1e-12
     assert b.sigma.shape == (3, 3) + grid3d.shape
     rhs = momentum_rhs(st)
-    assert grid3d.sup_norm(grid3d.divergence(rhs.total)) < 1e-9
+    assert grid3d.sup_norm(grid3d.divergence(rhs)) < 1e-9
 
 
 CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
@@ -224,8 +222,8 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
     channels) to rounding: the spatial assembly balances the energy law exactly."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, coeffs, seed=31)
-    u_t = momentum_rhs(st, reg=reg).total
-    d_t = director_rhs(st).total
+    u_t = momentum_rhs(st, reg=reg)
+    d_t = director_rhs(st)
     _, gradW = penalty(st.d, coeffs.epsilon)
     rate = (grid.l2_inner(st.u, u_t)
             + grid.l2_inner(grid.gradient(st.d), grid.gradient(d_t))

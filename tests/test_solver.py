@@ -241,7 +241,8 @@ def test_run_blowup_samples_before_the_failed_step(grid2d, alpha_one, blowup_ste
     failed, that state included when it is due (8) and excluded when not (7)."""
     st = smooth_state(grid2d, alpha_one, seed=11, u_amp=0.0)
     cfg = TimeStepperConfig(dt=1e-4, t_end=2e-3)
-    states = run(st, cfg, collect_states=True).states
+    states = []
+    run(st, cfg, hooks=(lambda s, i: states.append(s),))
     w = [grid2d.sup_norm(grid2d.curl(s.u)) for s in states]
     assert w[: blowup_step + 2] == sorted(w[: blowup_step + 2])  # vorticity grows
     threshold = 0.5 * (w[blowup_step] + w[blowup_step + 1])
@@ -285,12 +286,13 @@ def test_run_rejects_non_multiple_horizon(grid2d, alpha_one):
         run(st, TimeStepperConfig(dt=3e-3, t_end=0.01))
 
 
-def test_run_collect_states(grid2d, alpha_one):
+def test_run_hooks_collect_states(grid2d, alpha_one):
     st = smooth_state(grid2d, alpha_one, seed=10)
+    states = []
     traj = run(st, TimeStepperConfig(dt=1e-3, t_end=0.005), cadence=1,
-               collect_states=True)
-    assert len(traj.states) == len(traj.reports) == 6
-    assert traj.states[0].time == 0.0
+               hooks=(lambda s, i: states.append(s),))
+    assert len(states) == len(traj.reports) == 6
+    assert states[0].time == 0.0
     hook_calls = []
     run(st, TimeStepperConfig(dt=1e-3, t_end=0.005),
         hooks=(lambda s, i: hook_calls.append(i),), cadence=2)
@@ -380,8 +382,8 @@ def test_overflowing_state_ends_as_blowup(tmp_path):
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_huge_director_blows_up_at_once_without_a_sample(grid2d, alpha_one):
     """|d| ~ 1e80 overflows the penalty in the first step, and sup|grad d|^4
-    overflows a float power in the monitor: the state gets no sample, and
-    run() still returns the flagged blow-up instead of raising."""
+    overflows to inf in the monitor: the state gets no sample, and run()
+    still returns the flagged blow-up instead of raising."""
     st = smooth_state(grid2d, alpha_one, seed=3)
     st = st.with_fields(st.u, 1e80 * st.d, 0.0)
     traj = run(st, TimeStepperConfig(dt=1e-3, t_end=5e-3))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nematicflow import ParameterError, SpectralGrid
+from nematicflow import FieldState, ParameterError, SpectralGrid, constitutive
 from nematicflow.spectral import (SNAPSHOT_MAGIC, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
@@ -196,6 +196,13 @@ def test_quadrature_rejects_non_finite(grid2d, name, bad):
             grid2d.l2_inner(args[1], f)
 
 
+@pytest.mark.parametrize("name, lead", [("divergence", (3,)), ("curl", (2, 2)),
+                                        ("leray", ()), ("div_tensor", (2,))])
+def test_calculus_rejects_wrong_component_shape(grid2d, name, lead):
+    with pytest.raises(ParameterError, match="expected leading shape"):
+        getattr(grid2d, name)(np.zeros(lead + grid2d.shape))
+
+
 def test_mean_is_scalar_only(grid2d):
     v = np.ones((2,) + grid2d.shape)
     with pytest.raises(ParameterError):
@@ -203,11 +210,15 @@ def test_mean_is_scalar_only(grid2d):
     assert grid2d.mean(v[0]) == 1.0
 
 
-def test_strain_vorticity_decomposition(grid2d):
+def test_strain_vorticity_decomposition(grid2d, alpha_one):
+    """The bundle's A and omega split the grid's gradient of u."""
     rng = np.random.default_rng(13)
     u = grid2d.leray(rng.standard_normal((2,) + grid2d.shape))
-    A = grid2d.strain_rate(u)
-    W = grid2d.vorticity_tensor(u)
+    d = np.zeros((3,) + grid2d.shape)
+    d[2] = 1.0
+    bundle = constitutive(FieldState(grid=grid2d, coeffs=alpha_one,
+                                     time=0.0, u=u, d=d))
+    A, W = bundle.A, bundle.omega
     G = grid2d.gradient(u)
     assert np.max(np.abs(A + W - G)) < 1e-12
     assert np.max(np.abs(A - A.swapaxes(0, 1))) == 0.0
