@@ -6,8 +6,7 @@ from .coeffs import (DissipationForm, LeslieCoefficients, RegimeReport,
                      dissipation_form, eta_margin, from_alpha, validate)
 from .diagnostics import (BlowupMonitorState, EnergyReport,
                           case2_lower_bound_check, channels, energy_law_audit,
-                          quantity_A, quantity_Ys, total_energy,
-                          write_timeseries)
+                          quantity_A, quantity_Ys, write_timeseries)
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       constitutive, director_rhs, ericksen_stress,
@@ -27,5 +26,5 @@ __all__ = [
     "eta_margin", "from_alpha", "leslie_stress", "load_snapshot",
     "momentum_rhs", "penalty", "quantity_A", "quantity_Ys",
     "random_band_limited", "reconstruct_pressure", "run", "save_snapshot",
-    "step", "total_energy", "validate", "write_timeseries",
+    "step", "validate", "write_timeseries",
 ]

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from .coeffs import CONSTRAINTS
 from .coeffs import validate as validate_coeffs
 from .config import (RunConfig, build_coefficients, build_grid,
                      build_initial_state, build_regularization,
@@ -63,17 +64,8 @@ def cmd_validate(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"coefficients: {coeffs.as_dict()}")
-        checks = [
-            ("lambda1 < 0", report.lambda1_negative),
-            ("mu1 >= 0", report.mu1_nonnegative),
-            ("mu4 > 0", report.mu4_positive),
-            ("mu5 + mu6 >= 0", report.mu56_nonnegative),
-            ("lambda1 = mu2 - mu3", report.lambda1_identity),
-            ("lambda2 = mu5 - mu6", report.lambda2_identity),
-            ("Parodi mu2 + mu3 = mu6 - mu5", report.parodi_holds),
-        ]
-        for label, ok in checks:
-            print(f"  {'PASS' if ok else 'FAIL'}  {label}")
+        for flag, _, label in CONSTRAINTS:
+            print(f"  {'PASS' if getattr(report, flag) else 'FAIL'}  {label}")
         for name, residual in report.violations:
             print(f"  violated: {name} (residual {residual:.6g})")
         print(f"regime: case1={report.case1} case2={report.case2}")

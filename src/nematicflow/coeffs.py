@@ -19,7 +19,7 @@ Equalities are checked to an absolute tolerance, 1e-12 by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ParameterError, RegimeError
 
@@ -82,9 +82,22 @@ def from_alpha(alpha: float, nu: float, epsilon: float = 0.1) -> LeslieCoefficie
     )
 
 
+# One entry per constraint, in RegimeReport's field order: (report flag,
+# violation name, validate label).  The first six are the base constraints.
+CONSTRAINTS = (
+    ("lambda1_negative", "lambda1<0", "lambda1 < 0"),
+    ("mu1_nonnegative", "mu1>=0", "mu1 >= 0"),
+    ("mu4_positive", "mu4>0", "mu4 > 0"),
+    ("mu56_nonnegative", "mu5+mu6>=0", "mu5 + mu6 >= 0"),
+    ("lambda1_identity", "lambda1=mu2-mu3", "lambda1 = mu2 - mu3"),
+    ("lambda2_identity", "lambda2=mu5-mu6", "lambda2 = mu5 - mu6"),
+    ("parodi_holds", "mu2+mu3=mu6-mu5", "Parodi mu2 + mu3 = mu6 - mu5"),
+)
+
+
 @dataclass(frozen=True)
 class RegimeReport:
-    """Outcome of validate(): individual constraint flags plus the regime calls.
+    """Outcome of validate(): one flag per CONSTRAINTS entry plus the regime calls.
 
     violations lists (name, residual) pairs for every failed constraint, where
     residual is the magnitude by which it fails.
@@ -104,32 +117,14 @@ class RegimeReport:
     @property
     def base_constraints_hold(self) -> bool:
         """lambda1 < 0, mu1 >= 0, mu4 > 0, mu5+mu6 >= 0 and both lambda identities."""
-        return (
-            self.lambda1_negative
-            and self.mu1_nonnegative
-            and self.mu4_positive
-            and self.mu56_nonnegative
-            and self.lambda1_identity
-            and self.lambda2_identity
-        )
+        return all(getattr(self, flag) for flag, _, _ in CONSTRAINTS[:6])
 
     @property
     def admissible(self) -> bool:
         return self.case1 or self.case2
 
     def as_dict(self) -> dict:
-        return {
-            "lambda1_negative": self.lambda1_negative,
-            "mu1_nonnegative": self.mu1_nonnegative,
-            "mu4_positive": self.mu4_positive,
-            "mu56_nonnegative": self.mu56_nonnegative,
-            "lambda1_identity": self.lambda1_identity,
-            "lambda2_identity": self.lambda2_identity,
-            "parodi_holds": self.parodi_holds,
-            "case1": self.case1,
-            "case2": self.case2,
-            "violations": [list(v) for v in self.violations],
-        }
+        return {**asdict(self), "violations": [list(v) for v in self.violations]}
 
 
 def validate(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> RegimeReport:
@@ -137,48 +132,30 @@ def validate(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> RegimeReport:
     if tol < 0.0 or not math.isfinite(tol):
         raise ParameterError(f"tol must be a finite nonnegative number, got {tol}")
 
-    violations: list[tuple[str, float]] = []
-
-    ok_l1 = c.lambda1 < 0.0
-    if not ok_l1:
-        violations.append(("lambda1<0", max(0.0, c.lambda1)))
-
-    ok_mu1 = c.mu1 >= 0.0
-    if not ok_mu1:
-        violations.append(("mu1>=0", -c.mu1))
-
-    ok_mu4 = c.mu4 > 0.0
-    if not ok_mu4:
-        violations.append(("mu4>0", max(0.0, -c.mu4)))
-
     s56 = c.mu5 + c.mu6
-    ok_s56 = s56 >= 0.0
-    if not ok_s56:
-        violations.append(("mu5+mu6>=0", -s56))
-
     r_l1 = abs(c.lambda1 - (c.mu2 - c.mu3))
-    ok_id1 = r_l1 <= tol
-    if not ok_id1:
-        violations.append(("lambda1=mu2-mu3", r_l1))
-
     r_l2 = abs(c.lambda2 - (c.mu5 - c.mu6))
-    ok_id2 = r_l2 <= tol
-    if not ok_id2:
-        violations.append(("lambda2=mu5-mu6", r_l2))
-
     r_parodi = abs((c.mu2 + c.mu3) - (c.mu6 - c.mu5))
-    parodi = r_parodi <= tol
-    if not parodi:
-        violations.append(("mu2+mu3=mu6-mu5", r_parodi))
-
-    base = ok_l1 and ok_mu1 and ok_mu4 and ok_s56 and ok_id1 and ok_id2
+    # (holds, residual) per CONSTRAINTS entry
+    checks = (
+        (c.lambda1 < 0.0, max(0.0, c.lambda1)),
+        (c.mu1 >= 0.0, -c.mu1),
+        (c.mu4 > 0.0, max(0.0, -c.mu4)),
+        (s56 >= 0.0, -s56),
+        (r_l1 <= tol, r_l1),
+        (r_l2 <= tol, r_l2),
+        (r_parodi <= tol, r_parodi),
+    )
+    flags = {flag: ok for (flag, _, _), (ok, _) in zip(CONSTRAINTS, checks)}
+    violations = tuple((name, r) for (_, name, _), (ok, r) in zip(CONSTRAINTS, checks) if not ok)
+    base = all(ok for ok, _ in checks[:6])
 
     case1 = False
     case2 = False
     if base:
         # case 1 needs Parodi plus lambda2^2/(-lambda1) <= mu5+mu6 (tol slack on
         # the inequality so exact-equality presets classify as case 1).
-        if parodi and c.lambda2 ** 2 / (-c.lambda1) <= s56 + tol:
+        if flags["parodi_holds"] and c.lambda2 ** 2 / (-c.lambda1) <= s56 + tol:
             case1 = True
         # case 2 is a strict inequality, demoted to a tol margin; mu5+mu6 = 0
         # leaves nothing strict to satisfy, so it reports False there.
@@ -187,18 +164,7 @@ def validate(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> RegimeReport:
             if abs(c.lambda2 - c.mu2 - c.mu3) < gap - tol:
                 case2 = True
 
-    return RegimeReport(
-        lambda1_negative=ok_l1,
-        mu1_nonnegative=ok_mu1,
-        mu4_positive=ok_mu4,
-        mu56_nonnegative=ok_s56,
-        lambda1_identity=ok_id1,
-        lambda2_identity=ok_id2,
-        parodi_holds=parodi,
-        case1=case1,
-        case2=case2,
-        violations=tuple(violations),
-    )
+    return RegimeReport(**flags, case1=case1, case2=case2, violations=violations)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .coeffs import LeslieCoefficients, from_alpha
 from .errors import ConfigError, ParameterError
 from .physics import FieldState, RegularizationConfig
-from .solver import SCHEMES, TimeStepperConfig
+from .solver import TimeStepperConfig
 from .spectral import SpectralGrid, load_snapshot, random_band_limited
 
 
@@ -190,6 +191,15 @@ def config_sha256(cfg: RunConfig) -> str:
 # -- builders: config sections -> live objects ----------------------------------
 
 
+@contextmanager
+def _in_section(section: str):
+    """Re-raise a constructor's ParameterError as a ConfigError naming the section."""
+    try:
+        yield
+    except ParameterError as e:
+        raise ConfigError(f"[{section}] {e}") from None
+
+
 def build_coefficients(cfg: RunConfig) -> LeslieCoefficients:
     co = cfg.coefficients
     explicit_keys = ("lambda1", "lambda2", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6")
@@ -200,35 +210,38 @@ def build_coefficients(cfg: RunConfig) -> LeslieCoefficients:
                 "[coefficients] give either alpha/nu or the explicit eight values, not both"
             )
         nu = co.nu if co.nu is not None else 1.0
-        return from_alpha(co.alpha, nu, epsilon=co.epsilon)
+        with _in_section("coefficients"):
+            return from_alpha(co.alpha, nu, epsilon=co.epsilon)
     if co.nu is not None:
         raise ConfigError("[coefficients] nu is only meaningful together with alpha")
     missing = [k for k in explicit_keys if getattr(co, k) is None]
     if missing:
         raise ConfigError(f"[coefficients] missing values: {', '.join(missing)}")
-    return LeslieCoefficients(
-        lambda1=co.lambda1, lambda2=co.lambda2, mu1=co.mu1, mu2=co.mu2,
-        mu3=co.mu3, mu4=co.mu4, mu5=co.mu5, mu6=co.mu6, epsilon=co.epsilon,
-    )
+    with _in_section("coefficients"):
+        return LeslieCoefficients(
+            lambda1=co.lambda1, lambda2=co.lambda2, mu1=co.mu1, mu2=co.mu2,
+            mu3=co.mu3, mu4=co.mu4, mu5=co.mu5, mu6=co.mu6, epsilon=co.epsilon,
+        )
 
 
 def build_grid(cfg: RunConfig) -> SpectralGrid:
-    return SpectralGrid(cfg.grid.dim, cfg.grid.n)
+    with _in_section("grid"):
+        return SpectralGrid(cfg.grid.dim, cfg.grid.n)
 
 
 def build_stepper_config(cfg: RunConfig) -> TimeStepperConfig:
     st = cfg.stepper
-    if st.scheme not in SCHEMES:
-        raise ConfigError(f"[stepper] scheme must be one of {SCHEMES}, got {st.scheme!r}")
-    return TimeStepperConfig(dt=st.dt, t_end=st.t_end, scheme=st.scheme,
-                             max_vorticity_sup=st.max_vorticity_sup)
+    with _in_section("stepper"):
+        return TimeStepperConfig(dt=st.dt, t_end=st.t_end, scheme=st.scheme,
+                                 max_vorticity_sup=st.max_vorticity_sup)
 
 
 def build_regularization(cfg: RunConfig) -> RegularizationConfig | None:
     rg = cfg.regularization
     if not rg.enabled:
         return None
-    return RegularizationConfig(enabled=True, M=rg.m, r=rg.r, N_modes=rg.n_modes)
+    with _in_section("regularization"):
+        return RegularizationConfig(M=rg.m, r=rg.r, N_modes=rg.n_modes)
 
 
 def taylor_green_velocity(grid: SpectralGrid, amplitude: float) -> np.ndarray:
@@ -254,39 +267,40 @@ def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
     e3[2] = 1.0
     time = 0.0
 
-    if ic.preset == "quiescent":
-        u = np.zeros((grid.dim,) + grid.shape)
-        d = e3
-    elif ic.preset == "taylor-green-uniform-director":
-        u = taylor_green_velocity(grid, ic.amplitude)
-        d = e3
-    elif ic.preset == "perturbed-director":
-        u = np.zeros((grid.dim,) + grid.shape)
-        rng = np.random.default_rng(cfg.run.seed)
-        delta = random_band_limited(grid, 3, ic.kmax, rng)
-        d = e3 + ic.amplitude * delta
-    elif ic.preset == "snapshot":
-        if not ic.u_path or not ic.d_path:
-            raise ConfigError("[initial_condition] snapshot preset needs u_path and d_path")
-        u, t_u, meta_u = load_snapshot(ic.u_path)
-        d, t_d, meta_d = load_snapshot(ic.d_path)
-        if meta_u["dim"] != grid.dim or meta_u["n"] != grid.n:
+    with _in_section("initial_condition"):
+        if ic.preset == "quiescent":
+            u = np.zeros((grid.dim,) + grid.shape)
+            d = e3
+        elif ic.preset == "taylor-green-uniform-director":
+            u = taylor_green_velocity(grid, ic.amplitude)
+            d = e3
+        elif ic.preset == "perturbed-director":
+            u = np.zeros((grid.dim,) + grid.shape)
+            rng = np.random.default_rng(cfg.run.seed)
+            delta = random_band_limited(grid, 3, ic.kmax, rng)
+            d = e3 + ic.amplitude * delta
+        elif ic.preset == "snapshot":
+            if not ic.u_path or not ic.d_path:
+                raise ConfigError("[initial_condition] snapshot preset needs u_path and d_path")
+            u, t_u, meta_u = load_snapshot(ic.u_path)
+            d, t_d, meta_d = load_snapshot(ic.d_path)
+            if meta_u["dim"] != grid.dim or meta_u["n"] != grid.n:
+                raise ConfigError(
+                    f"[initial_condition] u snapshot grid {meta_u['dim']}D n={meta_u['n']} "
+                    f"does not match configured {grid.dim}D n={grid.n}"
+                )
+            if meta_d["dim"] != grid.dim or meta_d["n"] != grid.n:
+                raise ConfigError("[initial_condition] d snapshot grid does not match config")
+            if meta_u["ncomp"] != grid.dim or meta_d["ncomp"] != 3:
+                raise ConfigError(
+                    f"[initial_condition] expected {grid.dim}-component u and 3-component d, "
+                    f"got {meta_u['ncomp']} and {meta_d['ncomp']}"
+                )
+            if t_u != t_d:
+                raise ConfigError(f"[initial_condition] snapshot times differ: {t_u} vs {t_d}")
+            time = t_u
+        else:
             raise ConfigError(
-                f"[initial_condition] u snapshot grid {meta_u['dim']}D n={meta_u['n']} "
-                f"does not match configured {grid.dim}D n={grid.n}"
+                f"[initial_condition] unknown preset {ic.preset!r}; choose from {PRESETS}"
             )
-        if meta_d["dim"] != grid.dim or meta_d["n"] != grid.n:
-            raise ConfigError("[initial_condition] d snapshot grid does not match config")
-        if meta_u["ncomp"] != grid.dim or meta_d["ncomp"] != 3:
-            raise ConfigError(
-                f"[initial_condition] expected {grid.dim}-component u and 3-component d, "
-                f"got {meta_u['ncomp']} and {meta_d['ncomp']}"
-            )
-        if t_u != t_d:
-            raise ConfigError(f"[initial_condition] snapshot times differ: {t_u} vs {t_d}")
-        time = t_u
-    else:
-        raise ConfigError(
-            f"[initial_condition] unknown preset {ic.preset!r}; choose from {PRESETS}"
-        )
-    return FieldState(grid=grid, coeffs=coeffs, time=time, u=u, d=d)
+        return FieldState(grid=grid, coeffs=coeffs, time=time, u=u, d=d)

@@ -67,22 +67,19 @@ class EnergyReport:
         return self.D_mu1 + self.D_visc + self.D_case1_director + self.D_case1_Ad + self.D_reg
 
 
-def energies(state: FieldState) -> tuple[float, float, float, float]:
-    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature."""
-    g = state.grid
-    ek = 0.5 * g.l2_inner(state.u, state.u)
-    grad_d = g.gradient(state.d)
-    ee = 0.5 * g.l2_inner(grad_d, grad_d)
-    W, _ = penalty(state.d, state.coeffs.epsilon)
-    ep = g.mean(W)
+def _energies(g, u: np.ndarray, grad_d: np.ndarray,
+              W: np.ndarray) -> tuple[float, float, float, float]:
+    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature of finite fields."""
+    ek = 0.5 * g.l2_inner_unchecked(u, u)
+    ee = 0.5 * g.l2_inner_unchecked(grad_d, grad_d)
+    ep = g.mean_unchecked(W)
     return ek, ee, ep, ek + ee + ep
 
 
-def total_energy(state: FieldState) -> EnergyReport:
-    """Energies only; channels and residuals zero."""
-    ek, ee, ep, et = energies(state)
-    return EnergyReport(time=state.time, E_total=et, E_kinetic=ek,
-                        E_elastic=ee, E_penalty=ep)
+def energies(state: FieldState) -> tuple[float, float, float, float]:
+    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature."""
+    W, _ = penalty(state.d, state.coeffs.epsilon)
+    return _energies(state.grid, state.u, state.grid.gradient(state.d), W)
 
 
 def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
@@ -104,9 +101,7 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
         bundle = constitutive(state)
     inner = g.l2_inner_unchecked  # FieldState validates u and d; the bundle derives from them
 
-    ek = 0.5 * inner(state.u, state.u)
-    ee = 0.5 * inner(bundle.grad_d, bundle.grad_d)
-    ep = g.mean_unchecked(bundle.W_val)
+    ek, ee, ep, et = _energies(g, state.u, bundle.grad_d, bundle.W_val)
 
     n2_N = inner(bundle.N, bundle.N)
     n2_Ad = inner(bundle.Ad, bundle.Ad)
@@ -119,12 +114,12 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
     d_c1_ad = (c.mu5 + c.mu6 + c.lambda2 ** 2 / c.lambda1) * n2_Ad
 
     d_reg = 0.0
-    if reg is not None and reg.enabled:
+    if reg is not None:
         mag2 = np.sum(bundle.grad_u * bundle.grad_u, axis=(0, 1))
         d_reg = float(np.mean(mag2 ** (0.5 * reg.r))) / float(reg.M)
 
     return EnergyReport(
-        time=state.time, E_total=ek + ee + ep, E_kinetic=ek, E_elastic=ee,
+        time=state.time, E_total=et, E_kinetic=ek, E_elastic=ee,
         E_penalty=ep, D_mu1=d_mu1, D_visc=d_visc, D_Ad=d_ad, D_N=d_n,
         D_cross=d_cross, D_case1_director=d_c1_dir, D_case1_Ad=d_c1_ad,
         D_reg=d_reg, norm_N_sq=n2_N, norm_Ad_sq=n2_Ad,

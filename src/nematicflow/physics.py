@@ -109,7 +109,6 @@ class RegularizationConfig:
     velocity to |k_j| <= N_modes each step (the director is untouched).
     """
 
-    enabled: bool = True
     M: int = 8
     r: float = 4.0
     N_modes: int | None = None
@@ -281,7 +280,7 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
     g = state.grid
     u = state.u
     stress = bundle.sigma - state.coeffs.mu4 * bundle.A - ericksen_stress(bundle.grad_d)
-    regularised = reg is not None and reg.enabled
+    regularised = reg is not None
     if regularised:
         # divergence form with the truncated advecting velocity [u]_M
         u_M = g.ifft(bundle.u_hat * g.box_mask(min(reg.M, g.n // 2)))

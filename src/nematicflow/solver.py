@@ -89,7 +89,7 @@ class Stepper:
         self._den_u = 3.0 - 2.0 * dt * sym_u
         self._den_d = 3.0 - 2.0 * dt * sym_d
         self._mask_u = grid.dealias_mask
-        if reg is not None and reg.enabled and reg.N_modes is not None:
+        if reg is not None and reg.N_modes is not None:
             self._mask_u = self._mask_u & grid.box_mask(reg.N_modes)
         self._hist = None  # (output state, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
 
@@ -204,27 +204,23 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     monitor = BlowupMonitorState()
     reports: list[EnergyReport] = []
     sample_steps: list[int] = []
-    prev_sample: EnergyReport | None = None
-    max_increase = 0.0
 
     def sample(state: FieldState, bundle, step_index: int, finite_only: bool = False):
         """Record one sample; with finite_only, drop it unless all its values are finite."""
-        nonlocal monitor, prev_sample, max_increase
+        nonlocal monitor
         rep = channels(state, bundle, reg=reg)
-        if prev_sample is not None:
-            rep = replace(rep, **_residuals(prev_sample, rep.E_total, rep.time - prev_sample.time))
+        if reports:
+            prev = reports[-1]
+            rep = replace(rep, **_residuals(prev, rep.E_total, rep.time - prev.time))
         mon = copy.deepcopy(monitor) if finite_only else monitor
         mon.update(state, bundle)
         if finite_only and not all(map(math.isfinite, (*rep.__dict__.values(), *mon.row(-1)))):
             return
         monitor = mon
-        if prev_sample is not None:
-            max_increase = max(max_increase, rep.E_total - prev_sample.E_total)
         reports.append(rep)
         sample_steps.append(step_index)
         for hook in hooks:
             hook(state, step_index)
-        prev_sample = rep
 
     state = initial
     blown_up = False
@@ -261,7 +257,8 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
         blown_up=blown_up,
         blowup_time=blowup_time,
         blowup_step=blowup_step,
-        max_energy_increase=max_increase,
+        max_energy_increase=max(
+            [0.0] + [b.E_total - a.E_total for a, b in zip(reports, reports[1:])]),
         wall_time=_time.perf_counter() - t0,
     )
 

@@ -279,7 +279,7 @@ def test_criterion_08_regularized_energy_identity():
     st = FieldState(grid=g, coeffs=c, time=0.0,
                     u=taylor_green_velocity(g, 0.1),
                     d=uniform_e3(g) + 0.05 * random_band_limited(g, 3, 2, rng))
-    reg = RegularizationConfig(enabled=True, M=8, r=4.0)
+    reg = RegularizationConfig(M=8, r=4.0)
 
     # settle through the startup transient so single steps see smooth dynamics
     prep = run(st, TimeStepperConfig(dt=2.5e-4, t_end=5e-3),
@@ -295,7 +295,7 @@ def test_criterion_08_regularized_energy_identity():
     gaps = []
     plain = run(st, TimeStepperConfig(dt=5e-4, t_end=0.05), cadence=100).final_state
     for M in (4, 8, 16, 32):
-        reg_m = RegularizationConfig(enabled=True, M=M, r=4.0)
+        reg_m = RegularizationConfig(M=M, r=4.0)
         fin = run(st, TimeStepperConfig(dt=5e-4, t_end=0.05),
                   reg=reg_m, cadence=100).final_state
         gaps.append(g.l2_norm(fin.u - plain.u) + g.l2_norm(fin.d - plain.d))

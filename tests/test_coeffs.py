@@ -1,5 +1,6 @@
 """Coefficient constraints, regime classification, and the dissipation form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nematicflow import (LeslieCoefficients, ParameterError, RegimeError,
-                         dissipation_form, eta_margin, from_alpha, validate)
+                         RegimeReport, dissipation_form, eta_margin, from_alpha,
+                         validate)
+from nematicflow.coeffs import CONSTRAINTS
 
 
 def test_from_alpha_endpoints():
@@ -77,6 +80,12 @@ def test_validate_names_violations():
     # lambda1 = mu2 - mu3 fails by exactly 2
     assert ("lambda1=mu2-mu3", 2.0) in rep.violations
     assert not rep.admissible
+
+
+def test_constraint_table_matches_report_fields():
+    """CONSTRAINTS lists the seven constraint flags in RegimeReport's field order."""
+    flags = [f.name for f in dataclasses.fields(RegimeReport)][:7]
+    assert [flag for flag, _, _ in CONSTRAINTS] == flags
 
 
 def test_validate_identity_residual_values():

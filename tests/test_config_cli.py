@@ -67,6 +67,53 @@ mu5 = 0.6
 mu6 = 0.3
 """
 
+# The full `validate` stdout of EXPLICIT_BAD and CASE2_CFG, plain and --structured.
+VALIDATE_PLAIN = {
+    EXPLICIT_BAD: """\
+coefficients: {'lambda1': 1.0, 'lambda2': 1.0, 'mu1': 0.0, 'mu2': 0.0, 'mu3': -1.0, \
+'mu4': 1.0, 'mu5': 1.0, 'mu6': 0.0, 'epsilon': 0.1}
+  FAIL  lambda1 < 0
+  PASS  mu1 >= 0
+  PASS  mu4 > 0
+  PASS  mu5 + mu6 >= 0
+  PASS  lambda1 = mu2 - mu3
+  PASS  lambda2 = mu5 - mu6
+  PASS  Parodi mu2 + mu3 = mu6 - mu5
+  violated: lambda1<0 (residual 1)
+regime: case1=False case2=False
+""",
+    CASE2_CFG: """\
+coefficients: {'lambda1': -1.0, 'lambda2': 0.3, 'mu1': 0.0, 'mu2': -0.5, 'mu3': 0.5, \
+'mu4': 1.0, 'mu5': 0.6, 'mu6': 0.3, 'epsilon': 0.1}
+  PASS  lambda1 < 0
+  PASS  mu1 >= 0
+  PASS  mu4 > 0
+  PASS  mu5 + mu6 >= 0
+  PASS  lambda1 = mu2 - mu3
+  PASS  lambda2 = mu5 - mu6
+  FAIL  Parodi mu2 + mu3 = mu6 - mu5
+  violated: mu2+mu3=mu6-mu5 (residual 0.3)
+regime: case1=False case2=True
+""",
+}
+_ALL_PASS = {"lambda1_negative": True, "mu1_nonnegative": True, "mu4_positive": True,
+             "mu56_nonnegative": True, "lambda1_identity": True, "lambda2_identity": True,
+             "parodi_holds": True}
+VALIDATE_STRUCTURED = {
+    EXPLICIT_BAD: {
+        **_ALL_PASS, "lambda1_negative": False, "case1": False, "case2": False,
+        "violations": [["lambda1<0", 1.0]],
+        "coefficients": {"lambda1": 1.0, "lambda2": 1.0, "mu1": 0.0, "mu2": 0.0,
+                         "mu3": -1.0, "mu4": 1.0, "mu5": 1.0, "mu6": 0.0, "epsilon": 0.1},
+    },
+    CASE2_CFG: {
+        **_ALL_PASS, "parodi_holds": False, "case1": False, "case2": True,
+        "violations": [["mu2+mu3=mu6-mu5", 0.3]],
+        "coefficients": {"lambda1": -1.0, "lambda2": 0.3, "mu1": 0.0, "mu2": -0.5,
+                         "mu3": 0.5, "mu4": 1.0, "mu5": 0.6, "mu6": 0.3, "epsilon": 0.1},
+    },
+}
+
 # Any value of each key kind; strings avoid the INI syntax (spaces, '#', newlines).
 _KIND_VALUES = {
     "int": st.integers(),
@@ -199,6 +246,17 @@ class TestValidateCommand:
         assert payload["case1"] is True
         assert payload["coefficients"]["mu4"] == 1.0
 
+    @pytest.mark.parametrize("text, rc", [(EXPLICIT_BAD, 1), (CASE2_CFG, 0)],
+                             ids=["explicit-bad", "case2"])
+    def test_output_golden(self, cfg_file, capsys, text, rc):
+        path = cfg_file(text)
+        assert main(["validate", "--config", path]) == rc
+        assert capsys.readouterr().out == VALIDATE_PLAIN[text]
+        assert main(["validate", "--structured", "--config", path]) == rc
+        out = capsys.readouterr().out
+        assert json.loads(out) == VALIDATE_STRUCTURED[text]
+        assert out == json.dumps(VALIDATE_STRUCTURED[text], indent=2, sort_keys=True) + "\n"
+
     def test_missing_file(self, capsys):
         rc = main(["validate", "--config", "/nonexistent/run.ini"])
         assert rc == 1
@@ -262,6 +320,41 @@ class TestRunCommand:
         rc = main(["run", "--config", cfg_file(text)])
         assert rc == 1
         assert "not admissible" in capsys.readouterr().err
+
+
+# Each input fails in a constructor that knows nothing of the INI layout;
+# the error must still name the section the bad value came from.
+SECTION_ERRORS = {
+    "grid-n": (ALPHA_CFG.replace("n = 16", "n = 12"), "[grid] n must be"),
+    "stepper-dt": (ALPHA_CFG.replace("dt = 0.001", "dt = -1"), "[stepper] dt must be"),
+    "regularization-r": (ALPHA_CFG + "\n[regularization]\nenabled = true\nr = 3.0\n",
+                         "[regularization] regularization exponent r"),
+    "coefficients-mu4": (ALPHA_CFG.replace("alpha = 1.0\nnu = 1.0",
+                                           CASE2_CFG.split("\n", 1)[1].replace(
+                                               "mu4 = 1.0", "mu4 = inf")),
+                         "[coefficients] coefficient mu4 must be finite"),
+    "initial-condition-kmax": (ALPHA_CFG.replace("preset = quiescent",
+                                                 "preset = perturbed-director\nkmax = 40"),
+                               "[initial_condition] kmax must be"),
+    "initial-condition-amplitude": (ALPHA_CFG.replace("preset = quiescent",
+                                                      "preset = perturbed-director\namplitude = inf"),
+                                    "[initial_condition] non-finite values in state fields"),
+    "initial-condition-3d-taylor-green": (
+        ALPHA_CFG.replace("dim = 2", "dim = 3").replace(
+            "preset = quiescent", "preset = taylor-green-uniform-director"),
+        "[initial_condition] taylor-green initial condition is 2D only"),
+}
+
+
+@pytest.mark.parametrize("case", list(SECTION_ERRORS))
+def test_bad_value_error_names_its_section(cfg_file, tmp_path, capsys, case):
+    text, message = SECTION_ERRORS[case]
+    rc = main(["run", "--config", cfg_file(text), "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}"), err
+    section = message.split("]")[0] + "]"
+    assert err.count(section) == 1, err
 
 
 class TestSweepCommand:

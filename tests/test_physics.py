@@ -160,8 +160,7 @@ def test_regularization_config_validation():
         RegularizationConfig(r=3.0)  # must exceed 10/3
     with pytest.raises(ParameterError):
         RegularizationConfig(M=16, N_modes=8)
-    cfg = RegularizationConfig(M=8, r=4.0, N_modes=8)
-    assert cfg.enabled
+    RegularizationConfig(M=8, r=4.0, N_modes=8)
 
 
 def test_visco_flux_constant_gradient(grid2d):
