@@ -263,22 +263,23 @@ def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
     if coeffs is None:
         coeffs = build_coefficients(cfg)
     ic = cfg.initial_condition
-    e3 = np.zeros((3,) + grid.shape)
+    e3 = np.zeros((3,) + (1,) * grid.dim)  # the unit director, broadcast over the grid
     e3[2] = 1.0
     time = 0.0
 
     with _in_section("initial_condition"):
         if ic.preset == "quiescent":
             u = np.zeros((grid.dim,) + grid.shape)
-            d = e3
+            d = np.broadcast_to(e3, (3,) + grid.shape).copy()
         elif ic.preset == "taylor-green-uniform-director":
             u = taylor_green_velocity(grid, ic.amplitude)
-            d = e3
+            d = np.broadcast_to(e3, (3,) + grid.shape).copy()
         elif ic.preset == "perturbed-director":
             u = np.zeros((grid.dim,) + grid.shape)
             rng = np.random.default_rng(cfg.run.seed)
-            delta = random_band_limited(grid, 3, ic.kmax, rng)
-            d = e3 + ic.amplitude * delta
+            d = random_band_limited(grid, 3, ic.kmax, rng)
+            d *= ic.amplitude
+            d += e3
         elif ic.preset == "snapshot":
             if not ic.u_path or not ic.d_path:
                 raise ConfigError("[initial_condition] snapshot preset needs u_path and d_path")

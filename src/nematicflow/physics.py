@@ -157,7 +157,7 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     """Mask f to the dealias band.  Unlike SpectralGrid.dealias it does not
     reject non-finite input: overflow in a huge state reaches the step's
     finiteness guard and ends as a BlowUpError."""
-    return g.ifft(g.fft(f) * g.dealias_mask)
+    return g.ifft(g.fft(f, M=g.band), M=g.band)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,7 +194,7 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     omega = 0.5 * (grad_u - grad_u.swapaxes(0, 1))
     grad_d = g.ifft(g.grad_hat(d_hat))
     W_val, gradW = penalty(d, c.epsilon)
-    gradW_hat = g.fft(gradW) * g.dealias_mask
+    gradW_hat = g.fft(gradW, M=g.band)
     tension = g.ifft(-g.ksq * d_hat - gradW_hat)
 
     Ad = mat_vec_director(A, d)
@@ -244,7 +244,7 @@ def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.nda
     c = state.coeffs
     f = mat_vec_director(bundle.omega, state.d) - (c.lambda2 / c.lambda1) * bundle.Ad
     f -= np.einsum("i...,ic...->c...", state.u, bundle.grad_d)
-    return g.fft(f) * g.dealias_mask + bundle.gradW_hat / c.lambda1
+    return g.fft(f, M=g.band) + bundle.gradW_hat / c.lambda1
 
 
 def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) -> np.ndarray:
@@ -283,11 +283,11 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
     regularised = reg is not None
     if regularised:
         # divergence form with the truncated advecting velocity [u]_M
-        u_M = g.ifft(bundle.u_hat * g.box_mask(min(reg.M, g.n // 2)))
+        u_M = g.ifft(bundle.u_hat, M=min(reg.M, g.n // 2))
         stress += _visco_flux(bundle.grad_u, reg.r) / float(reg.M) - _outer(u_M, u)
-    force_hat = g.div_hat(g.fft(stress) * g.dealias_mask)
+    force_hat = g.div_hat(g.fft(stress, M=g.band))
     if not regularised:
-        force_hat -= g.fft(np.einsum("i...,ij...->j...", u, bundle.grad_u)) * g.dealias_mask
+        force_hat -= g.fft(np.einsum("i...,ij...->j...", u, bundle.grad_u), M=g.band)
     return force_hat
 
 

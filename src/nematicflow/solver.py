@@ -12,9 +12,9 @@ remaining terms explicitly:
 Linear symbols: -(mu4/2)|kappa|^2 for u and |kappa|^2/lambda1 for d (both
 nonpositive).  y, F(y) and both updates live in the half spectrum; each step
 transforms u and d forward once and the new fields back once.  After each
-step u is re-projected divergence-free and both fields re-masked to the
-dealias band, so a quiescent state is a bitwise fixed point and pure Stokes
-decay integrates exactly.
+step u is re-projected divergence-free and both fields are read back from
+the dealias band only, so a quiescent state is a bitwise fixed point and
+pure Stokes decay integrates exactly.
 """
 
 from __future__ import annotations
@@ -88,14 +88,10 @@ class Stepper:
         self._phi_d = dt * _phi1(dt * sym_d)
         self._den_u = 3.0 - 2.0 * dt * sym_u
         self._den_d = 3.0 - 2.0 * dt * sym_d
-        self._mask_u = grid.dealias_mask
-        if reg is not None and reg.N_modes is not None:
-            self._mask_u = self._mask_u & grid.box_mask(reg.N_modes)
+        # u is read from box(band) & box(N_modes) == box(min(band, N_modes))
+        n_modes = grid.band if reg is None or reg.N_modes is None else reg.N_modes
+        self._band_u = min(grid.band, n_modes)
         self._hist = None  # (output state, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
-
-    def _mask_project(self, u_hat, d_hat):
-        g = self.grid
-        return g.leray_hat(u_hat * self._mask_u), d_hat * g.dealias_mask
 
     def step_pair(self, state: FieldState) -> tuple[FieldState, ConstitutiveBundle]:
         """Advance one dt; returns (new state, bundle evaluated at the input state).
@@ -124,9 +120,9 @@ class Stepper:
             u_new_hat = self._exp_u * u_hat + self._phi_u * fu_hat
             d_new_hat = self._exp_d * d_hat + self._phi_d * fd_hat
 
-        u_new_hat, d_new_hat = self._mask_project(u_new_hat, d_new_hat)
-        u_new = g.ifft(u_new_hat)
-        d_new = g.ifft(d_new_hat)
+        u_new_hat = g.leray_hat(u_new_hat)
+        u_new = g.ifft(u_new_hat, M=self._band_u)
+        d_new = g.ifft(d_new_hat, M=g.band)
         t_new = state.time + dt
 
         if not (np.isfinite(u_new).all() and np.isfinite(d_new).all()):
@@ -135,7 +131,7 @@ class Stepper:
                 state=state, time=state.time,
             )
         if self.cfg.max_vorticity_sup is not None:
-            w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat)))
+            w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat), M=self._band_u))
             if w > self.cfg.max_vorticity_sup:
                 raise BlowUpError(
                     f"sup|curl u| = {w:.6g} exceeded threshold "

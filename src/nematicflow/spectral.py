@@ -15,6 +15,13 @@ Conventions, fixed for the whole package:
       axis keeps k = 0..n/2 only, the other modes follow by conjugate
       symmetry.  Spectral shape (ncomp, ..) + hshape with
       hshape = (n,)*(dim-1) + (n//2 + 1,).
+
+Transforms give numpy's rfftn/irfftn bit for bit; with M they are pruned to
+the box |k_j| <= M and give the bits of the masked full transform.  The
+solver prunes each transform it masks at once and each inverse of a
+band-limited operand; u_hat, d_hat, grad u, grad d, the tension, the sample
+layer and the calculus are band-limited only up to rounding, so pruning them
+would change bits.
 """
 
 from __future__ import annotations
@@ -51,37 +58,75 @@ class SpectralGrid:
 
         kf = np.fft.fftfreq(self.n, d=1.0 / self.n)   # integers as floats
         kr = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # last axis: 0..n/2
-        mesh = np.meshgrid(*([kf] * (self.dim - 1) + [kr]), indexing="ij")
-        self.k = np.stack(mesh)                      # (dim,) + hshape, integer lattice
+        k1 = np.meshgrid(*([kf] * (self.dim - 1) + [kr]), indexing="ij", sparse=True)
+        self.k = np.stack(np.broadcast_arrays(*k1))   # (dim,) + hshape, integer lattice
         self.hshape = self.k.shape[1:]
-        self.ksq = np.sum((2.0 * np.pi * self.k) ** 2, axis=0)
+        self.ksq = sum((2.0 * np.pi * ki) ** 2 for ki in k1)
         self.dealias_mask = self.box_mask(self.band)
         # Half-spectrum multiplicity in a full-spectrum sum: interior last-axis
         # modes stand for themselves and their conjugate partner.
-        self.hweight = np.where((self.k[-1] == 0) | (self.k[-1] == self.n // 2), 1.0, 2.0)
+        self.hweight = np.where((kr == 0) | (kr == self.n // 2), 1.0, 2.0)
 
-        # Odd-derivative multipliers zero the Nyquist mode |k_j| = n/2: it is
-        # its own conjugate partner, so i*kappa there would break conjugate
-        # symmetry and real-to-real differentiation.  Band-limited fields
+        # Per-axis odd-derivative multipliers, broadcast over hshape, zero the
+        # Nyquist mode |k_j| = n/2: it is its own conjugate partner, so i*kappa
+        # there would break real-to-real differentiation.  Band-limited fields
         # never carry those bins; this only hardens the operators for raw input.
-        self.kappa_d = 2.0 * np.pi * self.k
-        self.kappa_d[np.abs(self.k) == self.n // 2] = 0.0
-        self.ikappa_d = 1j * self.kappa_d
-        ksq_d = np.sum(self.kappa_d ** 2, axis=0)
+        self.kappa_d = tuple(np.where(np.abs(ki) == self.n // 2, 0.0, 2.0 * np.pi * ki)
+                             for ki in k1)
+        self.ikappa_d = tuple(1j * kd for kd in self.kappa_d)
+        ksq_d = sum(kd ** 2 for kd in self.kappa_d)
         self.inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
 
-        self._axes = tuple(range(-self.dim, 0))
         self._sobolev_weights: dict[float, np.ndarray] = {}
 
     # -- transforms ---------------------------------------------------------
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of a real field over the grid axes."""
-        return np.fft.rfftn(f, axes=self._axes)
+    def fft(self, f: np.ndarray, *, M: int | None = None) -> np.ndarray:
+        """Half-spectrum coefficients of a real field over the grid axes.  With M,
+        fft(f) * box_mask(M): only lines that reach the box are transformed."""
+        M = self._pruning(M)
+        y = np.fft.rfft(f, axis=-1)
+        box = y if M is None else y[..., :M + 1]
+        for ax in range(-2, -self.dim - 1, -1):
+            for lines in self._box_lines(box, ax, M):
+                np.fft.fft(lines, axis=ax, out=lines)
+        if M is not None:
+            y[..., M + 1:] = 0.0
+            self._zero_outside_rows(y, M)
+        return y
 
-    def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        """Real field from half-spectrum coefficients."""
-        return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
+    def ifft(self, fhat: np.ndarray, *, M: int | None = None) -> np.ndarray:
+        """Real field from half-spectrum coefficients.  With M, ifft(fhat *
+        box_mask(M)): only the box is read and the all-zero lines are skipped."""
+        M = self._pruning(M)
+        if M is None:
+            y = np.fft.ifft(fhat, axis=-self.dim)  # out of place: fhat is not written
+            first = 1 - self.dim
+        else:
+            y = fhat[..., :M + 1].copy()
+            self._zero_outside_rows(y, M)
+            first = -self.dim
+        for ax in range(first, -1):
+            for lines in self._box_lines(y, ax, M):
+                np.fft.ifft(lines, axis=ax, out=lines)
+        return np.fft.irfft(y, n=self.n, axis=-1)
+
+    def _pruning(self, M: int | None) -> int | None:
+        """M, or None where box_mask(M) keeps every mode.  From M = n/2 on,
+        the row blocks [0, M] and [n-M, n) would overlap at the Nyquist row."""
+        return M if M is not None and 2 * M < self.n else None
+
+    def _box_lines(self, y: np.ndarray, ax: int, M: int | None):
+        """Views of y holding its lines along grid axis `ax` (-2 or -3) whose
+        rows on the axes between `ax` and the last lie in the box |k| <= M."""
+        if M is None or ax == -2:
+            return (y,)
+        return (y[..., :M + 1, :], y[..., self.n - M:, :])
+
+    def _zero_outside_rows(self, y: np.ndarray, M: int) -> None:
+        """Zero the rows M < |k| on every grid axis but the last."""
+        for ax in range(-2, -self.dim - 1, -1):
+            y[(Ellipsis, slice(M + 1, self.n - M)) + (slice(None),) * (-1 - ax)] = 0.0
 
     # -- spectral operators (on half-spectrum arrays) --------------------------
 
@@ -91,14 +136,17 @@ class SpectralGrid:
 
     def grad_hat(self, fhat: np.ndarray) -> np.ndarray:
         """i*kappa_i fhat along a new leading axis."""
-        ik = self.ikappa_d.reshape((self.dim,) + (1,) * (fhat.ndim - self.dim) + self.hshape)
-        return ik * fhat
+        out = np.empty((self.dim,) + fhat.shape, dtype=complex)
+        for i, ik in enumerate(self.ikappa_d):
+            np.multiply(ik, fhat, out=out[i])
+        return out
 
     def div_hat(self, vhat: np.ndarray) -> np.ndarray:
         """sum_i i*kappa_i vhat[i]: the divergence of a vector, or (div T)_j of a tensor."""
         out = self.ikappa_d[0] * vhat[0]
+        term = np.empty_like(out)
         for i in range(1, self.dim):
-            out += self.ikappa_d[i] * vhat[i]
+            out += np.multiply(self.ikappa_d[i], vhat[i], out=term)
         return out
 
     def curl_hat(self, uhat: np.ndarray) -> np.ndarray:
@@ -106,9 +154,13 @@ class SpectralGrid:
         ik = self.ikappa_d
         if self.dim == 2:
             return ik[0] * uhat[1] - ik[1] * uhat[0]
-        return np.stack([ik[1] * uhat[2] - ik[2] * uhat[1],
-                         ik[2] * uhat[0] - ik[0] * uhat[2],
-                         ik[0] * uhat[1] - ik[1] * uhat[0]])
+        out = np.empty_like(uhat)
+        term = np.empty_like(uhat[0])
+        for c in range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            np.multiply(ik[a], uhat[b], out=out[c])
+            out[c] -= np.multiply(ik[b], uhat[a], out=term)
+        return out
 
     def potential_hat(self, vhat: np.ndarray) -> np.ndarray:
         """q = (kappa . vhat)/|kappa|^2, so vhat = leray_hat(vhat) + kappa q;
@@ -121,7 +173,11 @@ class SpectralGrid:
 
     def leray_hat(self, vhat: np.ndarray) -> np.ndarray:
         """Divergence-free part of vhat; the mean mode passes through."""
-        return vhat - self.kappa_d * self.potential_hat(vhat)
+        q = self.potential_hat(vhat)
+        out = np.empty_like(vhat)
+        for i, kd in enumerate(self.kappa_d):
+            np.subtract(vhat[i], np.multiply(kd, q, out=out[i]), out=out[i])
+        return out
 
     def coords(self) -> np.ndarray:
         """Collocation coordinates, shape (dim,) + grid shape."""
@@ -248,11 +304,12 @@ def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.rando
     if not (1 <= kmax <= grid.band):
         raise ParameterError(f"kmax must be in [1, {grid.band}], got {kmax}")
     f = rng.standard_normal((ncomp,) + grid.shape)
-    f = grid.ifft(grid.fft(f) * grid.box_mask(kmax))
+    f = grid.ifft(grid.fft(f, M=kmax), M=kmax)
     peak = np.sqrt(np.sum(f * f, axis=0).max())
     if peak == 0.0:
         raise ParameterError("degenerate random draw, zero field")
-    return f / peak
+    f /= peak
+    return f
 
 
 # -- snapshots: raw little-endian float64 with a fixed 32-byte header ----------

@@ -235,9 +235,9 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
 def _count_transforms(monkeypatch):
     counts = {"fft": 0, "ifft": 0}
     for name in counts:
-        def counted(self, f, _orig=getattr(SpectralGrid, name), _name=name):
+        def counted(self, *args, _orig=getattr(SpectralGrid, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _orig(self, f)
+            return _orig(self, *args, **kwargs)
         monkeypatch.setattr(SpectralGrid, name, counted)
     return counts
 

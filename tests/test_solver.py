@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import nematicflow.diagnostics
 import nematicflow.solver
 from nematicflow import (BlowUpError, FieldState, LeslieCoefficients,
-                         ParameterError, RegularizationConfig, RegimeError,
+                         ParameterError, RegularizationConfig, RegimeError, SpectralGrid,
                          Stepper, TimeStepperConfig, case2_lower_bound_check,
                          constitutive, eta_margin, from_alpha,
                          reconstruct_pressure, run, step)
@@ -21,6 +22,11 @@ from nematicflow.config import (build_coefficients, build_grid,
 from nematicflow.spectral import random_band_limited
 
 from conftest import smooth_state
+
+
+# 3D non-Parodi Case 2 set
+CASE2 = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
+                           mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
 
 
 def quiescent(grid, coeffs):
@@ -261,8 +267,7 @@ def test_run_blowup_samples_before_the_failed_step(grid2d, alpha_one, blowup_ste
 def test_case2_3d_run(grid3d):
     """3D, non-Parodi Case 2 set: energy decays, the coercivity bound holds
     at every sample, and run() is the plain step_pair chain."""
-    c = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
-                           mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
+    c = CASE2
     st = smooth_state(grid3d, c, seed=12)
     cfg = TimeStepperConfig(dt=1e-3, t_end=0.01)
     traj = run(st, cfg, cadence=1)
@@ -278,6 +283,63 @@ def test_case2_3d_run(grid3d):
         cur, _ = stepper.step_pair(cur)
     assert np.array_equal(cur.u, traj.final_state.u)
     assert np.array_equal(cur.d, traj.final_state.d)
+
+
+def _mask_instead_of_pruning(monkeypatch):
+    """Make fft/ifft ignore M's pruning: the full transform, then box_mask(M).
+    Returns the set of M values the run passes."""
+    seen = set()
+    full_fft, full_ifft = SpectralGrid.fft, SpectralGrid.ifft
+
+    def fft(self, f, *, M=None):
+        if M is None:
+            return full_fft(self, f)
+        seen.add(M)
+        return full_fft(self, f) * self.box_mask(M)
+
+    def ifft(self, fhat, *, M=None):
+        if M is None:
+            return full_ifft(self, fhat)
+        seen.add(M)
+        return full_ifft(self, fhat * self.box_mask(M))
+
+    monkeypatch.setattr(SpectralGrid, "fft", fft)
+    monkeypatch.setattr(SpectralGrid, "ifft", ifft)
+    return seen
+
+
+def _run_bytes(traj):
+    n = len(traj.reports)
+    assert n == len(traj.monitor.times)
+    return (traj.final_state.u.tobytes(), traj.final_state.d.tobytes(),
+            [np.array(astuple(r)).tobytes() for r in traj.reports],
+            [np.array(traj.monitor.row(i)).tobytes() for i in range(n)])
+
+
+@pytest.mark.parametrize("case", ["3d-case2-euler", "3d-case2-bdf2", "2d-regularised-bdf2"])
+def test_pruned_transforms_reproduce_the_masked_run(grid2d, grid3d, alpha_one,
+                                                    monkeypatch, case):
+    """A run on the band-pruned transforms is byte-identical to the same run
+    on full transforms masked by box_mask(M): final fields, every energy
+    report and every monitor row.  The 3D runs also decay in energy."""
+    if case.startswith("3d"):
+        st = smooth_state(grid3d, CASE2, seed=12)
+        scheme = "semi-implicit-euler" if case.endswith("euler") else "imex-bdf2"
+        reg, expected_M = None, {grid3d.band}
+    else:
+        st = smooth_state(grid2d, alpha_one, seed=13, kmax=4)
+        scheme, reg = "imex-bdf2", RegularizationConfig(M=4, r=4.0, N_modes=8)
+        expected_M = {grid2d.band, 4, 8}
+    cfg = TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme, max_vorticity_sup=1e6)
+    pruned = run(st, cfg, reg=reg, cadence=1)
+    assert not pruned.blown_up and pruned.n_steps == 10
+    seen = _mask_instead_of_pruning(monkeypatch)
+    masked = run(st, cfg, reg=reg, cadence=1)
+    assert seen == expected_M
+    assert _run_bytes(pruned) == _run_bytes(masked)
+    if case.startswith("3d"):
+        energy = [r.E_total for r in pruned.reports]
+        assert all(b <= a for a, b in zip(energy, energy[1:]))
 
 
 def test_run_rejects_non_multiple_horizon(grid2d, alpha_one):

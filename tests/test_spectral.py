@@ -1,5 +1,6 @@
 """Spectral grid operators, quadrature identities, and snapshot I/O."""
 
+import functools
 import math
 import os
 import struct
@@ -236,6 +237,67 @@ def test_random_band_limited(grid2d):
     # deterministic under the seed
     g = random_band_limited(grid2d, 3, 4, np.random.default_rng(17))
     assert np.array_equal(f, g)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (3, 3)], ids=["scalar", "vector", "tensor"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_transforms_match_numpy_and_the_masked_reference(dim, n, lead):
+    """The full path is numpy's rfftn/irfftn byte for byte; with M, fft is
+    fft(f) * box_mask(M) (the pruned path writes +0 where the product may
+    hold -0) and ifft is ifft(fhat * box_mask(M)) byte for byte."""
+    g = SpectralGrid(dim, n)
+    axes = tuple(range(-dim, 0))
+    f = np.random.default_rng(n + dim).standard_normal(lead + g.shape)
+    f_before = f.copy()
+    fhat = g.fft(f)
+    assert fhat.tobytes() == np.fft.rfftn(f, axes=axes).tobytes()
+    fhat_before = fhat.copy()
+    assert g.ifft(fhat).tobytes() == np.fft.irfftn(fhat, s=g.shape, axes=axes).tobytes()
+    for M in (1, g.band, n // 2 - 1, n // 2):
+        mask = g.box_mask(M)
+        assert np.array_equal(g.fft(f, M=M), fhat * mask), M
+        assert g.ifft(fhat, M=M).tobytes() == g.ifft(fhat * mask).tobytes(), M
+    # neither path writes its input
+    assert f.tobytes() == f_before.tobytes()
+    assert fhat.tobytes() == fhat_before.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_per_axis_multipliers_match_dense_ones(dim):
+    """grad, div, curl, potential and Leray on per-axis factors give the
+    bits of the dense (dim,) + hshape multipliers."""
+    g = SpectralGrid(dim, 16)
+    k = g.k
+    kappa = TWO_PI * k
+    kappa[np.abs(k) == g.n // 2] = 0.0
+    ikappa = 1j * kappa
+    rng = np.random.default_rng(dim)
+    vhat = g.fft(rng.standard_normal((dim,) + g.shape))
+    That = g.fft(rng.standard_normal((dim, dim) + g.shape))
+    q = functools.reduce(np.add, kappa * vhat) * g.inv_ksq_d
+    assert g.grad_hat(vhat).tobytes() == (ikappa[:, None] * vhat).tobytes()
+    assert g.div_hat(That).tobytes() == functools.reduce(np.add, ikappa[:, None] * That).tobytes()
+    assert g.potential_hat(vhat).tobytes() == q.tobytes()
+    assert g.leray_hat(vhat).tobytes() == (vhat - kappa * q).tobytes()
+    if dim == 3:
+        curl = np.stack([ikappa[(c + 1) % 3] * vhat[(c + 2) % 3]
+                         - ikappa[(c + 2) % 3] * vhat[(c + 1) % 3] for c in range(3)])
+        assert g.curl_hat(vhat).tobytes() == curl.tobytes()
+    hweight = np.where((k[-1] == 0) | (k[-1] == g.n // 2), 1.0, 2.0)
+    assert np.broadcast_to(g.hweight, g.hshape).tobytes() == hweight.tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("dim, n, kmax", [(2, 32, 4), (3, 16, 5)])
+def test_random_band_limited_matches_the_masked_formula(dim, n, kmax, seed):
+    g = SpectralGrid(dim, n)
+    axes = tuple(range(-dim, 0))
+    f = np.random.default_rng(seed).standard_normal((3,) + g.shape)
+    f = np.fft.irfftn(np.fft.rfftn(f, axes=axes) * g.box_mask(kmax), s=g.shape, axes=axes)
+    expected = f / np.sqrt(np.sum(f * f, axis=0).max())
+    got = random_band_limited(g, 3, kmax, np.random.default_rng(seed))
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestSnapshots:
