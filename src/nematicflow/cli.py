@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -67,7 +68,11 @@ def cmd_validate(args) -> int:
         for flag, _, label in CONSTRAINTS:
             print(f"  {'PASS' if getattr(report, flag) else 'FAIL'}  {label}")
         for name, residual in report.violations:
-            print(f"  violated: {name} (residual {residual:.6g})")
+            if residual == 0.0:  # only a strict inequality fails with residual 0: at its bound
+                quantity, bound = re.split("[<>]", name)
+                print(f"  violated: {name} (at bound, {quantity} = {bound})")
+            else:
+                print(f"  violated: {name} (residual {residual:.6g})")
         print(f"regime: case1={report.case1} case2={report.case2}")
     return 0 if report.admissible else 1
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .physics import ConstitutiveBundle, FieldState, RegularizationConfig, constitutive, penalty
+from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig, _spectra,
+                      constitutive, penalty)
 
 CSV_COLUMNS = (
     "time", "E_total", "E_kinetic", "E_elastic", "E_penalty",
@@ -184,7 +185,7 @@ def quantity_Ys(state: FieldState, s: float,
     """
     g = state.grid
     if bundle is None:
-        u_hat, d_hat = g.fft(state.u), g.fft(state.d)
+        u_hat, d_hat, _ = _spectra(state)
     else:
         u_hat, d_hat = bundle.u_hat, bundle.d_hat
     return g.sobolev_norm_hat(u_hat, s) ** 2 + g.sobolev_norm_hat(g.grad_hat(d_hat), s) ** 2
@@ -230,7 +231,7 @@ class BlowupMonitorState:
             )
         if bundle is None:
             bundle = constitutive(state)
-        curl = g.ifft(g.curl_hat(bundle.u_hat))
+        curl = g.ifft(g.curl_hat(bundle.u_hat), M=bundle.band)
         a = g.sup_norm_unchecked(curl)
         # a numpy float: its powers overflow to inf where a Python float's raise
         b = np.float64(g.sup_norm_unchecked(bundle.grad_d))

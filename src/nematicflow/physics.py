@@ -25,13 +25,15 @@ the state fields are kept band-limited by the solver.  Every field lives in
 physical space once: each product is formed pointwise, transformed forward
 once and masked to the dealias band in Fourier space (half-spectrum rfftn
 coefficients), where divergence, Leray projection and time integration act.
+A state the stepper built carries the band-limited coefficients of u and d,
+so they are not transformed forward again.
 With collocation (grid-mean) quadrature the semi-discrete energy law then
 balances to rounding error; see tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +49,12 @@ class FieldState:
     u: (dim,) + grid shape, d: (3,) + grid shape.  The solver keeps u
     divergence-free and both fields band-limited; constructing a state does
     not enforce those invariants, only shapes and finiteness.
+
+    spectra, set only by the stepper, holds the read-only half-spectrum
+    coefficients (u_hat, d_hat) the fields came from: both are zero outside
+    box(grid.band), u_hat also outside box(N_modes) when that is smaller, and
+    u and d are their pruned inverses.  Every other constructor, with_fields
+    included, leaves it None.
     """
 
     grid: SpectralGrid
@@ -54,6 +62,7 @@ class FieldState:
     time: float
     u: np.ndarray
     d: np.ndarray
+    spectra: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -151,6 +160,7 @@ class ConstitutiveBundle:
     dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
     dd: np.ndarray | None    # stage(d(x)d), (dim, dim) + grid block; None when mu1 = 0
     sigma: np.ndarray        # Leslie stress
+    band: int | None         # u_hat, d_hat vanish outside box(band); None: full transforms
 
 
 def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -173,13 +183,24 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, A: np.ndarray) -> tuple[np.ndarray
     return dd, _stage(g, np.einsum("ij...,ij...->...", dd, A))
 
 
+def _spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """(u_hat, d_hat, M): the coefficients the stepper carried on the state,
+    zero outside box(M = band), or for any other state the full transforms
+    of its fields, M = None."""
+    g = state.grid
+    if state.spectra is not None:
+        return (*state.spectra, g.band)
+    return g.fft(state.u), g.fft(state.d), None
+
+
 def constitutive(state: FieldState) -> ConstitutiveBundle:
     """Assemble all constitutive fields for one state.
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
-    algebra.  u and d are transformed once; each staged field is one forward
-    and one inverse transform.  The mu1 block dd, dAd is staged only when
-    mu1 != 0.
+    algebra.  u and d are transformed once, unless the state carries their
+    coefficients, and the inverses of grad u, grad d and the tension are then
+    pruned to the band; each staged field is one forward and one inverse
+    transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
     """
     g = state.grid
     c = state.coeffs
@@ -187,15 +208,14 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
     d = state.d
 
-    u_hat = g.fft(state.u)
-    d_hat = g.fft(d)
-    grad_u = g.ifft(g.grad_hat(u_hat))
+    u_hat, d_hat, M = _spectra(state)
+    grad_u = g.ifft(g.grad_hat(u_hat), M=M)
     A = 0.5 * (grad_u + grad_u.swapaxes(0, 1))
     omega = 0.5 * (grad_u - grad_u.swapaxes(0, 1))
-    grad_d = g.ifft(g.grad_hat(d_hat))
+    grad_d = g.ifft(g.grad_hat(d_hat), M=M)
     W_val, gradW = penalty(d, c.epsilon)
     gradW_hat = g.fft(gradW, M=g.band)
-    tension = g.ifft(-g.ksq * d_hat - gradW_hat)
+    tension = g.ifft(-g.ksq * d_hat - gradW_hat, M=M)
 
     Ad = mat_vec_director(A, d)
     Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
@@ -208,7 +228,7 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, A=A, omega=omega,
         grad_d=grad_d, W_val=W_val, gradW_hat=gradW_hat, Ad=Ad,
         tension=tension, N=N, dAd=dAd, dd=dd,
-        sigma=leslie_stress(g, c, d, A, N, Ad, dd, dAd),
+        sigma=leslie_stress(g, c, d, A, N, Ad, dd, dAd), band=M,
     )
 
 

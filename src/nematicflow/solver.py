@@ -10,11 +10,12 @@ remaining terms explicitly:
                           bootstrapped by one euler step.
 
 Linear symbols: -(mu4/2)|kappa|^2 for u and |kappa|^2/lambda1 for d (both
-nonpositive).  y, F(y) and both updates live in the half spectrum; each step
-transforms u and d forward once and the new fields back once.  After each
-step u is re-projected divergence-free and both fields are read back from
-the dealias band only, so a quiescent state is a bitwise fixed point and
-pure Stokes decay integrates exactly.
+nonpositive).  y, F(y) and both updates live in the half spectrum.  After
+each step u is re-projected divergence-free, both coefficient arrays are
+zeroed outside the dealias box (u also outside box(N_modes)) and read back
+from it, so a quiescent state is a bitwise fixed point and pure Stokes decay
+integrates exactly.  The new state carries those coefficients, so only a
+step from a state built from fields transforms u and d forward.
 """
 
 from __future__ import annotations
@@ -121,6 +122,9 @@ class Stepper:
             d_new_hat = self._exp_d * d_hat + self._phi_d * fd_hat
 
         u_new_hat = g.leray_hat(u_new_hat)
+        g.zero_outside_box(u_new_hat, self._band_u)
+        g.zero_outside_box(d_new_hat, g.band)
+        u_new_hat.flags.writeable = d_new_hat.flags.writeable = False
         u_new = g.ifft(u_new_hat, M=self._band_u)
         d_new = g.ifft(d_new_hat, M=g.band)
         t_new = state.time + dt
@@ -139,7 +143,8 @@ class Stepper:
                     state=state, time=state.time,
                 )
 
-        new_state = state.with_fields(u_new, d_new, t_new)
+        new_state = FieldState(grid=g, coeffs=state.coeffs, time=t_new, u=u_new, d=d_new,
+                               spectra=(u_new_hat, d_new_hat))
         if self.cfg.scheme == "imex-bdf2":
             self._hist = (new_state, u_hat, d_hat, fu_hat, fd_hat)
         return new_state, bundle

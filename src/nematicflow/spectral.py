@@ -19,9 +19,11 @@ Conventions, fixed for the whole package:
 Transforms give numpy's rfftn/irfftn bit for bit; with M they are pruned to
 the box |k_j| <= M and give the bits of the masked full transform.  The
 solver prunes each transform it masks at once and each inverse of a
-band-limited operand; u_hat, d_hat, grad u, grad d, the tension, the sample
-layer and the calculus are band-limited only up to rounding, so pruning them
-would change bits.
+band-limited operand.  A stepped state carries its band-limited u_hat and
+d_hat, so grad u, grad d, the tension and the monitor's curl are pruned as
+well.  Only the transforms of a state built from fields (the initial state,
+a snapshot) and the validating calculus stay on the full path: there the
+operands are band-limited only up to rounding, so pruning would change bits.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ class SpectralGrid:
             for lines in self._box_lines(box, ax, M):
                 np.fft.fft(lines, axis=ax, out=lines)
         if M is not None:
-            y[..., M + 1:] = 0.0
-            self._zero_outside_rows(y, M)
+            self.zero_outside_box(y, M)
         return y
 
     def ifft(self, fhat: np.ndarray, *, M: int | None = None) -> np.ndarray:
@@ -104,7 +105,7 @@ class SpectralGrid:
             first = 1 - self.dim
         else:
             y = fhat[..., :M + 1].copy()
-            self._zero_outside_rows(y, M)
+            self.zero_outside_box(y, M)
             first = -self.dim
         for ax in range(first, -1):
             for lines in self._box_lines(y, ax, M):
@@ -123,8 +124,10 @@ class SpectralGrid:
             return (y,)
         return (y[..., :M + 1, :], y[..., self.n - M:, :])
 
-    def _zero_outside_rows(self, y: np.ndarray, M: int) -> None:
-        """Zero the rows M < |k| on every grid axis but the last."""
+    def zero_outside_box(self, y: np.ndarray, M: int) -> None:
+        """Zero the modes of the half-spectrum array y outside the box |k_j| <= M,
+        in place.  Requires 2 M < n."""
+        y[..., M + 1:] = 0.0
         for ax in range(-2, -self.dim - 1, -1):
             y[(Ellipsis, slice(M + 1, self.n - M)) + (slice(None),) * (-1 - ax)] = 0.0
 

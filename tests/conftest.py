@@ -42,3 +42,26 @@ def smooth_state(grid, coeffs, seed=0, u_amp=0.1, d_amp=0.1, kmax=None):
     d[2] = 1.0
     d = d + d_amp * random_band_limited(grid, 3, kmax, rng)
     return FieldState(grid=grid, coeffs=coeffs, time=0.0, u=u, d=d)
+
+
+def _mask_instead_of_pruning(monkeypatch):
+    """Make fft/ifft ignore M's pruning: the full transform, then box_mask(M).
+    Returns the set of M values the run passes."""
+    seen = set()
+    full_fft, full_ifft = SpectralGrid.fft, SpectralGrid.ifft
+
+    def fft(self, f, *, M=None):
+        if M is None:
+            return full_fft(self, f)
+        seen.add(M)
+        return full_fft(self, f) * self.box_mask(M)
+
+    def ifft(self, fhat, *, M=None):
+        if M is None:
+            return full_ifft(self, fhat)
+        seen.add(M)
+        return full_ifft(self, fhat * self.box_mask(M))
+
+    monkeypatch.setattr(SpectralGrid, "fft", fft)
+    monkeypatch.setattr(SpectralGrid, "ifft", ifft)
+    return seen

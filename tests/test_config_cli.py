@@ -67,7 +67,11 @@ mu5 = 0.6
 mu6 = 0.3
 """
 
-# The full `validate` stdout of EXPLICIT_BAD and CASE2_CFG, plain and --structured.
+# Every coefficient zero: lambda1 < 0 and mu4 > 0 fail at their strict bounds.
+ZERO_CFG = "[coefficients]\n" + "".join(
+    f"{name} = 0.0\n" for name in ("lambda1", "lambda2", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6"))
+
+# The full `validate` stdout of EXPLICIT_BAD, CASE2_CFG and ZERO_CFG, plain and --structured.
 VALIDATE_PLAIN = {
     EXPLICIT_BAD: """\
 coefficients: {'lambda1': 1.0, 'lambda2': 1.0, 'mu1': 0.0, 'mu2': 0.0, 'mu3': -1.0, \
@@ -95,6 +99,20 @@ coefficients: {'lambda1': -1.0, 'lambda2': 0.3, 'mu1': 0.0, 'mu2': -0.5, 'mu3': 
   violated: mu2+mu3=mu6-mu5 (residual 0.3)
 regime: case1=False case2=True
 """,
+    ZERO_CFG: """\
+coefficients: {'lambda1': 0.0, 'lambda2': 0.0, 'mu1': 0.0, 'mu2': 0.0, 'mu3': 0.0, \
+'mu4': 0.0, 'mu5': 0.0, 'mu6': 0.0, 'epsilon': 0.1}
+  FAIL  lambda1 < 0
+  PASS  mu1 >= 0
+  FAIL  mu4 > 0
+  PASS  mu5 + mu6 >= 0
+  PASS  lambda1 = mu2 - mu3
+  PASS  lambda2 = mu5 - mu6
+  PASS  Parodi mu2 + mu3 = mu6 - mu5
+  violated: lambda1<0 (at bound, lambda1 = 0)
+  violated: mu4>0 (at bound, mu4 = 0)
+regime: case1=False case2=False
+""",
 }
 _ALL_PASS = {"lambda1_negative": True, "mu1_nonnegative": True, "mu4_positive": True,
              "mu56_nonnegative": True, "lambda1_identity": True, "lambda2_identity": True,
@@ -111,6 +129,13 @@ VALIDATE_STRUCTURED = {
         "violations": [["mu2+mu3=mu6-mu5", 0.3]],
         "coefficients": {"lambda1": -1.0, "lambda2": 0.3, "mu1": 0.0, "mu2": -0.5,
                          "mu3": 0.5, "mu4": 1.0, "mu5": 0.6, "mu6": 0.3, "epsilon": 0.1},
+    },
+    ZERO_CFG: {
+        **_ALL_PASS, "lambda1_negative": False, "mu4_positive": False,
+        "case1": False, "case2": False,
+        "violations": [["lambda1<0", 0.0], ["mu4>0", 0.0]],
+        "coefficients": {**dict.fromkeys(("lambda1", "lambda2", "mu1", "mu2", "mu3",
+                                          "mu4", "mu5", "mu6"), 0.0), "epsilon": 0.1},
     },
 }
 
@@ -246,8 +271,8 @@ class TestValidateCommand:
         assert payload["case1"] is True
         assert payload["coefficients"]["mu4"] == 1.0
 
-    @pytest.mark.parametrize("text, rc", [(EXPLICIT_BAD, 1), (CASE2_CFG, 0)],
-                             ids=["explicit-bad", "case2"])
+    @pytest.mark.parametrize("text, rc", [(EXPLICIT_BAD, 1), (CASE2_CFG, 0), (ZERO_CFG, 1)],
+                             ids=["explicit-bad", "case2", "all-zero"])
     def test_output_golden(self, cfg_file, capsys, text, rc):
         path = cfg_file(text)
         assert main(["validate", "--config", path]) == rc

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
-                         RegimeError, RegularizationConfig, SpectralGrid, channels,
-                         constitutive, director_rhs,
+                         RegimeError, RegularizationConfig, SpectralGrid, Stepper,
+                         TimeStepperConfig, channels, constitutive, director_rhs,
                          ericksen_stress, from_alpha, leslie_stress,
                          momentum_rhs, penalty)
 from nematicflow.physics import _visco_flux, mat_vec_director
 
-from conftest import smooth_state
+from conftest import _mask_instead_of_pruning, smooth_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -272,3 +272,59 @@ def test_leslie_stress_stages_mu1_block_bitwise(request, grid_name):
     st = smooth_state(grid, CASE2_SET, seed=41)
     b = constitutive(st)
     assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad), b.sigma)
+
+
+def _bundle_arrays(b):
+    return {name: value for name, value in vars(b).items() if isinstance(value, np.ndarray)}
+
+
+def _stepped(grid, coeffs, seed):
+    """(a state the stepper built, the same fields without spectra)."""
+    st = smooth_state(grid, coeffs, seed=seed)
+    stepper = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01))
+    stepped, _ = stepper.step_pair(st)
+    return stepped, stepped.with_fields(stepped.u, stepped.d, stepped.time)
+
+
+@pytest.mark.parametrize("grid_name, coeffs", [("grid2d", from_alpha(1.0, 1.0)),
+                                               ("grid3d", CASE2_SET)],
+                         ids=["2d-alpha", "3d-case2"])
+def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
+                                                         grid_name, coeffs):
+    """A stepped state's bundle, built from its carried coefficients with
+    pruned inverses, equals the bundle of the same fields to rounding, and
+    the bundle of full transforms masked by box_mask(band) byte for byte
+    (gradW_hat in value: the masked transform may hold -0 where fft writes +0)."""
+    grid = request.getfixturevalue(grid_name)
+    stepped, derived = _stepped(grid, coeffs, seed=43)
+    carried = constitutive(stepped)
+    assert carried.band == grid.band and constitutive(derived).band is None
+    for name, value in _bundle_arrays(constitutive(derived)).items():
+        scale = np.abs(value).max()
+        assert np.abs(getattr(carried, name) - value).max() <= 1e-12 * scale, name
+    seen = _mask_instead_of_pruning(monkeypatch)
+    masked = _bundle_arrays(constitutive(stepped))
+    assert seen == {grid.band}
+    assert np.array_equal(masked.pop("gradW_hat"), carried.gradW_hat)
+    assert {k: v.tobytes() for k, v in masked.items()} == \
+           {k: getattr(carried, k).tobytes() for k in masked}
+
+
+@pytest.mark.parametrize("grid_name, coeffs, forward", [
+    ("grid2d", from_alpha(1.0, 1.0), 7),
+    ("grid3d", CASE2_SET, 9),
+], ids=["2d-alpha", "3d-case2"])
+def test_step_from_carried_spectra_skips_two_forward_transforms(request, monkeypatch,
+                                                               grid_name, coeffs, forward):
+    """A step from a stepped state makes 2 fewer forward transforms than a
+    step from the same fields, and as many inverses."""
+    grid = request.getfixturevalue(grid_name)
+    stepped, derived = _stepped(grid, coeffs, seed=47)
+    stepper = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01))
+    counts = _count_transforms(monkeypatch)
+    stepper.step_pair(derived)
+    from_fields = dict(counts)
+    counts.update(fft=0, ifft=0)
+    stepper.step_pair(stepped)
+    assert from_fields["fft"] == forward
+    assert counts == {"fft": forward - 2, "ifft": from_fields["ifft"]}

@@ -10,7 +10,7 @@ import pytest
 import nematicflow.diagnostics
 import nematicflow.solver
 from nematicflow import (BlowUpError, FieldState, LeslieCoefficients,
-                         ParameterError, RegularizationConfig, RegimeError, SpectralGrid,
+                         ParameterError, RegularizationConfig, RegimeError,
                          Stepper, TimeStepperConfig, case2_lower_bound_check,
                          constitutive, eta_margin, from_alpha,
                          reconstruct_pressure, run, step)
@@ -21,7 +21,7 @@ from nematicflow.config import (build_coefficients, build_grid,
                                 taylor_green_velocity)
 from nematicflow.spectral import random_band_limited
 
-from conftest import smooth_state
+from conftest import _mask_instead_of_pruning, smooth_state
 
 
 # 3D non-Parodi Case 2 set
@@ -285,27 +285,32 @@ def test_case2_3d_run(grid3d):
     assert np.array_equal(cur.d, traj.final_state.d)
 
 
-def _mask_instead_of_pruning(monkeypatch):
-    """Make fft/ifft ignore M's pruning: the full transform, then box_mask(M).
-    Returns the set of M values the run passes."""
-    seen = set()
-    full_fft, full_ifft = SpectralGrid.fft, SpectralGrid.ifft
-
-    def fft(self, f, *, M=None):
-        if M is None:
-            return full_fft(self, f)
-        seen.add(M)
-        return full_fft(self, f) * self.box_mask(M)
-
-    def ifft(self, fhat, *, M=None):
-        if M is None:
-            return full_ifft(self, fhat)
-        seen.add(M)
-        return full_ifft(self, fhat * self.box_mask(M))
-
-    monkeypatch.setattr(SpectralGrid, "fft", fft)
-    monkeypatch.setattr(SpectralGrid, "ifft", ifft)
-    return seen
+@pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
+@pytest.mark.parametrize("case", ["2d-plain", "2d-regularised", "3d-case2"])
+def test_stepped_states_carry_their_band_limited_spectra(grid2d, grid3d, alpha_one,
+                                                         case, scheme):
+    """Every stepped state carries read-only coefficients that vanish outside
+    the box its fields are read from, and whose pruned inverses are its fields
+    byte for byte; with_fields drops them."""
+    reg = None
+    if case == "3d-case2":
+        g, st = grid3d, smooth_state(grid3d, CASE2, seed=14)
+    else:
+        g, st = grid2d, smooth_state(grid2d, alpha_one, seed=15)
+        if case == "2d-regularised":
+            reg = RegularizationConfig(M=4, r=4.0, N_modes=8)
+    band_u = g.band if reg is None else min(g.band, reg.N_modes)
+    stepper = Stepper(g, st.coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme), reg)
+    assert st.spectra is None
+    for _ in range(4):
+        st, _ = stepper.step_pair(st)
+        u_hat, d_hat = st.spectra
+        assert not u_hat[..., ~g.box_mask(band_u)].any()
+        assert not d_hat[..., ~g.box_mask(g.band)].any()
+        assert g.ifft(u_hat, M=band_u).tobytes() == st.u.tobytes()
+        assert g.ifft(d_hat, M=g.band).tobytes() == st.d.tobytes()
+        assert not (u_hat.flags.writeable or d_hat.flags.writeable)
+        assert st.with_fields(st.u, st.d, st.time).spectra is None
 
 
 def _run_bytes(traj):
