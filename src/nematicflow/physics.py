@@ -23,10 +23,11 @@ Discrete staging rule (load-bearing for the energy identities): N, Ad,
 d(x)d, d.Ad and grad_d W are dealiased BEFORE entering outer products, and
 the state fields are kept band-limited by the solver.  Every field lives in
 physical space once: each product is formed pointwise, transformed forward
-once and masked to the dealias band in Fourier space (half-spectrum rfftn
-coefficients), where divergence, Leray projection and time integration act.
-A state the stepper built carries the band-limited coefficients of u and d,
-so they are not transformed forward again.
+once onto the dealias box, box(band) of spectral.py, where divergence,
+Leray projection and time integration act.  A state the stepper built
+carries the box coefficients of u and d, so they are not transformed
+forward again.  A state built from fields has them on the full half
+spectrum; SpectralGrid.to_box meets the two layouts where they are added.
 With collocation (grid-mean) quadrature the semi-discrete energy law then
 balances to rounding error; see tests.
 """
@@ -50,11 +51,10 @@ class FieldState:
     divergence-free and both fields band-limited; constructing a state does
     not enforce those invariants, only shapes and finiteness.
 
-    spectra, set only by the stepper, holds the read-only half-spectrum
-    coefficients (u_hat, d_hat) the fields came from: both are zero outside
-    box(grid.band), u_hat also outside box(N_modes) when that is smaller, and
-    u and d are their pruned inverses.  Every other constructor, with_fields
-    included, leaves it None.
+    spectra, set only by the stepper, holds the read-only coefficients
+    (u_hat, d_hat) the fields came from: u_hat on box(min(band, N_modes)),
+    d_hat on box(band), and u and d are their inverses.  Every other
+    constructor, with_fields included, leaves it None.
     """
 
     grid: SpectralGrid
@@ -146,28 +146,27 @@ class ConstitutiveBundle:
     when it transforms the stress.
     """
 
-    u_hat: np.ndarray        # half-spectrum coefficients of u
-    d_hat: np.ndarray        # half-spectrum coefficients of d
+    u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
+    d_hat: np.ndarray        # coefficients of d: full half spectrum, or box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     A: np.ndarray            # symmetric part
     omega: np.ndarray        # antisymmetric part
     grad_d: np.ndarray       # (dim, 3) + grid
     W_val: np.ndarray        # scalar grid field, pointwise
-    gradW_hat: np.ndarray    # stage(grad_d W), half spectrum
+    gradW_hat: np.ndarray    # stage(grad_d W), box(band)
     Ad: np.ndarray           # stage(A d), 3 components
     tension: np.ndarray      # Lap d - stage(grad_d W)
     N: np.ndarray            # co-rotational rate via the constitutive identity
     dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
     dd: np.ndarray | None    # stage(d(x)d), (dim, dim) + grid block; None when mu1 = 0
     sigma: np.ndarray        # Leslie stress
-    band: int | None         # u_hat, d_hat vanish outside box(band); None: full transforms
 
 
 def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     """Mask f to the dealias band.  Unlike SpectralGrid.dealias it does not
     reject non-finite input: overflow in a huge state reaches the step's
     finiteness guard and ends as a BlowUpError."""
-    return g.ifft(g.fft(f, M=g.band), M=g.band)
+    return g.ifft(g.fft(f, M=g.band))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,14 +182,12 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, A: np.ndarray) -> tuple[np.ndarray
     return dd, _stage(g, np.einsum("ij...,ij...->...", dd, A))
 
 
-def _spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """(u_hat, d_hat, M): the coefficients the stepper carried on the state,
-    zero outside box(M = band), or for any other state the full transforms
-    of its fields, M = None."""
-    g = state.grid
+def _spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray]:
+    """(u_hat, d_hat): the box coefficients the stepper carried on the state,
+    or for any other state the full transforms of its fields."""
     if state.spectra is not None:
-        return (*state.spectra, g.band)
-    return g.fft(state.u), g.fft(state.d), None
+        return state.spectra
+    return state.grid.fft(state.u), state.grid.fft(state.d)
 
 
 def constitutive(state: FieldState) -> ConstitutiveBundle:
@@ -198,9 +195,9 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
     algebra.  u and d are transformed once, unless the state carries their
-    coefficients, and the inverses of grad u, grad d and the tension are then
-    pruned to the band; each staged field is one forward and one inverse
-    transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
+    coefficients, and the inverses of grad u, grad d and the tension then
+    run on the carried boxes; each staged field is one forward and one
+    inverse transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
     """
     g = state.grid
     c = state.coeffs
@@ -208,14 +205,15 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
     d = state.d
 
-    u_hat, d_hat, M = _spectra(state)
-    grad_u = g.ifft(g.grad_hat(u_hat), M=M)
+    u_hat, d_hat = _spectra(state)
+    grad_u = g.ifft(g.grad_hat(u_hat))
     A = 0.5 * (grad_u + grad_u.swapaxes(0, 1))
     omega = 0.5 * (grad_u - grad_u.swapaxes(0, 1))
-    grad_d = g.ifft(g.grad_hat(d_hat), M=M)
+    grad_d = g.ifft(g.grad_hat(d_hat))
     W_val, gradW = penalty(d, c.epsilon)
     gradW_hat = g.fft(gradW, M=g.band)
-    tension = g.ifft(-g.ksq * d_hat - gradW_hat, M=M)
+    d_box = g.box_of(d_hat)
+    tension = g.ifft(-d_box.ksq * d_hat - g.to_box(gradW_hat, d_box.M))
 
     Ad = mat_vec_director(A, d)
     Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
@@ -228,7 +226,7 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, A=A, omega=omega,
         grad_d=grad_d, W_val=W_val, gradW_hat=gradW_hat, Ad=Ad,
         tension=tension, N=N, dAd=dAd, dd=dd,
-        sigma=leslie_stress(g, c, d, A, N, Ad, dd, dAd), band=M,
+        sigma=leslie_stress(g, c, d, A, N, Ad, dd, dAd),
     )
 
 
@@ -256,7 +254,7 @@ def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
 
 
 def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
-    """Explicit director RHS in the masked half spectrum:
+    """Explicit director RHS on box(band):
 
         -(u.grad)d + omega d - (lambda2/lambda1) Ad + stage(grad_d W)/lambda1.
     """
@@ -278,8 +276,13 @@ def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) ->
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    return g.ifft(bundle.d_hat * (g.ksq / state.coeffs.lambda1)
-                  + _director_force_hat(state, bundle))
+    lin_hat = bundle.d_hat * (g.box_of(bundle.d_hat).ksq / state.coeffs.lambda1)
+    return _ifft_sum(g, lin_hat, _director_force_hat(state, bundle))
+
+
+def _ifft_sum(g: SpectralGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
+    """ifft(a_hat + b_hat), both zero-padded to the full half spectrum."""
+    return g.ifft(g.to_box(a_hat, g.n // 2) + g.to_box(b_hat, g.n // 2))
 
 
 def _visco_flux(grad_u: np.ndarray, r: float) -> np.ndarray:
@@ -290,7 +293,7 @@ def _visco_flux(grad_u: np.ndarray, r: float) -> np.ndarray:
 def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
                        reg: RegularizationConfig | None = None) -> np.ndarray:
     """Unprojected momentum RHS minus the pressure gradient and the mu4
-    diffusion, in the masked half spectrum.
+    diffusion, on box(band).
 
     The Leslie stress without its mu4 A part (integrated implicitly) minus
     the Ericksen stress, plus in the regularised scheme the monitor stress
@@ -303,7 +306,7 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
     regularised = reg is not None
     if regularised:
         # divergence form with the truncated advecting velocity [u]_M
-        u_M = g.ifft(bundle.u_hat, M=min(reg.M, g.n // 2))
+        u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
         stress += _visco_flux(bundle.grad_u, reg.r) / float(reg.M) - _outer(u_M, u)
     force_hat = g.div_hat(g.fft(stress, M=g.band))
     if not regularised:
@@ -324,5 +327,5 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
     g = state.grid
     if bundle is None:
         bundle = constitutive(state)
-    return g.ifft(bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.ksq)
-                  + g.leray_hat(_momentum_force_hat(state, bundle, reg)))
+    lin_hat = bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.box_of(bundle.u_hat).ksq)
+    return _ifft_sum(g, lin_hat, g.leray_hat(_momentum_force_hat(state, bundle, reg)))

@@ -10,12 +10,13 @@ remaining terms explicitly:
                           bootstrapped by one euler step.
 
 Linear symbols: -(mu4/2)|kappa|^2 for u and |kappa|^2/lambda1 for d (both
-nonpositive).  y, F(y) and both updates live in the half spectrum.  After
-each step u is re-projected divergence-free, both coefficient arrays are
-zeroed outside the dealias box (u also outside box(N_modes)) and read back
-from it, so a quiescent state is a bitwise fixed point and pure Stokes decay
-integrates exactly.  The new state carries those coefficients, so only a
-step from a state built from fields transforms u and d forward.
+nonpositive).  y, F(y), the propagators, the BDF2 history and both updates
+live in the dealias box: d in box(band), u in box(min(band, N_modes)).  The
+coefficients of a state built from fields are gathered into those boxes.
+After each step u is re-projected divergence-free and both are read back
+from their boxes, so a quiescent state is a bitwise fixed point and pure
+Stokes decay integrates exactly.  The new state carries those coefficients,
+so only a step from a state built from fields transforms u and d forward.
 """
 
 from __future__ import annotations
@@ -81,17 +82,17 @@ class Stepper:
         self.cfg = cfg
         self.reg = reg
         dt = cfg.dt
-        sym_u = -0.5 * coeffs.mu4 * grid.ksq
-        sym_d = grid.ksq / coeffs.lambda1
+        # u lives in box(band) & box(N_modes) == box(min(band, N_modes))
+        n_modes = grid.band if reg is None or reg.N_modes is None else reg.N_modes
+        self._band_u = min(grid.band, n_modes)
+        sym_u = -0.5 * coeffs.mu4 * grid.box(self._band_u).ksq
+        sym_d = grid.box(grid.band).ksq / coeffs.lambda1
         self._exp_u = np.exp(dt * sym_u)
         self._exp_d = np.exp(dt * sym_d)
         self._phi_u = dt * _phi1(dt * sym_u)
         self._phi_d = dt * _phi1(dt * sym_d)
         self._den_u = 3.0 - 2.0 * dt * sym_u
         self._den_d = 3.0 - 2.0 * dt * sym_d
-        # u is read from box(band) & box(N_modes) == box(min(band, N_modes))
-        n_modes = grid.band if reg is None or reg.N_modes is None else reg.N_modes
-        self._band_u = min(grid.band, n_modes)
         self._hist = None  # (output state, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
 
     def step_pair(self, state: FieldState) -> tuple[FieldState, ConstitutiveBundle]:
@@ -104,8 +105,9 @@ class Stepper:
         g = self.grid
         dt = self.cfg.dt
         bundle = constitutive(state)
-        u_hat, d_hat = bundle.u_hat, bundle.d_hat
-        fu_hat = g.leray_hat(_momentum_force_hat(state, bundle, self.reg))
+        u_hat = g.to_box(bundle.u_hat, self._band_u)
+        d_hat = g.to_box(bundle.d_hat, g.band)
+        fu_hat = g.leray_hat(g.to_box(_momentum_force_hat(state, bundle, self.reg), self._band_u))
         fd_hat = _director_force_hat(state, bundle)
 
         use_bdf2 = (
@@ -122,11 +124,9 @@ class Stepper:
             d_new_hat = self._exp_d * d_hat + self._phi_d * fd_hat
 
         u_new_hat = g.leray_hat(u_new_hat)
-        g.zero_outside_box(u_new_hat, self._band_u)
-        g.zero_outside_box(d_new_hat, g.band)
         u_new_hat.flags.writeable = d_new_hat.flags.writeable = False
-        u_new = g.ifft(u_new_hat, M=self._band_u)
-        d_new = g.ifft(d_new_hat, M=g.band)
+        u_new = g.ifft(u_new_hat)
+        d_new = g.ifft(d_new_hat)
         t_new = state.time + dt
 
         if not (np.isfinite(u_new).all() and np.isfinite(d_new).all()):
@@ -135,7 +135,7 @@ class Stepper:
                 state=state, time=state.time,
             )
         if self.cfg.max_vorticity_sup is not None:
-            w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat), M=self._band_u))
+            w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat)))
             if w > self.cfg.max_vorticity_sup:
                 raise BlowUpError(
                     f"sup|curl u| = {w:.6g} exceeded threshold "

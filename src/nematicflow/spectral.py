@@ -8,27 +8,32 @@ Conventions, fixed for the whole package:
     * field arrays are real float64, grid axes LAST, component axes first:
       scalar (n, ..), vector (ncomp, n, ..), tensor (dim, dim, n, ..);
     * (grad f)[i, c] = d f_c / d x_i, (div T)_j = d_i T_ij;
-    * the dealias mask keeps |k_j| <= floor(n/3) on every axis.  n is a
-      power of two, so 3*floor(n/3) <= n - 1 and products of three masked
+    * the dealias box keeps |k_j| <= band = floor(n/3) on every axis.  n is
+      a power of two, so 3*band <= n - 1 and products of three band-limited
       fields are evaluated alias-free by the collocation grid sum;
-    * spectral arrays hold the half spectrum of numpy's rfftn: the last grid
-      axis keeps k = 0..n/2 only, the other modes follow by conjugate
-      symmetry.  Spectral shape (ncomp, ..) + hshape with
-      hshape = (n,)*(dim-1) + (n//2 + 1,).
+    * a spectral array holds the box |k_j| <= M of numpy's rfftn half
+      spectrum, stored contiguously: every grid axis but the last keeps the
+      rows k = 0..M, -M..-1, the last keeps k = 0..M, and the other half
+      follows by conjugate symmetry.  M = n/2 is the full half spectrum
+      (rows in numpy's order, hshape = (n,)*(dim-1) + (n//2 + 1,)), so an
+      array's M is its last-axis length minus one and no array carries a
+      tag.  Spectral shape (ncomp, ..) + box(M).shape.
 
-Transforms give numpy's rfftn/irfftn bit for bit; with M they are pruned to
-the box |k_j| <= M and give the bits of the masked full transform.  The
-solver prunes each transform it masks at once and each inverse of a
-band-limited operand.  A stepped state carries its band-limited u_hat and
-d_hat, so grad u, grad d, the tension and the monitor's curl are pruned as
-well.  Only the transforms of a state built from fields (the initial state,
-a snapshot) and the validating calculus stay on the full path: there the
-operands are band-limited only up to rounding, so pruning would change bits.
+fft(f, M=M) returns the box gather of numpy's rfftn and ifft the irfftn of
+the zero-padded box, both bit for bit; only lines that reach the box are
+transformed.  box(M) holds the wavenumber multipliers of one layout, and
+to_box gathers or zero-pads an array into another box.  The solver keeps
+its forces, its update and the coefficients a stepped state carries in
+box(band).  Only a state built from fields (the initial state, a snapshot)
+and the validating calculus use the full layout: there the operands are
+band-limited only up to rounding, so dropping modes would change bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +49,73 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _row_blocks(ax: int, M: int, rows: int) -> tuple[tuple, tuple]:
+    """Index tuples of the row blocks k = 0..M and k = -M..-1 along grid axis
+    `ax` (-2 or -3) of an array with `rows` rows on that axis."""
+    tail = (slice(None),) * (-1 - ax)
+    return (Ellipsis, slice(0, M + 1)) + tail, (Ellipsis, slice(rows - M, rows)) + tail
+
+
+class _Box:
+    """The layout of box(M) and its wavenumber multipliers, each built on
+    first use from the grid's per-axis wavenumbers."""
+
+    def __init__(self, grid: "SpectralGrid", M: int):
+        n = grid.n
+        rows = np.r_[0:M + 1, n - M:n] if 2 * M < n else np.arange(n)
+        axes = [grid._kf[rows]] * (grid.dim - 1) + [grid._kr[:M + 1]]
+        self.M = M
+        self.shape = tuple(len(a) for a in axes)
+        # integer wavenumbers per axis, broadcastable over shape
+        self.k = tuple(a.reshape((-1,) + (1,) * (grid.dim - 1 - i)) for i, a in enumerate(axes))
+        self._nyquist = n // 2
+        self._sobolev: dict[tuple[float, bool], np.ndarray] = {}
+
+    @cached_property
+    def kappa_d(self) -> tuple[np.ndarray, ...]:
+        # Odd-derivative multipliers zero the Nyquist mode |k_j| = n/2: it is
+        # its own conjugate partner, so i*kappa there would break real-to-real
+        # differentiation.  Band-limited fields never carry those bins; this
+        # only hardens the operators for raw input.
+        return tuple(np.where(np.abs(k) == self._nyquist, 0.0, 2.0 * np.pi * k) for k in self.k)
+
+    @cached_property
+    def ikappa_d(self) -> tuple[np.ndarray, ...]:
+        return tuple(1j * kd for kd in self.kappa_d)
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        return sum((2.0 * np.pi * k) ** 2 for k in self.k)
+
+    @cached_property
+    def ksq_d(self) -> np.ndarray:
+        return sum(kd ** 2 for kd in self.kappa_d)
+
+    @cached_property
+    def inv_ksq_d(self) -> np.ndarray:
+        ksq_d = self.ksq_d
+        return np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
+
+    @cached_property
+    def hweight(self) -> np.ndarray:
+        # Half-spectrum multiplicity in a full-spectrum sum: interior last-axis
+        # modes stand for themselves and their conjugate partner.
+        kr = self.k[-1]
+        return np.where((kr == 0) | (kr == self._nyquist), 1.0, 2.0)
+
+    def sobolev_weight(self, s: float, grad: bool) -> np.ndarray:
+        """hweight (1+|kappa|^2)^s, times |kappa_d|^2 for the norm of a gradient."""
+        w = self._sobolev.get((s, grad))
+        if w is None:
+            w = self.hweight * (1.0 + self.ksq) ** s
+            if grad:
+                w = w * self.ksq_d
+            self._sobolev[(s, grad)] = w
+        return w
+
+
 class SpectralGrid:
-    """Collocation grid with cached wavenumbers, masks, and transform helpers."""
+    """Collocation grid with per-axis wavenumbers, box layouts, and transform helpers."""
 
     def __init__(self, dim: int, n: int):
         if dim not in (2, 3):
@@ -55,106 +125,114 @@ class SpectralGrid:
         self.dim = int(dim)
         self.n = int(n)
         self.shape = (self.n,) * self.dim
+        self.hshape = (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
         self.npoints = self.n ** self.dim
         self.band = self.n // 3
+        self._kf = np.fft.fftfreq(self.n, d=1.0 / self.n)   # integers as floats
+        self._kr = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # last axis: 0..n/2
+        self._boxes: dict[int, _Box] = {}
 
-        kf = np.fft.fftfreq(self.n, d=1.0 / self.n)   # integers as floats
-        kr = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # last axis: 0..n/2
-        k1 = np.meshgrid(*([kf] * (self.dim - 1) + [kr]), indexing="ij", sparse=True)
-        self.k = np.stack(np.broadcast_arrays(*k1))   # (dim,) + hshape, integer lattice
-        self.hshape = self.k.shape[1:]
-        self.ksq = sum((2.0 * np.pi * ki) ** 2 for ki in k1)
-        self.dealias_mask = self.box_mask(self.band)
-        # Half-spectrum multiplicity in a full-spectrum sum: interior last-axis
-        # modes stand for themselves and their conjugate partner.
-        self.hweight = np.where((kr == 0) | (kr == self.n // 2), 1.0, 2.0)
+    # -- box layouts -----------------------------------------------------------
 
-        # Per-axis odd-derivative multipliers, broadcast over hshape, zero the
-        # Nyquist mode |k_j| = n/2: it is its own conjugate partner, so i*kappa
-        # there would break real-to-real differentiation.  Band-limited fields
-        # never carry those bins; this only hardens the operators for raw input.
-        self.kappa_d = tuple(np.where(np.abs(ki) == self.n // 2, 0.0, 2.0 * np.pi * ki)
-                             for ki in k1)
-        self.ikappa_d = tuple(1j * kd for kd in self.kappa_d)
-        ksq_d = sum(kd ** 2 for kd in self.kappa_d)
-        self.inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
+    def box(self, M: int) -> _Box:
+        """Layout and multipliers of box(M), 0 <= M <= n/2; M = n/2 is the
+        full half spectrum."""
+        if not isinstance(M, (int, np.integer)) or not 0 <= M <= self.n // 2:
+            raise ParameterError(f"box size M must be an integer in [0, {self.n // 2}], got {M!r}")
+        b = self._boxes.get(M)
+        if b is None:
+            b = self._boxes[M] = _Box(self, int(M))
+        return b
 
-        self._sobolev_weights: dict[float, np.ndarray] = {}
+    def box_of(self, fhat: np.ndarray) -> _Box:
+        """box(M) of a spectral array, M read from its last axis."""
+        shape = np.shape(fhat)
+        M = shape[-1] - 1 if shape else -1
+        b = self._boxes.get(M) or (self.box(M) if 0 <= M <= self.n // 2 else None)
+        if b is None or shape[-self.dim:] != b.shape:
+            raise ParameterError(f"spectral array of shape {shape} is in no box layout "
+                                 f"of the {self.dim}D n={self.n} grid")
+        return b
+
+    def to_box(self, fhat: np.ndarray, M: int) -> np.ndarray:
+        """fhat in the layout of box(M): its modes in box(M) gathered when M
+        is the smaller box, zero-padded when M is the larger; fhat itself when
+        it is already in box(M)."""
+        src, dst = self.box_of(fhat), self.box(M)
+        if src is dst:
+            return fhat
+        new = np.empty if dst.M < src.M else np.zeros
+        out = new(fhat.shape[:-self.dim] + dst.shape, dtype=fhat.dtype)
+        self._copy_box(out, fhat, min(src.M, dst.M))
+        return out
+
+    def _copy_box(self, out: np.ndarray, fhat: np.ndarray, m: int) -> None:
+        """Copy the modes of box(m) from fhat to out, arrays whose grid axes
+        but the last hold the rows k = 0..m first and k = -m..-1 last."""
+        rs, ro = fhat.shape[-2], out.shape[-2]
+        blocks = ((slice(0, m + 1),) * 2, (slice(rs - m, rs), slice(ro - m, ro)))
+        for combo in itertools.product(blocks, repeat=self.dim - 1):
+            rows_src, rows_out = zip(*combo)
+            out[(Ellipsis, *rows_out, slice(0, m + 1))] = fhat[(Ellipsis, *rows_src, slice(0, m + 1))]
 
     # -- transforms ---------------------------------------------------------
 
     def fft(self, f: np.ndarray, *, M: int | None = None) -> np.ndarray:
-        """Half-spectrum coefficients of a real field over the grid axes.  With M,
-        fft(f) * box_mask(M): only lines that reach the box are transformed."""
-        M = self._pruning(M)
+        """Coefficients of a real field over the grid axes on box(M), by
+        default the full half spectrum (numpy's rfftn).  Each complex pass
+        runs over full-length lines of the rows still in the box and is
+        followed by a row gather."""
+        n = self.n
+        M = n // 2 if M is None else self.box(M).M
         y = np.fft.rfft(f, axis=-1)
-        box = y if M is None else y[..., :M + 1]
+        if 2 * M < n:
+            y = y[..., :M + 1]
         for ax in range(-2, -self.dim - 1, -1):
-            for lines in self._box_lines(box, ax, M):
-                np.fft.fft(lines, axis=ax, out=lines)
-        if M is not None:
-            self.zero_outside_box(y, M)
+            np.fft.fft(y, axis=ax, out=y)
+            if 2 * M < n:
+                y = np.concatenate([y[b] for b in _row_blocks(ax, M, n)], axis=ax)
         return y
 
-    def ifft(self, fhat: np.ndarray, *, M: int | None = None) -> np.ndarray:
-        """Real field from half-spectrum coefficients.  With M, ifft(fhat *
-        box_mask(M)): only the box is read and the all-zero lines are skipped."""
-        M = self._pruning(M)
-        if M is None:
+    def ifft(self, fhat: np.ndarray) -> np.ndarray:
+        """Real field from coefficients on any box: the irfftn of the box
+        zero-padded to the full half spectrum.  The box is zero-padded on the
+        grid axes but the last, and each pass transforms only the lines whose
+        rows on the later of those axes lie in the box; irfft pads the last."""
+        n = self.n
+        M = self.box_of(fhat).M
+        if 2 * M >= n:
             y = np.fft.ifft(fhat, axis=-self.dim)  # out of place: fhat is not written
-            first = 1 - self.dim
-        else:
-            y = fhat[..., :M + 1].copy()
-            self.zero_outside_box(y, M)
-            first = -self.dim
-        for ax in range(first, -1):
-            for lines in self._box_lines(y, ax, M):
+            for ax in range(1 - self.dim, -1):
+                np.fft.ifft(y, axis=ax, out=y)
+            return np.fft.irfft(y, n=n, axis=-1)
+        y = np.zeros(fhat.shape[:-self.dim] + (n,) * (self.dim - 1) + (M + 1,), dtype=complex)
+        self._copy_box(y, fhat, M)
+        for ax in range(-self.dim, -1):
+            for lines in ((y,) if ax == -2 else (y[b] for b in _row_blocks(-2, M, n))):
                 np.fft.ifft(lines, axis=ax, out=lines)
-        return np.fft.irfft(y, n=self.n, axis=-1)
+        return np.fft.irfft(y, n=n, axis=-1)
 
-    def _pruning(self, M: int | None) -> int | None:
-        """M, or None where box_mask(M) keeps every mode.  From M = n/2 on,
-        the row blocks [0, M] and [n-M, n) would overlap at the Nyquist row."""
-        return M if M is not None and 2 * M < self.n else None
-
-    def _box_lines(self, y: np.ndarray, ax: int, M: int | None):
-        """Views of y holding its lines along grid axis `ax` (-2 or -3) whose
-        rows on the axes between `ax` and the last lie in the box |k| <= M."""
-        if M is None or ax == -2:
-            return (y,)
-        return (y[..., :M + 1, :], y[..., self.n - M:, :])
-
-    def zero_outside_box(self, y: np.ndarray, M: int) -> None:
-        """Zero the modes of the half-spectrum array y outside the box |k_j| <= M,
-        in place.  Requires 2 M < n."""
-        y[..., M + 1:] = 0.0
-        for ax in range(-2, -self.dim - 1, -1):
-            y[(Ellipsis, slice(M + 1, self.n - M)) + (slice(None),) * (-1 - ax)] = 0.0
-
-    # -- spectral operators (on half-spectrum arrays) --------------------------
-
-    def box_mask(self, M: int) -> np.ndarray:
-        """True on the modes with every |k_j| <= M."""
-        return np.all(np.abs(self.k) <= M, axis=0)
+    # -- spectral operators (on arrays in any box layout) ----------------------
 
     def grad_hat(self, fhat: np.ndarray) -> np.ndarray:
         """i*kappa_i fhat along a new leading axis."""
         out = np.empty((self.dim,) + fhat.shape, dtype=complex)
-        for i, ik in enumerate(self.ikappa_d):
+        for i, ik in enumerate(self.box_of(fhat).ikappa_d):
             np.multiply(ik, fhat, out=out[i])
         return out
 
     def div_hat(self, vhat: np.ndarray) -> np.ndarray:
         """sum_i i*kappa_i vhat[i]: the divergence of a vector, or (div T)_j of a tensor."""
-        out = self.ikappa_d[0] * vhat[0]
+        ik = self.box_of(vhat).ikappa_d
+        out = ik[0] * vhat[0]
         term = np.empty_like(out)
         for i in range(1, self.dim):
-            out += np.multiply(self.ikappa_d[i], vhat[i], out=term)
+            out += np.multiply(ik[i], vhat[i], out=term)
         return out
 
     def curl_hat(self, uhat: np.ndarray) -> np.ndarray:
         """Scalar vorticity in 2D, the curl vector in 3D."""
-        ik = self.ikappa_d
+        ik = self.box_of(uhat).ikappa_d
         if self.dim == 2:
             return ik[0] * uhat[1] - ik[1] * uhat[0]
         out = np.empty_like(uhat)
@@ -168,17 +246,18 @@ class SpectralGrid:
     def potential_hat(self, vhat: np.ndarray) -> np.ndarray:
         """q = (kappa . vhat)/|kappa|^2, so vhat = leray_hat(vhat) + kappa q;
         the gradient part is grad p with p_hat = -i q."""
-        q = self.kappa_d[0] * vhat[0]
+        b = self.box_of(vhat)
+        q = b.kappa_d[0] * vhat[0]
         for i in range(1, self.dim):
-            q += self.kappa_d[i] * vhat[i]
-        q *= self.inv_ksq_d
+            q += b.kappa_d[i] * vhat[i]
+        q *= b.inv_ksq_d
         return q
 
     def leray_hat(self, vhat: np.ndarray) -> np.ndarray:
         """Divergence-free part of vhat; the mean mode passes through."""
         q = self.potential_hat(vhat)
         out = np.empty_like(vhat)
-        for i, kd in enumerate(self.kappa_d):
+        for i, kd in enumerate(self.box_of(vhat).kappa_d):
             np.subtract(vhat[i], np.multiply(kd, q, out=out[i]), out=out[i])
         return out
 
@@ -205,9 +284,12 @@ class SpectralGrid:
             raise ParameterError(f"{what}: non-finite values in input field")
         return f
 
-    def _via_fourier(self, f: np.ndarray, what: str, op, lead: tuple | None = None) -> np.ndarray:
-        """ifft(op(fft(f))) for a field that passes _check."""
-        return self.ifft(op(self.fft(self._check(f, what, lead))))
+    def _via_fourier(self, f: np.ndarray, what: str, op=None, lead: tuple | None = None,
+                     M: int | None = None) -> np.ndarray:
+        """ifft(op(fft(f, M=M))) for a field that passes _check; no op is the
+        round trip through box(M)."""
+        fhat = self.fft(self._check(f, what, lead), M=M)
+        return self.ifft(fhat if op is None else op(fhat))
 
     # -- calculus (exact on the retained modes) ------------------------------
 
@@ -224,7 +306,7 @@ class SpectralGrid:
         return self._via_fourier(T, "div_tensor", self.div_hat, (self.dim, self.dim))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self._via_fourier(f, "laplacian", lambda fhat: -self.ksq * fhat)
+        return self._via_fourier(f, "laplacian", lambda fhat: -self.box_of(fhat).ksq * fhat)
 
     def curl(self, u: np.ndarray) -> np.ndarray:
         """Scalar vorticity d_1 u_2 - d_2 u_1 in 2D, the full curl vector in 3D."""
@@ -238,23 +320,22 @@ class SpectralGrid:
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Zero every mode with any |k_j| > floor(n/3)."""
-        return self._via_fourier(f, "dealias", lambda fhat: fhat * self.dealias_mask)
+        return self._via_fourier(f, "dealias", M=self.band)
 
     def truncate_modes(self, f: np.ndarray, M: int) -> np.ndarray:
         """Zero every mode with max_j |k_j| > M.  Requires 1 <= M <= n/2."""
         if not isinstance(M, (int, np.integer)) or not (1 <= int(M) <= self.n // 2):
             raise ParameterError(f"truncate_modes: M must be an integer in [1, {self.n // 2}], got {M}")
-        return self._via_fourier(f, "truncate_modes", lambda fhat: fhat * self.box_mask(int(M)))
+        return self._via_fourier(f, "truncate_modes", M=int(M))
 
     def sobolev_norm(self, f: np.ndarray, s: float) -> float:
         """|| (1+|kappa|^2)^(s/2) f ||_{L2}; s = 0 is the plain L2 norm."""
         return self.sobolev_norm_hat(self.fft(self._check(f, "sobolev_norm")), s)
 
-    def sobolev_norm_hat(self, fhat: np.ndarray, s: float) -> float:
-        """sobolev_norm from half-spectrum coefficients."""
-        w = self._sobolev_weights.get(s)
-        if w is None:
-            w = self._sobolev_weights[s] = self.hweight * (1.0 + self.ksq) ** s
+    def sobolev_norm_hat(self, fhat: np.ndarray, s: float, *, grad: bool = False) -> float:
+        """sobolev_norm from coefficients on any box; with grad, the norm of
+        grad f (the Nyquist-free |kappa|^2 joins the weight)."""
+        w = self.box_of(fhat).sobolev_weight(s, grad)
         total = float(np.sum(w * (fhat.real ** 2 + fhat.imag ** 2)))
         return float(np.sqrt(total)) / self.npoints
 
@@ -307,12 +388,14 @@ def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.rando
     if not (1 <= kmax <= grid.band):
         raise ParameterError(f"kmax must be in [1, {grid.band}], got {kmax}")
     f = rng.standard_normal((ncomp,) + grid.shape)
-    f = grid.ifft(grid.fft(f, M=kmax), M=kmax)
+    f = grid.ifft(grid.fft(f, M=kmax))
     peak = np.sqrt(np.sum(f * f, axis=0).max())
     if peak == 0.0:
         raise ParameterError("degenerate random draw, zero field")
     f /= peak
     return f
+
+
 
 
 # -- snapshots: raw little-endian float64 with a fixed 32-byte header ----------

@@ -44,23 +44,41 @@ def smooth_state(grid, coeffs, seed=0, u_amp=0.1, d_amp=0.1, kmax=None):
     return FieldState(grid=grid, coeffs=coeffs, time=0.0, u=u, d=d)
 
 
-def _mask_instead_of_pruning(monkeypatch):
-    """Make fft/ifft ignore M's pruning: the full transform, then box_mask(M).
-    Returns the set of M values the run passes."""
+def box_index(grid, M):
+    """Index of box(M) in the full half spectrum: the rows k = 0..M, -M..-1 on
+    every grid axis but the last (every row when M = n/2), k = 0..M on the last."""
+    n = grid.n
+    rows = np.r_[0:M + 1, n - M:n] if 2 * M < n else np.arange(n)
+    return (Ellipsis,) + np.ix_(*([rows] * (grid.dim - 1) + [np.arange(M + 1)]))
+
+
+def box_mask(grid, M):
+    """True on the modes of the full half spectrum with every |k_j| <= M."""
+    k = [np.fft.fftfreq(grid.n, 1.0 / grid.n)] * (grid.dim - 1) + [np.fft.rfftfreq(grid.n, 1.0 / grid.n)]
+    return np.all([np.abs(ki) <= M for ki in np.meshgrid(*k, indexing="ij")], axis=0)
+
+
+def _full_transform_reference(monkeypatch):
+    """Make fft/ifft run numpy's full transforms: fft(f, M=M) gathers box(M)
+    from rfftn, ifft zero-pads its box to the full half spectrum before
+    irfftn.  Returns the set of M < n/2 the run passes."""
     seen = set()
-    full_fft, full_ifft = SpectralGrid.fft, SpectralGrid.ifft
 
     def fft(self, f, *, M=None):
-        if M is None:
-            return full_fft(self, f)
+        full = np.fft.rfftn(f, axes=tuple(range(-self.dim, 0)))
+        if M is None or 2 * M >= self.n:
+            return full
         seen.add(M)
-        return full_fft(self, f) * self.box_mask(M)
+        return full[box_index(self, M)]
 
-    def ifft(self, fhat, *, M=None):
-        if M is None:
-            return full_ifft(self, fhat)
-        seen.add(M)
-        return full_ifft(self, fhat * self.box_mask(M))
+    def ifft(self, fhat):
+        M = fhat.shape[-1] - 1
+        if 2 * M < self.n:
+            seen.add(M)
+            padded = np.zeros(fhat.shape[:-self.dim] + self.hshape, dtype=complex)
+            padded[box_index(self, M)] = fhat
+            fhat = padded
+        return np.fft.irfftn(fhat, s=self.shape, axes=tuple(range(-self.dim, 0)))
 
     monkeypatch.setattr(SpectralGrid, "fft", fft)
     monkeypatch.setattr(SpectralGrid, "ifft", ifft)

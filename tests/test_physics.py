@@ -10,7 +10,7 @@ from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
                          momentum_rhs, penalty)
 from nematicflow.physics import _visco_flux, mat_vec_director
 
-from conftest import _mask_instead_of_pruning, smooth_state
+from conftest import _full_transform_reference, smooth_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -291,23 +291,27 @@ def _stepped(grid, coeffs, seed):
                          ids=["2d-alpha", "3d-case2"])
 def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
                                                          grid_name, coeffs):
-    """A stepped state's bundle, built from its carried coefficients with
-    pruned inverses, equals the bundle of the same fields to rounding, and
-    the bundle of full transforms masked by box_mask(band) byte for byte
-    (gradW_hat in value: the masked transform may hold -0 where fft writes +0)."""
+    """A stepped state's bundle, built from its carried box(band)
+    coefficients, equals the bundle of the same fields (full half spectrum)
+    to rounding, and the bundle built on numpy's full transforms, gathered
+    into and zero-padded from the boxes, byte for byte."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=43)
     carried = constitutive(stepped)
-    assert carried.band == grid.band and constitutive(derived).band is None
+    box = (grid.box(grid.band).shape, grid.hshape)
+    assert (carried.u_hat.shape[-grid.dim:], constitutive(derived).u_hat.shape[-grid.dim:]) == box
+    assert (carried.d_hat.shape[-grid.dim:], constitutive(derived).d_hat.shape[-grid.dim:]) == box
     for name, value in _bundle_arrays(constitutive(derived)).items():
+        got = getattr(carried, name)
+        if np.iscomplexobj(got):
+            got = grid.to_box(got, grid.box_of(value).M)
         scale = np.abs(value).max()
-        assert np.abs(getattr(carried, name) - value).max() <= 1e-12 * scale, name
-    seen = _mask_instead_of_pruning(monkeypatch)
-    masked = _bundle_arrays(constitutive(stepped))
+        assert np.abs(got - value).max() <= 1e-12 * scale, name
+    seen = _full_transform_reference(monkeypatch)
+    reference = _bundle_arrays(constitutive(stepped))
     assert seen == {grid.band}
-    assert np.array_equal(masked.pop("gradW_hat"), carried.gradW_hat)
-    assert {k: v.tobytes() for k, v in masked.items()} == \
-           {k: getattr(carried, k).tobytes() for k in masked}
+    assert {k: v.tobytes() for k, v in reference.items()} == \
+           {k: getattr(carried, k).tobytes() for k in reference}
 
 
 @pytest.mark.parametrize("grid_name, coeffs, forward", [

@@ -21,7 +21,7 @@ from nematicflow.config import (build_coefficients, build_grid,
                                 taylor_green_velocity)
 from nematicflow.spectral import random_band_limited
 
-from conftest import _mask_instead_of_pruning, smooth_state
+from conftest import _full_transform_reference, box_mask, smooth_state
 
 
 # 3D non-Parodi Case 2 set
@@ -77,7 +77,7 @@ def test_step_preserves_mean_velocity_and_divergence(grid2d, alpha_one):
     assert grid2d.sup_norm(grid2d.divergence(fin.u)) < 1e-10
     # fields stay band-limited
     uhat = grid2d.fft(fin.u)
-    assert np.max(np.abs(uhat[:, ~grid2d.dealias_mask])) < 1e-10
+    assert np.max(np.abs(uhat[:, ~box_mask(grid2d, grid2d.band)])) < 1e-10
 
 
 @pytest.mark.parametrize("scheme,lo,hi", [
@@ -176,11 +176,11 @@ def test_n_modes_truncates_velocity(grid2d, alpha_one):
     cfg = TimeStepperConfig(dt=1e-3, t_end=0.01)
     fin = run(st, cfg, reg=reg, cadence=10 ** 9).final_state
     uhat = grid2d.fft(fin.u)
-    outside = ~np.all(np.abs(grid2d.k) <= 2, axis=0)
+    outside = ~box_mask(grid2d, 2)
     assert np.max(np.abs(uhat[:, outside])) < 1e-10
     # the director band is untouched by N_modes
     dhat = grid2d.fft(fin.d)
-    assert np.max(np.abs(dhat[:, outside & grid2d.dealias_mask])) > 1e-6
+    assert np.max(np.abs(dhat[:, outside & box_mask(grid2d, grid2d.band)])) > 1e-6
 
 
 def test_vorticity_threshold_raises(grid2d, alpha_one):
@@ -289,9 +289,10 @@ def test_case2_3d_run(grid3d):
 @pytest.mark.parametrize("case", ["2d-plain", "2d-regularised", "3d-case2"])
 def test_stepped_states_carry_their_band_limited_spectra(grid2d, grid3d, alpha_one,
                                                          case, scheme):
-    """Every stepped state carries read-only coefficients that vanish outside
-    the box its fields are read from, and whose pruned inverses are its fields
-    byte for byte; with_fields drops them."""
+    """Every stepped state carries read-only coefficients on the box its
+    fields are read from (u on box(min(band, N_modes)), d on box(band)),
+    whose inverses are its fields byte for byte, also as numpy's irfftn of
+    the zero-padded full half spectrum; with_fields drops them."""
     reg = None
     if case == "3d-case2":
         g, st = grid3d, smooth_state(grid3d, CASE2, seed=14)
@@ -305,10 +306,12 @@ def test_stepped_states_carry_their_band_limited_spectra(grid2d, grid3d, alpha_o
     for _ in range(4):
         st, _ = stepper.step_pair(st)
         u_hat, d_hat = st.spectra
-        assert not u_hat[..., ~g.box_mask(band_u)].any()
-        assert not d_hat[..., ~g.box_mask(g.band)].any()
-        assert g.ifft(u_hat, M=band_u).tobytes() == st.u.tobytes()
-        assert g.ifft(d_hat, M=g.band).tobytes() == st.d.tobytes()
+        assert u_hat.shape == (g.dim,) + g.box(band_u).shape
+        assert d_hat.shape == (3,) + g.box(g.band).shape
+        for hat, field in ((u_hat, st.u), (d_hat, st.d)):
+            assert g.ifft(hat).tobytes() == field.tobytes()
+            full = np.fft.irfftn(g.to_box(hat, g.n // 2), s=g.shape, axes=tuple(range(-g.dim, 0)))
+            assert full.tobytes() == field.tobytes()
         assert not (u_hat.flags.writeable or d_hat.flags.writeable)
         assert st.with_fields(st.u, st.d, st.time).spectra is None
 
@@ -324,9 +327,10 @@ def _run_bytes(traj):
 @pytest.mark.parametrize("case", ["3d-case2-euler", "3d-case2-bdf2", "2d-regularised-bdf2"])
 def test_pruned_transforms_reproduce_the_masked_run(grid2d, grid3d, alpha_one,
                                                     monkeypatch, case):
-    """A run on the band-pruned transforms is byte-identical to the same run
-    on full transforms masked by box_mask(M): final fields, every energy
-    report and every monitor row.  The 3D runs also decay in energy."""
+    """A run on the box transforms is byte-identical to the same run on
+    numpy's full transforms, gathered into and zero-padded from the boxes:
+    final fields, every energy report and every monitor row.  The 3D runs
+    also decay in energy."""
     if case.startswith("3d"):
         st = smooth_state(grid3d, CASE2, seed=12)
         scheme = "semi-implicit-euler" if case.endswith("euler") else "imex-bdf2"
@@ -338,7 +342,7 @@ def test_pruned_transforms_reproduce_the_masked_run(grid2d, grid3d, alpha_one,
     cfg = TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme, max_vorticity_sup=1e6)
     pruned = run(st, cfg, reg=reg, cadence=1)
     assert not pruned.blown_up and pruned.n_steps == 10
-    seen = _mask_instead_of_pruning(monkeypatch)
+    seen = _full_transform_reference(monkeypatch)
     masked = run(st, cfg, reg=reg, cadence=1)
     assert seen == expected_M
     assert _run_bytes(pruned) == _run_bytes(masked)

@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -15,6 +16,8 @@ from nematicflow import FieldState, ParameterError, SpectralGrid, constitutive
 from nematicflow.spectral import (SNAPSHOT_MAGIC, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
+
+from conftest import box_index, box_mask
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,7 +126,7 @@ def test_dealias_zeroes_high_modes(grid2d):
     f = rng.standard_normal(grid2d.shape)
     fd = grid2d.dealias(f)
     fhat = grid2d.fft(fd)
-    outside = ~grid2d.dealias_mask
+    outside = ~box_mask(grid2d, grid2d.band)
     assert np.max(np.abs(fhat[outside])) < 1e-12 * grid2d.npoints
     # idempotent
     assert np.max(np.abs(grid2d.dealias(fd) - fd)) < 1e-14
@@ -134,7 +137,7 @@ def test_truncate_modes(grid2d):
     f = rng.standard_normal((2,) + grid2d.shape)
     ft = grid2d.truncate_modes(f, 3)
     fhat = grid2d.fft(ft)
-    outside = ~np.all(np.abs(grid2d.k) <= 3, axis=0)
+    outside = ~box_mask(grid2d, 3)
     assert np.max(np.abs(fhat[:, outside])) < 1e-12 * grid2d.npoints
     with pytest.raises(ParameterError):
         grid2d.truncate_modes(f, 0)
@@ -232,7 +235,7 @@ def test_random_band_limited(grid2d):
     assert f.shape == (3,) + grid2d.shape
     assert grid2d.sup_norm(f) == pytest.approx(1.0, rel=1e-13)
     fhat = grid2d.fft(f)
-    outside = ~np.all(np.abs(grid2d.k) <= 4, axis=0)
+    outside = ~box_mask(grid2d, 4)
     assert np.max(np.abs(fhat[:, outside])) < 1e-10 * grid2d.npoints
     # deterministic under the seed
     g = random_band_limited(grid2d, 3, 4, np.random.default_rng(17))
@@ -243,39 +246,90 @@ def test_random_band_limited(grid2d):
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_transforms_match_numpy_and_the_masked_reference(dim, n, lead):
-    """The full path is numpy's rfftn/irfftn byte for byte; with M, fft is
-    fft(f) * box_mask(M) (the pruned path writes +0 where the product may
-    hold -0) and ifft is ifft(fhat * box_mask(M)) byte for byte."""
+    """fft(f, M=M) is the box(M) gather of numpy's rfftn and ifft of a box is
+    numpy's irfftn of the box zero-padded to the full half spectrum, byte for
+    byte; the default M = n/2 is rfftn itself.  Neither writes its input."""
     g = SpectralGrid(dim, n)
     axes = tuple(range(-dim, 0))
     f = np.random.default_rng(n + dim).standard_normal(lead + g.shape)
     f_before = f.copy()
-    fhat = g.fft(f)
-    assert fhat.tobytes() == np.fft.rfftn(f, axes=axes).tobytes()
-    fhat_before = fhat.copy()
-    assert g.ifft(fhat).tobytes() == np.fft.irfftn(fhat, s=g.shape, axes=axes).tobytes()
-    for M in (1, g.band, n // 2 - 1, n // 2):
-        mask = g.box_mask(M)
-        assert np.array_equal(g.fft(f, M=M), fhat * mask), M
-        assert g.ifft(fhat, M=M).tobytes() == g.ifft(fhat * mask).tobytes(), M
-    # neither path writes its input
+    full = np.fft.rfftn(f, axes=axes)
+    assert g.fft(f).tobytes() == full.tobytes()
+    for M in (0, 1, g.band, n // 2 - 1, n // 2):
+        fhat = g.fft(f, M=M)
+        assert fhat.shape == lead + g.box(M).shape, M
+        assert fhat.tobytes() == full[box_index(g, M)].tobytes(), M
+        fhat_before = fhat.copy()
+        padded = np.zeros_like(full)
+        padded[box_index(g, M)] = fhat
+        assert g.ifft(fhat).tobytes() == np.fft.irfftn(padded, s=g.shape, axes=axes).tobytes(), M
+        assert fhat.tobytes() == fhat_before.tobytes()
     assert f.tobytes() == f_before.tobytes()
-    assert fhat.tobytes() == fhat_before.tobytes()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_per_axis_multipliers_match_dense_ones(dim):
-    """grad, div, curl, potential and Leray on per-axis factors give the
-    bits of the dense (dim,) + hshape multipliers."""
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 32), (3, 16)])
+def test_to_box_gathers_and_zero_pads(dim, n):
+    """to_box gathers box(M) from a larger box and zero-pads into a larger
+    one, by the index of box(M) in the full half spectrum; padding then
+    gathering gives the array back byte for byte, and an array already in
+    box(M) is returned itself."""
+    g = SpectralGrid(dim, n)
+    rng = np.random.default_rng(dim + n)
+    sizes = (0, 1, g.band, n // 2 - 1, n // 2)
+    for M in sizes:
+        shape = (3,) + g.box(M).shape
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert g.to_box(x, M) is x
+        full = g.to_box(x, n // 2)
+        expected = np.zeros((3,) + g.hshape, dtype=complex)
+        expected[box_index(g, M)] = x
+        assert full.tobytes() == expected.tobytes(), M
+        for M2 in sizes:
+            y = g.to_box(x, M2)
+            assert y.shape == (3,) + g.box(M2).shape
+            if M2 <= M:
+                assert y.tobytes() == full[box_index(g, M2)].tobytes(), (M, M2)
+            else:
+                assert g.to_box(y, M).tobytes() == x.tobytes(), (M, M2)
+
+
+@pytest.mark.parametrize("dim, shape", [
+    (2, (5, 4)), (2, (33, 17)), (2, (32,)), (2, (0, 0)), (3, (7, 4, 4)), (3, (16, 16, 10)),
+])
+def test_spectral_arrays_outside_any_box_layout_raise(dim, shape):
+    """A spectral array whose trailing shape is no box layout of the grid is
+    refused with ParameterError naming its shape, by every operator that
+    reads the layout from the shape."""
     g = SpectralGrid(dim, 16)
-    k = g.k
+    bad = np.zeros((dim,) + shape, dtype=complex)
+    for op in (g.ifft, g.grad_hat, g.div_hat, g.curl_hat, g.leray_hat,
+               lambda x: g.to_box(x, g.band), lambda x: g.sobolev_norm_hat(x, 1.0)):
+        with pytest.raises(ParameterError, match=re.escape(str(bad.shape))):
+            op(bad)
+    for M in (-1, g.n // 2 + 1, 2.0):
+        with pytest.raises(ParameterError, match="box size M"):
+            g.fft(np.zeros(g.shape), M=M)
+
+
+@pytest.mark.parametrize("M", [2, 5, 8])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_per_axis_multipliers_match_dense_ones(dim, M):
+    """grad, div, curl, potential, Leray and the Sobolev weights on box(M)
+    give the bits of dense multipliers built from numpy's FFT frequencies and
+    gathered into box(M); M = n/2 = 8 is the full half spectrum."""
+    g = SpectralGrid(dim, 16)
+    kf = [np.fft.fftfreq(g.n, 1.0 / g.n)] * (dim - 1) + [np.fft.rfftfreq(g.n, 1.0 / g.n)]
+    k = np.stack(np.meshgrid(*kf, indexing="ij"))[box_index(g, M)]
     kappa = TWO_PI * k
     kappa[np.abs(k) == g.n // 2] = 0.0
     ikappa = 1j * kappa
+    ksq = functools.reduce(np.add, (TWO_PI * k) ** 2)
+    ksq_d = functools.reduce(np.add, kappa ** 2)
+    inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
     rng = np.random.default_rng(dim)
-    vhat = g.fft(rng.standard_normal((dim,) + g.shape))
-    That = g.fft(rng.standard_normal((dim, dim) + g.shape))
-    q = functools.reduce(np.add, kappa * vhat) * g.inv_ksq_d
+    vhat = g.fft(rng.standard_normal((dim,) + g.shape), M=M)
+    That = g.fft(rng.standard_normal((dim, dim) + g.shape), M=M)
+    q = functools.reduce(np.add, kappa * vhat) * inv_ksq_d
     assert g.grad_hat(vhat).tobytes() == (ikappa[:, None] * vhat).tobytes()
     assert g.div_hat(That).tobytes() == functools.reduce(np.add, ikappa[:, None] * That).tobytes()
     assert g.potential_hat(vhat).tobytes() == q.tobytes()
@@ -285,7 +339,11 @@ def test_per_axis_multipliers_match_dense_ones(dim):
                          - ikappa[(c + 2) % 3] * vhat[(c + 1) % 3] for c in range(3)])
         assert g.curl_hat(vhat).tobytes() == curl.tobytes()
     hweight = np.where((k[-1] == 0) | (k[-1] == g.n // 2), 1.0, 2.0)
-    assert np.broadcast_to(g.hweight, g.hshape).tobytes() == hweight.tobytes()
+    assert g.box(M).ksq.tobytes() == ksq.tobytes()
+    for s in (0.0, 3.0):
+        w = hweight * (1.0 + ksq) ** s
+        assert g.box(M).sobolev_weight(s, False).tobytes() == w.tobytes()
+        assert g.box(M).sobolev_weight(s, True).tobytes() == (w * ksq_d).tobytes()
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -294,7 +352,7 @@ def test_random_band_limited_matches_the_masked_formula(dim, n, kmax, seed):
     g = SpectralGrid(dim, n)
     axes = tuple(range(-dim, 0))
     f = np.random.default_rng(seed).standard_normal((3,) + g.shape)
-    f = np.fft.irfftn(np.fft.rfftn(f, axes=axes) * g.box_mask(kmax), s=g.shape, axes=axes)
+    f = np.fft.irfftn(np.fft.rfftn(f, axes=axes) * box_mask(g, kmax), s=g.shape, axes=axes)
     expected = f / np.sqrt(np.sum(f * f, axis=0).max())
     got = random_band_limited(g, 3, kmax, np.random.default_rng(seed))
     assert got.tobytes() == expected.tobytes()
