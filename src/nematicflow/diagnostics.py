@@ -183,12 +183,14 @@ def quantity_Ys(state: FieldState, s: float,
     bundle, when given, must be constitutive(state); its spectral
     coefficients of u and d are used instead of transforming them again.
     """
-    g = state.grid
-    if bundle is None:
-        u_hat, d_hat = _spectra(state)
-    else:
-        u_hat, d_hat = bundle.u_hat, bundle.d_hat
-    return g.sobolev_norm_hat(u_hat, s) ** 2 + g.sobolev_norm_hat(g.grad_hat(d_hat), s) ** 2
+    u_hat, d_hat = _spectra(state) if bundle is None else (bundle.u_hat, bundle.d_hat)
+    norm_u, norm_grad_d = _ys_norms(state.grid, u_hat, d_hat, s)
+    return norm_u ** 2 + norm_grad_d ** 2
+
+
+def _ys_norms(g, u_hat: np.ndarray, d_hat: np.ndarray, s: float) -> tuple[float, float]:
+    """(||L^s u||, ||grad (L^s d)||), the square roots of Y_s's two terms."""
+    return g.sobolev_norm_hat(u_hat, s), g.sobolev_norm_hat(d_hat, s, grad=True)
 
 
 class BlowupMonitorState:
@@ -242,8 +244,8 @@ class BlowupMonitorState:
         self._last_integrand = integrand
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
-        y3 = quantity_Ys(state, 3.0, bundle)
+        h3, norm_grad_d = _ys_norms(g, bundle.u_hat, bundle.d_hat, 3.0)
+        y3 = h3 ** 2 + norm_grad_d ** 2
         a_qty = quantity_A(state, bundle)
         logsob = (g.sup_norm_unchecked(bundle.grad_u)
                   / (1.0 + g.l2_norm_unchecked(curl) + a * math.log(math.e + h3)))

@@ -296,22 +296,20 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
     diffusion, on box(band).
 
     The Leslie stress without its mu4 A part (integrated implicitly) minus
-    the Ericksen stress, plus in the regularised scheme the monitor stress
-    and -[u]_M (x) u, is transformed as one tensor; the plain scheme
-    subtracts the convective (u.grad)u.
+    the Ericksen stress and the convective flux u (x) u, whose divergence is
+    (u.grad)u for the divergence-free u, is transformed as one tensor.  The
+    regularised scheme advects with the truncated velocity, -[u]_M (x) u,
+    and adds the monitor stress.
     """
     g = state.grid
     u = state.u
     stress = bundle.sigma - state.coeffs.mu4 * bundle.A - ericksen_stress(bundle.grad_d)
-    regularised = reg is not None
-    if regularised:
-        # divergence form with the truncated advecting velocity [u]_M
+    if reg is None:
+        stress -= _outer(u, u)
+    else:
         u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
         stress += _visco_flux(bundle.grad_u, reg.r) / float(reg.M) - _outer(u_M, u)
-    force_hat = g.div_hat(g.fft(stress, M=g.band))
-    if not regularised:
-        force_hat -= g.fft(np.einsum("i...,ij...->j...", u, bundle.grad_u), M=g.band)
-    return force_hat
+    return g.div_hat(g.fft(stress, M=g.band))
 
 
 def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,

@@ -366,11 +366,13 @@ class SpectralGrid:
     def mean_unchecked(self, f: np.ndarray) -> float:
         return float(f.mean())
 
+    # einsum contracts without a temporary and without BLAS, whose threaded
+    # dot would oversubscribe the cores a sweep's workers share.
     def l2_inner_unchecked(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(a * b)) / self.npoints
+        return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1))) / self.npoints
 
     def l2_norm_unchecked(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(f * f) / self.npoints))
+        return float(np.sqrt(self.l2_inner_unchecked(f, f)))
 
     def sup_norm_unchecked(self, f: np.ndarray) -> float:
         if f.ndim == self.dim:

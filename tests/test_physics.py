@@ -315,8 +315,8 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
 
 
 @pytest.mark.parametrize("grid_name, coeffs, forward", [
-    ("grid2d", from_alpha(1.0, 1.0), 7),
-    ("grid3d", CASE2_SET, 9),
+    ("grid2d", from_alpha(1.0, 1.0), 6),
+    ("grid3d", CASE2_SET, 8),
 ], ids=["2d-alpha", "3d-case2"])
 def test_step_from_carried_spectra_skips_two_forward_transforms(request, monkeypatch,
                                                                grid_name, coeffs, forward):
