@@ -297,11 +297,10 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
     into and zero-padded from the boxes, byte for byte."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=43)
-    carried = constitutive(stepped)
-    box = (grid.box(grid.band).shape, grid.hshape)
-    assert (carried.u_hat.shape[-grid.dim:], constitutive(derived).u_hat.shape[-grid.dim:]) == box
-    assert (carried.d_hat.shape[-grid.dim:], constitutive(derived).d_hat.shape[-grid.dim:]) == box
-    for name, value in _bundle_arrays(constitutive(derived)).items():
+    carried, from_fields = constitutive(stepped), constitutive(derived)
+    for b, shape in ((carried, grid.box(grid.band).shape), (from_fields, grid.hshape)):
+        assert b.u_hat.shape[-grid.dim:] == b.d_hat.shape[-grid.dim:] == shape
+    for name, value in _bundle_arrays(from_fields).items():
         got = getattr(carried, name)
         if np.iscomplexobj(got):
             got = grid.to_box(got, grid.box_of(value).M)

@@ -311,39 +311,40 @@ def test_spectral_arrays_outside_any_box_layout_raise(dim, shape):
             g.fft(np.zeros(g.shape), M=M)
 
 
-@pytest.mark.parametrize("M", [2, 5, 8])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_per_axis_multipliers_match_dense_ones(dim, M):
-    """grad, div, curl, potential, Leray and the Sobolev weights on box(M)
-    give the bits of dense multipliers built from numpy's FFT frequencies and
-    gathered into box(M); M = n/2 = 8 is the full half spectrum."""
+def test_per_axis_multipliers_match_dense_ones(dim):
+    """grad, div, curl, potential, Leray, ksq and the Sobolev weights on
+    box(M) give the bits of dense multipliers built from numpy's FFT
+    frequencies and gathered into box(M); M = n/2 = 8 is the full half
+    spectrum."""
     g = SpectralGrid(dim, 16)
     kf = [np.fft.fftfreq(g.n, 1.0 / g.n)] * (dim - 1) + [np.fft.rfftfreq(g.n, 1.0 / g.n)]
-    k = np.stack(np.meshgrid(*kf, indexing="ij"))[box_index(g, M)]
-    kappa = TWO_PI * k
-    kappa[np.abs(k) == g.n // 2] = 0.0
-    ikappa = 1j * kappa
-    ksq = functools.reduce(np.add, (TWO_PI * k) ** 2)
-    ksq_d = functools.reduce(np.add, kappa ** 2)
-    inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
     rng = np.random.default_rng(dim)
-    vhat = g.fft(rng.standard_normal((dim,) + g.shape), M=M)
-    That = g.fft(rng.standard_normal((dim, dim) + g.shape), M=M)
-    q = functools.reduce(np.add, kappa * vhat) * inv_ksq_d
-    assert g.grad_hat(vhat).tobytes() == (ikappa[:, None] * vhat).tobytes()
-    assert g.div_hat(That).tobytes() == functools.reduce(np.add, ikappa[:, None] * That).tobytes()
-    assert g.potential_hat(vhat).tobytes() == q.tobytes()
-    assert g.leray_hat(vhat).tobytes() == (vhat - kappa * q).tobytes()
-    if dim == 3:
-        curl = np.stack([ikappa[(c + 1) % 3] * vhat[(c + 2) % 3]
-                         - ikappa[(c + 2) % 3] * vhat[(c + 1) % 3] for c in range(3)])
-        assert g.curl_hat(vhat).tobytes() == curl.tobytes()
-    hweight = np.where((k[-1] == 0) | (k[-1] == g.n // 2), 1.0, 2.0)
-    assert g.box(M).ksq.tobytes() == ksq.tobytes()
-    for s in (0.0, 3.0):
-        w = hweight * (1.0 + ksq) ** s
-        assert g.box(M).sobolev_weight(s, False).tobytes() == w.tobytes()
-        assert g.box(M).sobolev_weight(s, True).tobytes() == (w * ksq_d).tobytes()
+    for M in (2, g.band, g.n // 2):
+        k = np.stack(np.meshgrid(*kf, indexing="ij"))[box_index(g, M)]
+        kappa = TWO_PI * k
+        kappa[np.abs(k) == g.n // 2] = 0.0
+        ikappa = 1j * kappa
+        ksq = functools.reduce(np.add, (TWO_PI * k) ** 2)
+        ksq_d = functools.reduce(np.add, kappa ** 2)
+        inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
+        vhat = g.fft(rng.standard_normal((dim,) + g.shape), M=M)
+        That = g.fft(rng.standard_normal((dim, dim) + g.shape), M=M)
+        q = functools.reduce(np.add, kappa * vhat) * inv_ksq_d
+        assert g.grad_hat(vhat).tobytes() == (ikappa[:, None] * vhat).tobytes()
+        assert g.div_hat(That).tobytes() == functools.reduce(np.add, ikappa[:, None] * That).tobytes()
+        assert g.potential_hat(vhat).tobytes() == q.tobytes()
+        assert g.leray_hat(vhat).tobytes() == (vhat - kappa * q).tobytes()
+        if dim == 3:
+            curl = np.stack([ikappa[(c + 1) % 3] * vhat[(c + 2) % 3]
+                             - ikappa[(c + 2) % 3] * vhat[(c + 1) % 3] for c in range(3)])
+            assert g.curl_hat(vhat).tobytes() == curl.tobytes()
+        assert g.box(M).ksq.tobytes() == ksq.tobytes()
+        hweight = np.where((k[-1] == 0) | (k[-1] == g.n // 2), 1.0, 2.0)
+        for s in (0.0, 3.0):
+            w = hweight * (1.0 + ksq) ** s
+            assert g.box(M).sobolev_weight(s, False).tobytes() == w.tobytes()
+            assert g.box(M).sobolev_weight(s, True).tobytes() == (w * ksq_d).tobytes()
 
 
 @pytest.mark.parametrize("seed", [5, 6])
