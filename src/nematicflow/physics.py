@@ -142,8 +142,8 @@ class ConstitutiveBundle:
     tension = Lap d - stage(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
     so lambda1 N + lambda2 Ad + tension = 0 holds to rounding by construction.
     dd and dAd feed only the mu1 terms, so they are None when mu1 = 0.
-    sigma is pointwise in the staged fields; the momentum force masks it
-    when it transforms the stress.
+    sigma is pointwise in the staged fields; the momentum force transforms
+    the stress onto box(band).
     """
 
     u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
@@ -239,7 +239,7 @@ def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
 
     The mu1 term is skipped when mu1 = 0; otherwise dd = stage(d(x)d) and
     dAd = stage(dd : A) are staged here unless given.  The result is not
-    staged again: the momentum force masks the stress when it transforms it.
+    staged again: the momentum force transforms the stress onto box(band).
     """
     dim = grid.dim
     d_blk = d[:dim]
