@@ -9,6 +9,8 @@ then [diagnostics] output_dir from the config file.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import os
@@ -77,8 +79,34 @@ def cmd_validate(args) -> int:
     return 0 if report.admissible else 1
 
 
+# mallopt(3) parameters and the values fixed for a CLI run: the largest
+# threshold glibc's dynamic rule would reach on 64-bit, and a trim threshold
+# far above any run's free heap top.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> bool:
+    """Fix glibc's malloc thresholds for this process; True when both took.
+
+    Left dynamic, glibc returns the multi-MB temporaries each step frees to
+    the kernel (trimming the heap top, or munmap), and the next step faults
+    the same pages back in.  Fixed, they are reused from the heap.  A libc
+    without mallopt (musl, macOS, Windows) is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+    except (OSError, AttributeError, TypeError):
+        return False
+
+
 def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dict:
     """Run one configuration, write CSV/manifest/snapshots, return a summary."""
+    _fix_malloc_thresholds()
     coeffs = build_coefficients(cfg)
     report = validate_coeffs(coeffs)
     if not report.admissible:

@@ -1,12 +1,15 @@
 """Config parsing round-trips and the command-line surface."""
 
+import ctypes
 import importlib
 import importlib.metadata
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import nematicflow
 from nematicflow import ConfigError
+from nematicflow import cli
 from nematicflow.cli import main, member_label
 from nematicflow.config import (_SECTIONS, RunConfig, build_coefficients,
                                 build_initial_state, config_sha256,
@@ -437,6 +441,90 @@ def test_first_step_blowup_writes_a_run_without_samples(cfg_file, tmp_path, caps
         rows = (outdir / "sweep_summary.csv").read_text().splitlines()
         assert rows[1].split(",")[-2] == "true"
         assert "dt_0p001" in capsys.readouterr().out
+
+
+def _has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return True
+
+
+CASE2_3D_CFG = """\
+[grid]
+dim = 3
+n = 32
+
+[coefficients]
+lambda1 = -1.0
+lambda2 = 0.2
+mu1 = 0.5
+mu2 = -0.5
+mu3 = 0.5
+mu4 = 1.0
+mu5 = 0.6
+mu6 = 0.4
+
+[initial_condition]
+preset = perturbed-director
+amplitude = 0.1
+
+[stepper]
+dt = 0.001
+t_end = 0.005
+
+[run]
+seed = 5
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="this libc has no mallopt")
+def test_run_reuses_the_heap(cfg_file, tmp_path):
+    """A repeated run takes its step temporaries from the heap the first run
+    left, instead of faulting them in from the kernel again: left to glibc's
+    dynamic thresholds, the second run faults about 20,000 pages."""
+    args = ["run", "--config", cfg_file(CASE2_3D_CFG), "--output-dir", str(tmp_path / "out")]
+    assert main(args) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(args) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def _no_shared_object(name):
+    raise OSError("cannot load the C library")
+
+
+def _no_path_handle(name):
+    raise TypeError("expected a library name")
+
+
+def _libc_without_mallopt(name):
+    return types.SimpleNamespace()
+
+
+@pytest.fixture()
+def unfixed_malloc():
+    """Let the next run call cli._fix_malloc_thresholds afresh, and the runs after the test too."""
+    cli._fix_malloc_thresholds.cache_clear()
+    yield
+    cli._fix_malloc_thresholds.cache_clear()
+
+
+@pytest.mark.parametrize("cdll", [_no_shared_object, _no_path_handle, _libc_without_mallopt])
+def test_run_without_mallopt_writes_the_same_outputs(cfg_file, tmp_path, monkeypatch,
+                                                     unfixed_malloc, cdll):
+    """Where the C library has no mallopt, a run leaves the allocator alone
+    and still succeeds with the same output bytes."""
+    cfg = cfg_file(ALPHA_CFG.replace("preset = quiescent",
+                                     "preset = perturbed-director\namplitude = 0.1"))
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0
+    cli._fix_malloc_thresholds.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "b")]) == 0
+    assert cli._fix_malloc_thresholds() is False
+    for name in ("diagnostics.csv", "u_final.field", "d_final.field"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 def _pyproject():
