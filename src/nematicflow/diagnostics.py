@@ -193,6 +193,15 @@ def _ys_norms(g, u_hat: np.ndarray, d_hat: np.ndarray, s: float) -> tuple[float,
     return g.sobolev_norm_hat(u_hat, s), g.sobolev_norm_hat(d_hat, s, grad=True)
 
 
+def _curl(grad_u: np.ndarray) -> np.ndarray:
+    """curl u from grad_u[i, j] = d_i u_j: the scalar vorticity in 2D, the
+    vector in 3D; the arithmetic of SpectralGrid.curl_hat, in physical space."""
+    if grad_u.shape[0] == 2:
+        return grad_u[0, 1] - grad_u[1, 0]
+    return np.stack([grad_u[(c + 1) % 3, (c + 2) % 3] - grad_u[(c + 2) % 3, (c + 1) % 3]
+                     for c in range(3)])
+
+
 class BlowupMonitorState:
     """Running sup-norm history and derived blow-up criterion quantities.
 
@@ -233,7 +242,7 @@ class BlowupMonitorState:
             )
         if bundle is None:
             bundle = constitutive(state)
-        curl = g.ifft(g.curl_hat(bundle.u_hat))
+        curl = _curl(bundle.grad_u)
         a = g.sup_norm_unchecked(curl)
         # a numpy float: its powers overflow to inf where a Python float's raise
         b = np.float64(g.sup_norm_unchecked(bundle.grad_d))

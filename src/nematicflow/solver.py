@@ -129,11 +129,14 @@ class Stepper:
         d_new = g.ifft(d_new_hat)
         t_new = state.time + dt
 
-        if not (np.isfinite(u_new).all() and np.isfinite(d_new).all()):
+        try:  # the state's own finiteness scan is the step's only one
+            new_state = FieldState(grid=g, coeffs=state.coeffs, time=t_new, u=u_new, d=d_new,
+                                   spectra=(u_new_hat, d_new_hat))
+        except ParameterError:
             raise BlowUpError(
                 f"non-finite fields after step to t={t_new}",
                 state=state, time=state.time,
-            )
+            ) from None
         if self.cfg.max_vorticity_sup is not None:
             w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat)))
             if w > self.cfg.max_vorticity_sup:
@@ -142,9 +145,6 @@ class Stepper:
                     f"{self.cfg.max_vorticity_sup:.6g} at t={t_new}",
                     state=state, time=state.time,
                 )
-
-        new_state = FieldState(grid=g, coeffs=state.coeffs, time=t_new, u=u_new, d=d_new,
-                               spectra=(u_new_hat, d_new_hat))
         if self.cfg.scheme == "imex-bdf2":
             self._hist = (new_state, u_hat, d_hat, fu_hat, fd_hat)
         return new_state, bundle

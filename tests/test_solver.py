@@ -197,6 +197,25 @@ def test_vorticity_threshold_raises(grid2d, alpha_one):
     assert exc.value.time == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_nonfinite_step_raises_blowup(grid2d, alpha_one):
+    """|d| = 1e120 overflows the penalty force: the step raises BlowUpError
+    with the last finite state, not the ParameterError of a state built from
+    non-finite fields, which outside input still gets."""
+    d = np.zeros((3,) + grid2d.shape)
+    d[2] = 1e120
+    st = FieldState(grid=grid2d, coeffs=alpha_one, time=0.0, u=np.zeros((2,) + grid2d.shape), d=d)
+    stepper = Stepper(grid2d, alpha_one, TimeStepperConfig(dt=1e-3, t_end=0.01))
+    with pytest.raises(BlowUpError, match=r"^non-finite fields after step to t=0\.001$") as exc:
+        stepper.step_pair(st)
+    assert exc.value.state is st
+    assert exc.value.time == 0.0
+    d[2, 0, 0] = np.inf
+    with pytest.raises(ParameterError, match="non-finite values in state fields"):
+        st.with_fields(st.u, d, 0.0)
+
+
 def test_run_returns_flagged_partial_trajectory(grid2d, alpha_one):
     u0 = taylor_green_velocity(grid2d, 1.0)
     d = np.zeros((3,) + grid2d.shape)
