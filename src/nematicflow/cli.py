@@ -79,14 +79,6 @@ def cmd_validate(args) -> int:
     return 0 if report.admissible else 1
 
 
-# mallopt(3) parameters and the values fixed for a CLI run: the largest
-# threshold glibc's dynamic rule would reach on 64-bit, and a trim threshold
-# far above any run's free heap top.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 1 << 30
-
-
 @functools.cache
 def _fix_malloc_thresholds() -> bool:
     """Fix glibc's malloc thresholds for this process; True when both took.
@@ -98,8 +90,9 @@ def _fix_malloc_thresholds() -> bool:
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
-        return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, the most glibc's dynamic rule reaches
+        # on 64-bit; M_TRIM_THRESHOLD (-1) at 1 GiB, above any run's free heap top.
+        return (mallopt(-3, 32 << 20), mallopt(-1, 1 << 30)) == (1, 1)
     except (OSError, AttributeError, TypeError):
         return False
 

@@ -194,12 +194,13 @@ def _ys_norms(g, u_hat: np.ndarray, d_hat: np.ndarray, s: float) -> tuple[float,
 
 
 def _curl(grad_u: np.ndarray) -> np.ndarray:
-    """curl u from grad_u[i, j] = d_i u_j: the scalar vorticity in 2D, the
-    vector in 3D; the arithmetic of SpectralGrid.curl_hat, in physical space."""
+    """curl u from grad_u[i, j] = d_i u_j: the scalar vorticity in 2D, the vector in 3D."""
     if grad_u.shape[0] == 2:
         return grad_u[0, 1] - grad_u[1, 0]
-    return np.stack([grad_u[(c + 1) % 3, (c + 2) % 3] - grad_u[(c + 2) % 3, (c + 1) % 3]
-                     for c in range(3)])
+    out = np.empty((3,) + grad_u.shape[2:])
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(grad_u[a, b], grad_u[b, a], out=out[c])
+    return out
 
 
 class BlowupMonitorState:

@@ -243,8 +243,10 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             break
         if due:
             sample(state, bundle, i)
-        # Not freed before the next step on purpose: freeing it lets malloc
-        # return the heap top every step, and the next step faults it back.
+        # Held until the next step returns: under glibc's dynamic malloc
+        # thresholds, freeing it earlier returns the heap top every step and
+        # the next step faults it back.  The CLI fixes those thresholds
+        # (cli._fix_malloc_thresholds); a library caller may not.
         state = new_state
     if not blown_up:
         sample(state, constitutive(state), n_steps)

@@ -503,6 +503,10 @@ def _libc_without_mallopt(name):
     return types.SimpleNamespace()
 
 
+def _libc_refusing_mallopt(name):
+    return types.SimpleNamespace(mallopt=lambda param, value: 0)
+
+
 @pytest.fixture()
 def unfixed_malloc():
     """Let the next run call cli._fix_malloc_thresholds afresh, and the runs after the test too."""
@@ -511,11 +515,12 @@ def unfixed_malloc():
     cli._fix_malloc_thresholds.cache_clear()
 
 
-@pytest.mark.parametrize("cdll", [_no_shared_object, _no_path_handle, _libc_without_mallopt])
+@pytest.mark.parametrize("cdll", [_no_shared_object, _no_path_handle, _libc_without_mallopt,
+                                  _libc_refusing_mallopt])
 def test_run_without_mallopt_writes_the_same_outputs(cfg_file, tmp_path, monkeypatch,
                                                      unfixed_malloc, cdll):
-    """Where the C library has no mallopt, a run leaves the allocator alone
-    and still succeeds with the same output bytes."""
+    """Where the C library has no mallopt, or refuses the thresholds, a run
+    still succeeds with the same output bytes."""
     cfg = cfg_file(ALPHA_CFG.replace("preset = quiescent",
                                      "preset = perturbed-director\namplitude = 0.1"))
     assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0

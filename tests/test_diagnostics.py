@@ -10,7 +10,7 @@ from nematicflow import (BlowupMonitorState, FieldState, LeslieCoefficients,
                          case2_lower_bound_check, channels, constitutive,
                          energy_law_audit, eta_margin, from_alpha, quantity_A,
                          quantity_Ys, run, write_timeseries)
-from nematicflow.diagnostics import CSV_COLUMNS, energies
+from nematicflow.diagnostics import CSV_COLUMNS, _curl, energies
 from nematicflow.config import taylor_green_velocity
 
 from conftest import smooth_state
@@ -148,6 +148,15 @@ def test_quantity_Ys_single_mode(grid2d, alpha_one):
     for s in (0.0, 3.0):
         expect = (1.0 + 4.0 * np.pi ** 2) ** s / 2.0
         assert quantity_Ys(st, s) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["grid2d", "grid3d"])
+def test_monitor_curl_from_grad_u(grid, alpha_one, request):
+    """The monitor's curl, formed from the bundle's grad u, is the spectral
+    curl of u, component by component."""
+    g = request.getfixturevalue(grid)
+    st = smooth_state(g, alpha_one, seed=4, u_amp=1.0)
+    np.testing.assert_allclose(_curl(constitutive(st).grad_u), g.curl(st.u), rtol=0, atol=1e-12)
 
 
 class TestBlowupMonitor:
