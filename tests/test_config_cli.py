@@ -5,7 +5,6 @@ import importlib
 import importlib.metadata
 import json
 import os
-import resource
 import shutil
 import subprocess
 import sys
@@ -483,7 +482,9 @@ seed = 5
 def test_run_reuses_the_heap(cfg_file, tmp_path):
     """A repeated run takes its step temporaries from the heap the first run
     left, instead of faulting them in from the kernel again: left to glibc's
-    dynamic thresholds, the second run faults about 20,000 pages."""
+    dynamic thresholds, the second run faults over 20,000 pages."""
+    import resource  # POSIX only, like mallopt
+
     args = ["run", "--config", cfg_file(CASE2_3D_CFG), "--output-dir", str(tmp_path / "out")]
     assert main(args) == 0
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -509,8 +510,8 @@ def _libc_refusing_mallopt(name):
 
 @pytest.fixture()
 def unfixed_malloc():
-    """Let the next run call cli._fix_malloc_thresholds afresh, and the runs after the test too."""
-    cli._fix_malloc_thresholds.cache_clear()
+    """Drop the cached result of cli._fix_malloc_thresholds after the test,
+    so later runs call the real mallopt again."""
     yield
     cli._fix_malloc_thresholds.cache_clear()
 
