@@ -24,7 +24,7 @@ from . import __version__
 from .coeffs import CONSTRAINTS
 from .coeffs import validate as validate_coeffs
 from .config import (RunConfig, build_coefficients, build_grid,
-                     build_initial_state, build_regularization,
+                     build_initial_state, build_regularization, build_sampling,
                      build_stepper_config, config_sha256, parse_config,
                      parse_config_text, serialize_config)
 from .diagnostics import write_timeseries
@@ -109,10 +109,11 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
     state0 = build_initial_state(cfg, grid, coeffs)
     stepper_cfg = build_stepper_config(cfg)
     reg = build_regularization(cfg)
-    cad = cadence if cadence is not None else cfg.diagnostics.cadence
+    cad, snap_cad = build_sampling(cfg)
+    if cadence is not None:
+        cad = cadence
 
     os.makedirs(outdir, exist_ok=True)
-    snap_cad = cfg.diagnostics.snapshot_cadence
     hooks = ()
     if snap_cad > 0:
         def snapshot_hook(state, step_index):
@@ -159,6 +160,8 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
 
 
 def cmd_run(args) -> int:
+    if args.cadence is not None and args.cadence < 1:
+        return _fail(f"--cadence must be >= 1, got {args.cadence}")
     cfg = parse_config(args.config)
     outdir = _resolve_output_dir(args, cfg)
     summary = _execute_run(cfg, outdir, cadence=args.cadence)
@@ -199,6 +202,8 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float):
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        return _fail(f"--threads must be >= 1, got {args.threads}")
     cfg = parse_config(args.config)
     outdir = _resolve_output_dir(args, cfg)
     try:

@@ -244,6 +244,18 @@ def build_regularization(cfg: RunConfig) -> RegularizationConfig | None:
         return RegularizationConfig(M=rg.m, r=rg.r, N_modes=rg.n_modes)
 
 
+def build_sampling(cfg: RunConfig) -> tuple[int, int]:
+    """([diagnostics] cadence, snapshot_cadence): sample every cadence >= 1
+    steps, write snapshots every snapshot_cadence steps, or none when it is 0."""
+    dg = cfg.diagnostics
+    if dg.cadence < 1:
+        raise ConfigError(f"[diagnostics] cadence must be >= 1, got {dg.cadence}")
+    if dg.snapshot_cadence < 0:
+        raise ConfigError(
+            f"[diagnostics] snapshot_cadence must be >= 0, got {dg.snapshot_cadence}")
+    return dg.cadence, dg.snapshot_cadence
+
+
 def taylor_green_velocity(grid: SpectralGrid, amplitude: float) -> np.ndarray:
     """u = amp (sin 2pi x cos 2pi y, -cos 2pi x sin 2pi y); 2D only."""
     if grid.dim != 2:

@@ -35,6 +35,7 @@ balances to rounding error; see tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -91,9 +92,29 @@ def penalty(d: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return W, gradW
 
 
+def _pairs(dim: int):
+    """The index pairs (i, j) with i <= j: one per distinct entry of a
+    symmetric (dim, dim) tensor."""
+    return combinations_with_replacement(range(dim), 2)
+
+
+def _ericksen_entry(grad_d: np.ndarray, i: int, j: int,
+                    out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = sum_c d_i(d_c) d_j(d_c), entry (i, j) of the Ericksen stress;
+    tmp is scratch of the same grid shape."""
+    np.multiply(grad_d[i, 0], grad_d[j, 0], out=out)
+    for c in range(1, grad_d.shape[1]):
+        out += np.multiply(grad_d[i, c], grad_d[j, c], out=tmp)
+
+
 def ericksen_stress(grad_d: np.ndarray) -> np.ndarray:
     """(grad d o grad d)_ij = sum_c d_i(d_c) d_j(d_c), pointwise, symmetric."""
-    return np.einsum("ic...,jc...->ij...", grad_d, grad_d)
+    dim = grad_d.shape[0]
+    out = np.empty((dim, dim) + grad_d.shape[2:])
+    tmp = np.empty(grad_d.shape[2:])
+    for i, j in np.ndindex(dim, dim):
+        _ericksen_entry(grad_d, i, j, out[i, j], tmp)
+    return out
 
 
 def mat_vec_director(M: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -103,8 +124,13 @@ def mat_vec_director(M: np.ndarray, d: np.ndarray) -> np.ndarray:
     rotate d out of or into the plane); in 3D this is the plain product.
     """
     dim = M.shape[0]
-    out = np.zeros((3,) + M.shape[2:], dtype=np.float64)
-    out[:dim] = np.einsum("ij...,j...->i...", M, d[:dim])
+    out = np.empty((3,) + M.shape[2:])
+    tmp = np.empty(M.shape[2:])
+    for i in range(dim):
+        np.multiply(M[i, 0], d[0], out=out[i])
+        for j in range(1, dim):
+            out[i] += np.multiply(M[i, j], d[j], out=tmp)
+    out[dim:] = 0.0
     return out
 
 
@@ -142,8 +168,8 @@ class ConstitutiveBundle:
     tension = Lap d - stage(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
     so lambda1 N + lambda2 Ad + tension = 0 holds to rounding by construction.
     dd and dAd feed only the mu1 terms, so they are None when mu1 = 0.
-    sigma is pointwise in the staged fields; the momentum force transforms
-    the stress onto box(band).
+    The stresses are not fields of the bundle: the momentum force builds
+    them from these entries in one buffer (see leslie_stress).
     """
 
     u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
@@ -159,7 +185,6 @@ class ConstitutiveBundle:
     N: np.ndarray            # co-rotational rate via the constitutive identity
     dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
     dd: np.ndarray | None    # stage(d(x)d), (dim, dim) + grid block; None when mu1 = 0
-    sigma: np.ndarray        # Leslie stress
 
 
 def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -169,17 +194,24 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     return g.ifft(g.fft(f, M=g.band))
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("i...,j...->ij...", a, b)
-
-
 def _stage_dd(g: SpectralGrid, d: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """stage(d(x)d) on the (dim, dim) block, one transform per distinct entry,
-    and stage(dd : A)."""
-    iu, ju = np.triu_indices(g.dim)
+    and stage(dd : A), the contraction summed over the distinct entries of
+    the two symmetric tensors."""
+    pairs = list(_pairs(g.dim))
+    prod = np.empty((len(pairs),) + g.shape)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(d[i], d[j], out=prod[p])
     dd = np.empty((g.dim, g.dim) + g.shape)
-    dd[iu, ju] = dd[ju, iu] = _stage(g, d[iu] * d[ju])
-    return dd, _stage(g, np.einsum("ij...,ij...->...", dd, A))
+    dAd = np.zeros(g.shape)
+    tmp = np.empty(g.shape)
+    for (i, j), staged in zip(pairs, _stage(g, prod)):
+        dd[i, j] = dd[j, i] = staged
+        np.multiply(staged, A[i, j], out=tmp)
+        if i != j:
+            tmp *= 2.0
+        dAd += tmp
+    return dd, _stage(g, dAd)
 
 
 def _spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +239,10 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
 
     u_hat, d_hat = _spectra(state)
     grad_u = g.ifft(g.grad_hat(u_hat))
-    A = 0.5 * (grad_u + grad_u.swapaxes(0, 1))
-    omega = 0.5 * (grad_u - grad_u.swapaxes(0, 1))
+    A = np.add(grad_u, grad_u.swapaxes(0, 1))
+    A *= 0.5
+    omega = np.subtract(grad_u, grad_u.swapaxes(0, 1))
+    omega *= 0.5
     grad_d = g.ifft(g.grad_hat(d_hat))
     W_val, gradW = penalty(d, c.epsilon)
     gradW_hat = g.fft(gradW, M=g.band)
@@ -217,7 +251,9 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
 
     Ad = mat_vec_director(A, d)
     Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
-    N = -(c.lambda2 * Ad + tension) / c.lambda1
+    N = np.multiply(Ad, c.lambda2)
+    N += tension
+    N /= -c.lambda1
     dd = dAd = None
     if c.mu1 != 0.0:
         dd, dAd = _stage_dd(g, d, A)
@@ -226,7 +262,6 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, A=A, omega=omega,
         grad_d=grad_d, W_val=W_val, gradW_hat=gradW_hat, Ad=Ad,
         tension=tension, N=N, dAd=dAd, dd=dd,
-        sigma=leslie_stress(g, c, d, A, N, Ad, dd, dAd),
     )
 
 
@@ -239,18 +274,35 @@ def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
 
     The mu1 term is skipped when mu1 = 0; otherwise dd = stage(d(x)d) and
     dAd = stage(dd : A) are staged here unless given.  The result is not
-    staged again: the momentum force transforms the stress onto box(band).
+    staged again.  The reference form: the momentum force writes the same
+    entries, without mu4 A, into its stress buffer.
     """
-    dim = grid.dim
-    d_blk = d[:dim]
-    left = c.mu2 * N[:dim] + c.mu5 * Ad[:dim]    # (.)(x)d terms
-    right = c.mu3 * N[:dim] + c.mu6 * Ad[:dim]   # d(x)(.) terms
-    sigma = c.mu4 * A
-    if c.mu1 != 0.0:
-        if dd is None or dAd is None:
-            dd, dAd = _stage_dd(grid, d, A)
-        sigma = sigma + c.mu1 * dAd * dd
-    return sigma + _outer(left, d_blk) + _outer(d_blk, right)
+    if c.mu1 != 0.0 and (dd is None or dAd is None):
+        dd, dAd = _stage_dd(grid, d, A)
+    sigma = _leslie_entries(c, d, N, Ad, dd, dAd, np.empty(A.shape))
+    sigma += c.mu4 * A
+    return sigma
+
+
+def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.ndarray,
+                    dd: np.ndarray | None, dAd: np.ndarray | None,
+                    out: np.ndarray) -> np.ndarray:
+    """out[i, j] = (mu2 N + mu5 Ad)_i d_j + d_i (mu3 N + mu6 Ad)_j
+    + mu1 dAd dd_ij, the Leslie stress without its mu4 A part; the mu1 term
+    only when mu1 != 0."""
+    dim = out.shape[0]
+    left = c.mu2 * N[:dim]     # (.)(x)d terms
+    left += c.mu5 * Ad[:dim]
+    right = c.mu3 * N[:dim]    # d(x)(.) terms
+    right += c.mu6 * Ad[:dim]
+    w = c.mu1 * dAd if c.mu1 != 0.0 else None
+    tmp = np.empty(out.shape[2:])
+    for i, j in np.ndindex(dim, dim):
+        entry = np.multiply(left[i], d[j], out=out[i, j])
+        entry += np.multiply(d[i], right[j], out=tmp)
+        if w is not None:
+            entry += np.multiply(w, dd[i, j], out=tmp)
+    return out
 
 
 def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
@@ -260,9 +312,16 @@ def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.nda
     """
     g = state.grid
     c = state.coeffs
-    f = mat_vec_director(bundle.omega, state.d) - (c.lambda2 / c.lambda1) * bundle.Ad
-    f -= np.einsum("i...,ic...->c...", state.u, bundle.grad_d)
-    return g.fft(f, M=g.band) + bundle.gradW_hat / c.lambda1
+    ratio = c.lambda2 / c.lambda1
+    f = mat_vec_director(bundle.omega, state.d)
+    tmp = np.empty(g.shape)
+    for k in range(3):
+        f[k] -= np.multiply(bundle.Ad[k], ratio, out=tmp)
+        for i in range(g.dim):
+            f[k] -= np.multiply(state.u[i], bundle.grad_d[i, k], out=tmp)
+    f_hat = g.fft(f, M=g.band)
+    f_hat += bundle.gradW_hat / c.lambda1
+    return f_hat
 
 
 def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) -> np.ndarray:
@@ -297,18 +356,30 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
 
     The Leslie stress without its mu4 A part (integrated implicitly) minus
     the Ericksen stress and the convective flux u (x) u, whose divergence is
-    (u.grad)u for the divergence-free u, is transformed as one tensor.  The
-    regularised scheme advects with the truncated velocity, -[u]_M (x) u,
-    and adds the monitor stress.
+    (u.grad)u for the divergence-free u, is built entry by entry in one
+    buffer and transformed as one tensor; each symmetric product is formed
+    once per pair i <= j.  The regularised scheme advects with the
+    truncated velocity, -[u]_M (x) u, and adds the monitor stress.
     """
     g = state.grid
     u = state.u
-    stress = bundle.sigma - state.coeffs.mu4 * bundle.A - ericksen_stress(bundle.grad_d)
-    if reg is None:
-        stress -= _outer(u, u)
-    else:
+    stress = _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dd,
+                             bundle.dAd, np.empty((g.dim, g.dim) + g.shape))
+    e, tmp = np.empty(g.shape), np.empty(g.shape)
+    for i, j in _pairs(g.dim):
+        _ericksen_entry(bundle.grad_d, i, j, e, tmp)
+        if reg is None:
+            e += np.multiply(u[i], u[j], out=tmp)
+        stress[i, j] -= e
+        if i != j:
+            stress[j, i] -= e
+    if reg is not None:
+        flux = _visco_flux(bundle.grad_u, reg.r)
+        flux /= reg.M
+        stress += flux
         u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
-        stress += _visco_flux(bundle.grad_u, reg.r) / float(reg.M) - _outer(u_M, u)
+        for i, j in np.ndindex(g.dim, g.dim):
+            stress[i, j] -= np.multiply(u_M[i], u[j], out=tmp)
     return g.div_hat(g.fft(stress, M=g.band))
 
 

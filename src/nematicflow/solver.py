@@ -186,7 +186,8 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
 
     Each state is evaluated by constitutive() once: a due state i is sampled
     right after step_pair(state_i) succeeds, from the bundle that call
-    returns, and that bundle is held only until the next step returns.  Only
+    returns, and the bundle is dropped before the next step, so at most one
+    is alive during a step.  Only
     the final state, and a due state whose step raised BlowUpError, are
     sampled from a fresh constitutive() call; the latter only when every
     value of its sample (report and monitor row) is finite.
@@ -243,10 +244,11 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             break
         if due:
             sample(state, bundle, i)
-        # Held until the next step returns: under glibc's dynamic malloc
-        # thresholds, freeing it earlier returns the heap top every step and
-        # the next step faults it back.  The CLI fixes those thresholds
-        # (cli._fix_malloc_thresholds); a library caller may not.
+        # Dropped before the next step, so one bundle at a time is resident.
+        # Under glibc's dynamic malloc thresholds the freed heap top may be
+        # trimmed and faulted back each step; the CLI fixes those thresholds
+        # (cli._fix_malloc_thresholds), a library caller may not.
+        del bundle
         state = new_state
     if not blown_up:
         sample(state, constitutive(state), n_steps)

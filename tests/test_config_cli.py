@@ -371,6 +371,10 @@ SECTION_ERRORS = {
         ALPHA_CFG.replace("dim = 2", "dim = 3").replace(
             "preset = quiescent", "preset = taylor-green-uniform-director"),
         "[initial_condition] taylor-green initial condition is 2D only"),
+    "diagnostics-cadence": (ALPHA_CFG + "\n[diagnostics]\ncadence = 0\n",
+                            "[diagnostics] cadence must be >= 1, got 0"),
+    "diagnostics-snapshot-cadence": (ALPHA_CFG + "\n[diagnostics]\nsnapshot_cadence = -3\n",
+                                     "[diagnostics] snapshot_cadence must be >= 0, got -3"),
 }
 
 
@@ -383,6 +387,20 @@ def test_bad_value_error_names_its_section(cfg_file, tmp_path, capsys, case):
     assert err.startswith(f"error: {message}"), err
     section = message.split("]")[0] + "]"
     assert err.count(section) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--cadence", "0"], "--cadence must be >= 1, got 0"),
+    (["sweep", "--axis", "dt", "--values", "0.001", "--threads", "-4"],
+     "--threads must be >= 1, got -4"),
+], ids=["run-cadence", "sweep-threads"])
+def test_bad_count_flag_fails_before_writing(cfg_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", cfg_file(ALPHA_CFG), "--output-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestSweepCommand:

@@ -8,11 +8,13 @@ from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
                          TimeStepperConfig, channels, constitutive, director_rhs,
                          ericksen_stress, from_alpha, leslie_stress,
                          momentum_rhs, penalty)
-from nematicflow.physics import _visco_flux, mat_vec_director
+from nematicflow.physics import _momentum_force_hat, _visco_flux, mat_vec_director
 
 from conftest import _full_transform_reference, smooth_state
 
 TWO_PI = 2.0 * np.pi
+CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
+                               mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
 
 
 def test_penalty_values():
@@ -101,11 +103,34 @@ def test_leslie_stress_constant_fields(grid2d):
     assert np.max(np.abs(sig[1, 1] + a)) < 1e-13
 
 
-def test_leslie_stress_matches_bundle(grid2d, alpha_one):
-    st = smooth_state(grid2d, alpha_one, seed=5)
-    b = constitutive(st)
-    sig = leslie_stress(grid2d, alpha_one, st.d, b.A, b.N, b.Ad)
-    assert grid2d.sup_norm(sig - b.sigma) < 1e-12
+def _reference_force_hat(st, b, reg):
+    """The momentum force from the reference stresses: div of the transformed
+    leslie_stress - mu4 A - ericksen_stress - u (x) u, or with the
+    regularised scheme's advecting [u]_M and monitor flux."""
+    g, c, u = st.grid, st.coeffs, st.u
+    stress = leslie_stress(g, c, st.d, b.A, b.N, b.Ad) - c.mu4 * b.A - ericksen_stress(b.grad_d)
+    if reg is None:
+        stress -= np.einsum("i...,j...->ij...", u, u)
+    else:
+        u_M = g.truncate_modes(u, reg.M)
+        stress += _visco_flux(b.grad_u, reg.r) / reg.M - np.einsum("i...,j...->ij...", u_M, u)
+    return g.div_hat(g.fft(stress, M=g.band))
+
+
+def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
+    """The momentum force, built entry by entry in one buffer from the bundle,
+    equals the divergence of the reference stresses to rounding: 2D and 3D,
+    mu1 = 0 and mu1 != 0, plain and regularised."""
+    for grid in (grid2d, grid3d):
+        for coeffs in (alpha_one, CASE2_SET):
+            st = smooth_state(grid, coeffs, seed=5)
+            b = constitutive(st)
+            for reg in (None, RegularizationConfig(M=4, r=4.0)):
+                want = _reference_force_hat(st, b, reg)
+                got = _momentum_force_hat(st, b, reg)
+                case = (grid.dim, coeffs.mu1, reg)
+                assert got.shape == want.shape, case
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), case
 
 
 def test_director_rhs_linearized_oracle(grid2d):
@@ -202,13 +227,9 @@ def test_constitutive_3d(grid3d):
     b = constitutive(st)
     resid = c.lambda1 * b.N + c.lambda2 * b.Ad + b.tension
     assert grid3d.sup_norm(resid) < 1e-12
-    assert b.sigma.shape == (3, 3) + grid3d.shape
+    assert leslie_stress(grid3d, c, st.d, b.A, b.N, b.Ad).shape == (3, 3) + grid3d.shape
     rhs = momentum_rhs(st)
     assert grid3d.sup_norm(grid3d.divergence(rhs)) < 1e-9
-
-
-CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
-                               mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
 
 
 @pytest.mark.parametrize("reg", [None, RegularizationConfig(M=4, r=4.0)],
@@ -267,11 +288,12 @@ def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
 @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
 def test_leslie_stress_stages_mu1_block_bitwise(request, grid_name):
     """With mu1 != 0, leslie_stress staging d(x)d and dd : A itself gives the
-    bundle's sigma bit for bit."""
+    stress from the bundle's dd and dAd bit for bit."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, CASE2_SET, seed=41)
     b = constitutive(st)
-    assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad), b.sigma)
+    assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad),
+                          leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad, b.dd, b.dAd))
 
 
 def _bundle_arrays(b):

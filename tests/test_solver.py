@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -302,6 +303,22 @@ def test_case2_3d_run(grid3d):
         cur, _ = stepper.step_pair(cur)
     assert np.array_equal(cur.u, traj.final_state.u)
     assert np.array_equal(cur.d, traj.final_state.d)
+
+
+def test_run_holds_one_bundle_at_a_time(grid3d):
+    """3D Case 2 (mu1 != 0), 6 steps at cadence 3: the traced peak of run()
+    stays below twice the array bytes of one constitutive bundle, so no step
+    keeps a second bundle, or a bundle's worth of step temporaries, alive."""
+    st = smooth_state(grid3d, CASE2, seed=53)
+    bundle_bytes = sum(v.nbytes for v in vars(constitutive(st)).values()
+                       if isinstance(v, np.ndarray))
+    tracemalloc.start()
+    try:
+        run(st, TimeStepperConfig(dt=1e-3, t_end=6e-3), cadence=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bundle_bytes, peak / bundle_bytes
 
 
 @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
