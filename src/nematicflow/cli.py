@@ -9,6 +9,7 @@ then [diagnostics] output_dir from the config file.
 from __future__ import annotations
 
 import argparse
+import copy
 import ctypes
 import functools
 import json
@@ -18,6 +19,11 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # not on Windows
+    getrusage = None
+
 import numpy as np
 
 from . import __version__
@@ -26,7 +32,7 @@ from .coeffs import validate as validate_coeffs
 from .config import (RunConfig, build_coefficients, build_grid,
                      build_initial_state, build_regularization, build_sampling,
                      build_stepper_config, config_sha256, parse_config,
-                     parse_config_text, serialize_config)
+                     serialize_config)
 from .diagnostics import write_timeseries
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .solver import run as run_solver
@@ -97,19 +103,23 @@ def _fix_malloc_thresholds() -> bool:
         return False
 
 
-def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dict:
-    """Run one configuration, write CSV/manifest/snapshots, return a summary."""
-    _fix_malloc_thresholds()
+def _build_run(cfg: RunConfig) -> tuple:
+    """(coeffs, regime report, grid, stepper config, regularization, cadence,
+    snapshot cadence): all a run can be refused for but its initial state."""
     coeffs = build_coefficients(cfg)
     report = validate_coeffs(coeffs)
     if not report.admissible:
         bad = ", ".join(name for name, _ in report.violations) or "regime conditions"
         raise RegimeError(f"coefficient set is not admissible (failed: {bad})")
-    grid = build_grid(cfg)
+    return (coeffs, report, build_grid(cfg), build_stepper_config(cfg),
+            build_regularization(cfg), *build_sampling(cfg))
+
+
+def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dict:
+    """Run one configuration, write CSV/manifest/snapshots, return a summary."""
+    _fix_malloc_thresholds()
+    coeffs, report, grid, stepper_cfg, reg, cad, snap_cad = _build_run(cfg)
     state0 = build_initial_state(cfg, grid, coeffs)
-    stepper_cfg = build_stepper_config(cfg)
-    reg = build_regularization(cfg)
-    cad, snap_cad = build_sampling(cfg)
     if cadence is not None:
         cad = cadence
 
@@ -151,6 +161,8 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
         "blowup_time": traj.blowup_time,
         "blowup_step": traj.blowup_step,
         "wall_time_s": traj.wall_time,
+        # the process's high-water mark so far; ru_maxrss counts KiB on Linux
+        "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024.0 if getrusage else None,
         "output_dir": outdir,
     }
     with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
@@ -181,15 +193,15 @@ def cmd_run(args) -> int:
 
 def _sweep_member(payload):
     """Worker for parallel sweep members (must be picklable)."""
-    cfg_text, axis, value, outdir = payload
-    cfg = parse_config_text(cfg_text)
-    _apply_axis(cfg, axis, value)
-    summary = _execute_run(cfg, outdir)
+    cfg, axis, value, outdir = payload
+    summary = _execute_run(_member_config(cfg, axis, value), outdir)
     summary["axis_value"] = value
     return summary
 
 
-def _apply_axis(cfg: RunConfig, axis: str, value: float):
+def _member_config(cfg: RunConfig, axis: str, value: float) -> RunConfig:
+    """A copy of the sweep's configuration with one axis set to value."""
+    cfg = copy.deepcopy(cfg)
     if axis == "dt":
         cfg.stepper.dt = float(value)
     elif axis == "M":
@@ -199,6 +211,7 @@ def _apply_axis(cfg: RunConfig, axis: str, value: float):
         cfg.grid.n = int(value)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose dt, M, or n")
+    return cfg
 
 
 def cmd_sweep(args) -> int:
@@ -207,17 +220,16 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     outdir = _resolve_output_dir(args, cfg)
     try:
-        if args.axis == "dt":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        else:
-            values = [int(v) for v in args.values.split(",") if v.strip()]
+        kind = float if args.axis == "dt" else int
+        values = [kind(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         return _fail(f"--values must be a comma-separated list of numbers, got {args.values!r}")
     if not values:
         return _fail("--values is empty")
 
-    cfg_text = serialize_config(cfg)
-    jobs = [(cfg_text, args.axis, v, os.path.join(outdir, member_label(args.axis, v)))
+    for v in values:  # refuse a bad member before any member runs
+        _build_run(_member_config(cfg, args.axis, v))
+    jobs = [(cfg, args.axis, v, os.path.join(outdir, member_label(args.axis, v)))
             for v in values]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
@@ -259,10 +271,7 @@ def cmd_inspect(args) -> int:
     mag = np.sqrt(np.sum(field * field, axis=0))
     info = {
         "path": args.path,
-        "dim": meta["dim"],
-        "n": meta["n"],
-        "ncomp": meta["ncomp"],
-        "time": t,
+        **meta,  # dim, n, ncomp and time
         "l2_norm": float(np.sqrt(np.mean(mag ** 2))),
         "sup_norm": float(mag.max()),
         "component_means": [float(field[c].mean()) for c in range(meta["ncomp"])],

@@ -297,18 +297,12 @@ def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
                 raise ConfigError("[initial_condition] snapshot preset needs u_path and d_path")
             u, t_u, meta_u = load_snapshot(ic.u_path)
             d, t_d, meta_d = load_snapshot(ic.d_path)
-            if meta_u["dim"] != grid.dim or meta_u["n"] != grid.n:
-                raise ConfigError(
-                    f"[initial_condition] u snapshot grid {meta_u['dim']}D n={meta_u['n']} "
-                    f"does not match configured {grid.dim}D n={grid.n}"
-                )
-            if meta_d["dim"] != grid.dim or meta_d["n"] != grid.n:
-                raise ConfigError("[initial_condition] d snapshot grid does not match config")
-            if meta_u["ncomp"] != grid.dim or meta_d["ncomp"] != 3:
-                raise ConfigError(
-                    f"[initial_condition] expected {grid.dim}-component u and 3-component d, "
-                    f"got {meta_u['ncomp']} and {meta_d['ncomp']}"
-                )
+            for name, meta, ncomp in (("u", meta_u, grid.dim), ("d", meta_d, 3)):
+                if (meta["dim"], meta["n"], meta["ncomp"]) != (grid.dim, grid.n, ncomp):
+                    raise ConfigError(
+                        f"[initial_condition] {name} snapshot holds a {meta['ncomp']}-component "
+                        f"{meta['dim']}D n={meta['n']} field, expected {ncomp} components "
+                        f"on the configured {grid.dim}D n={grid.n} grid")
             if t_u != t_d:
                 raise ConfigError(f"[initial_condition] snapshot times differ: {t_u} vs {t_d}")
             time = t_u

@@ -106,7 +106,8 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
 
     n2_N = inner(bundle.N, bundle.N)
     n2_Ad = inner(bundle.Ad, bundle.Ad)
-    d_visc = c.mu4 * inner(bundle.A, bundle.A)
+    G = bundle.grad_u.reshape(g.dim, g.dim, -1)  # ||A||^2 = (<G, G> + <G, G^T>)/2
+    d_visc = c.mu4 * 0.5 * (inner(G, G) + float(np.einsum("ijk,jik->", G, G)) / g.npoints)
     d_mu1 = c.mu1 * inner(bundle.dAd, bundle.dAd) if c.mu1 != 0.0 else 0.0
     d_n = -c.lambda1 * n2_N
     d_ad = (c.mu5 + c.mu6) * n2_Ad

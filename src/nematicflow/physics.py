@@ -21,15 +21,16 @@ here through its constitutive form N = -(lambda2 A d + (Lap d - grad_d W))
 
 Discrete staging rule (load-bearing for the energy identities): N, Ad,
 d(x)d, d.Ad and grad_d W are dealiased BEFORE entering outer products, and
-the state fields are kept band-limited by the solver.  Every field lives in
-physical space once: each product is formed pointwise, transformed forward
-once onto the dealias box, box(band) of spectral.py, where divergence,
-Leray projection and time integration act.  A state the stepper built
-carries the box coefficients of u and d, so they are not transformed
-forward again.  A state built from fields has them on the full half
-spectrum; SpectralGrid.to_box meets the two layouts where they are added.
-With collocation (grid-mean) quadrature the semi-discrete energy law then
-balances to rounding error; see tests.
+the state fields are kept band-limited by the solver.  Ad is staged from
+(G d + G^T d)/2 with G = grad u, and d.Ad from the entries of G, so A is
+never formed.  Every field lives in physical space once: each product is
+formed pointwise, transformed forward once onto the dealias box, box(band)
+of spectral.py, where divergence, Leray projection and time integration
+act.  A state the stepper built carries the box coefficients of u and d,
+so they are not transformed forward again.  A state built from fields has
+them on the full half spectrum; SpectralGrid.to_box meets the two layouts
+where they are added.  With collocation (grid-mean) quadrature the
+semi-discrete energy law then balances to rounding error; see tests.
 """
 
 from __future__ import annotations
@@ -167,24 +168,24 @@ class ConstitutiveBundle:
     Staged (dealiased) quantities: Ad, tension, N, dAd, dd and gradW_hat.
     tension = Lap d - stage(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
     so lambda1 N + lambda2 Ad + tension = 0 holds to rounding by construction.
-    dd and dAd feed only the mu1 terms, so they are None when mu1 = 0.
-    The stresses are not fields of the bundle: the momentum force builds
-    them from these entries in one buffer (see leslie_stress).
+    A and omega are not held: A d = (G d + G^T d)/2 and omega d = G d - A d
+    with G = grad_u.  dd holds d(x)d's distinct entries.  dd and dAd feed
+    only the mu1 terms, so they are None when mu1 = 0.  The stresses are not
+    fields: the momentum force builds them in one buffer (see leslie_stress).
     """
 
     u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
     d_hat: np.ndarray        # coefficients of d: full half spectrum, or box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
-    A: np.ndarray            # symmetric part
-    omega: np.ndarray        # antisymmetric part
     grad_d: np.ndarray       # (dim, 3) + grid
     W_val: np.ndarray        # scalar grid field, pointwise
     gradW_hat: np.ndarray    # stage(grad_d W), box(band)
     Ad: np.ndarray           # stage(A d), 3 components
+    omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
     tension: np.ndarray      # Lap d - stage(grad_d W)
     N: np.ndarray            # co-rotational rate via the constitutive identity
     dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
-    dd: np.ndarray | None    # stage(d(x)d), (dim, dim) + grid block; None when mu1 = 0
+    dd: np.ndarray | None    # stage(d(x)d), (npairs,) + grid, pairs i <= j; None when mu1 = 0
 
 
 def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -194,22 +195,23 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     return g.ifft(g.fft(f, M=g.band))
 
 
-def _stage_dd(g: SpectralGrid, d: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """stage(d(x)d) on the (dim, dim) block, one transform per distinct entry,
-    and stage(dd : A), the contraction summed over the distinct entries of
-    the two symmetric tensors."""
+def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """stage(d(x)d) as its entries i <= j, and stage(dd : A) for A the
+    symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji):
+    for G = A, dd : A bit for bit."""
     pairs = list(_pairs(g.dim))
-    prod = np.empty((len(pairs),) + g.shape)
+    dd = np.empty((len(pairs),) + g.shape)
     for p, (i, j) in enumerate(pairs):
-        np.multiply(d[i], d[j], out=prod[p])
-    dd = np.empty((g.dim, g.dim) + g.shape)
+        np.multiply(d[i], d[j], out=dd[p])
+    dd = _stage(g, dd)
     dAd = np.zeros(g.shape)
     tmp = np.empty(g.shape)
-    for (i, j), staged in zip(pairs, _stage(g, prod)):
-        dd[i, j] = dd[j, i] = staged
-        np.multiply(staged, A[i, j], out=tmp)
-        if i != j:
-            tmp *= 2.0
+    for (i, j), staged in zip(pairs, dd):
+        if i == j:
+            np.multiply(staged, G[i, i], out=tmp)
+        else:
+            np.add(G[i, j], G[j, i], out=tmp)
+            tmp *= staged
         dAd += tmp
     return dd, _stage(g, dAd)
 
@@ -239,30 +241,29 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
 
     u_hat, d_hat = _spectra(state)
     grad_u = g.ifft(g.grad_hat(u_hat))
-    A = np.add(grad_u, grad_u.swapaxes(0, 1))
-    A *= 0.5
-    omega = np.subtract(grad_u, grad_u.swapaxes(0, 1))
-    omega *= 0.5
     grad_d = g.ifft(g.grad_hat(d_hat))
     W_val, gradW = penalty(d, c.epsilon)
     gradW_hat = g.fft(gradW, M=g.band)
+    del gradW
     d_box = g.box_of(d_hat)
     tension = g.ifft(-d_box.ksq * d_hat - g.to_box(gradW_hat, d_box.M))
 
-    Ad = mat_vec_director(A, d)
+    omega_d = mat_vec_director(grad_u, d)  # G d
+    Ad = mat_vec_director(grad_u.swapaxes(0, 1), d)  # G^T d
+    Ad += omega_d
+    Ad *= 0.5  # A d = (G d + G^T d)/2
+    omega_d -= Ad  # omega d = G d - A d
     Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
     N = np.multiply(Ad, c.lambda2)
     N += tension
     N /= -c.lambda1
     dd = dAd = None
     if c.mu1 != 0.0:
-        dd, dAd = _stage_dd(g, d, A)
+        dd, dAd = _stage_dd(g, d, grad_u)
 
-    return ConstitutiveBundle(
-        u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, A=A, omega=omega,
-        grad_d=grad_d, W_val=W_val, gradW_hat=gradW_hat, Ad=Ad,
-        tension=tension, N=N, dAd=dAd, dd=dd,
-    )
+    return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
+                              W_val=W_val, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
+                              tension=tension, N=N, dAd=dAd, dd=dd)
 
 
 def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
@@ -272,10 +273,10 @@ def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
 
         sigma = mu4 A + mu1 dAd dd + mu2 N(x)d + mu3 d(x)N + mu5 Ad(x)d + mu6 d(x)Ad
 
-    The mu1 term is skipped when mu1 = 0; otherwise dd = stage(d(x)d) and
-    dAd = stage(dd : A) are staged here unless given.  The result is not
-    staged again.  The reference form: the momentum force writes the same
-    entries, without mu4 A, into its stress buffer.
+    The mu1 term is skipped when mu1 = 0; otherwise dd = stage(d(x)d), its
+    entries i <= j, and dAd = stage(dd : A) are staged here unless given.
+    The result is not staged again.  The reference form: the momentum force
+    writes the same entries, without mu4 A, into its stress buffer.
     """
     if c.mu1 != 0.0 and (dd is None or dAd is None):
         dd, dAd = _stage_dd(grid, d, A)
@@ -289,19 +290,22 @@ def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.
                     out: np.ndarray) -> np.ndarray:
     """out[i, j] = (mu2 N + mu5 Ad)_i d_j + d_i (mu3 N + mu6 Ad)_j
     + mu1 dAd dd_ij, the Leslie stress without its mu4 A part; the mu1 term
-    only when mu1 != 0."""
+    only when mu1 != 0, from dd's entry of the pair i <= j."""
     dim = out.shape[0]
     left = c.mu2 * N[:dim]     # (.)(x)d terms
     left += c.mu5 * Ad[:dim]
     right = c.mu3 * N[:dim]    # d(x)(.) terms
     right += c.mu6 * Ad[:dim]
-    w = c.mu1 * dAd if c.mu1 != 0.0 else None
     tmp = np.empty(out.shape[2:])
     for i, j in np.ndindex(dim, dim):
         entry = np.multiply(left[i], d[j], out=out[i, j])
         entry += np.multiply(d[i], right[j], out=tmp)
-        if w is not None:
-            entry += np.multiply(w, dd[i, j], out=tmp)
+    if c.mu1 != 0.0:
+        w = c.mu1 * dAd
+        for (i, j), dd_ij in zip(_pairs(dim), dd):
+            out[i, j] += np.multiply(w, dd_ij, out=tmp)
+            if i != j:
+                out[j, i] += tmp
     return out
 
 
@@ -312,11 +316,10 @@ def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.nda
     """
     g = state.grid
     c = state.coeffs
-    ratio = c.lambda2 / c.lambda1
-    f = mat_vec_director(bundle.omega, state.d)
+    f = np.multiply(bundle.Ad, c.lambda2 / c.lambda1)
+    np.subtract(bundle.omega_d, f, out=f)
     tmp = np.empty(g.shape)
     for k in range(3):
-        f[k] -= np.multiply(bundle.Ad[k], ratio, out=tmp)
         for i in range(g.dim):
             f[k] -= np.multiply(state.u[i], bundle.grad_d[i, k], out=tmp)
     f_hat = g.fft(f, M=g.band)
@@ -380,6 +383,8 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
         u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
         for i, j in np.ndindex(g.dim, g.dim):
             stress[i, j] -= np.multiply(u_M[i], u[j], out=tmp)
+        del flux, u_M
+    del e, tmp  # freed before the transform, where the force peaks
     return g.div_hat(g.fft(stress, M=g.band))
 
 

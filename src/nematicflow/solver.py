@@ -54,6 +54,14 @@ class TimeStepperConfig:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.max_vorticity_sup is not None and not self.max_vorticity_sup > 0.0:
             raise ParameterError("max_vorticity_sup must be positive when set")
+        self.n_steps()
+
+    def n_steps(self) -> int:
+        """The number of steps to t_end, which must be an integer multiple of dt."""
+        n = int(round(self.t_end / self.dt))
+        if abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
+            raise ParameterError(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
+        return n
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -194,12 +202,7 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     """
     if cadence < 1:
         raise ParameterError(f"cadence must be >= 1, got {cadence}")
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt)) if cfg.t_end > 0.0 else 0
-    if cfg.t_end > 0.0 and abs(n_steps * dt - cfg.t_end) > 1e-9 * max(dt, cfg.t_end):
-        raise ParameterError(
-            f"t_end={cfg.t_end} is not an integer multiple of dt={dt}"
-        )
+    n_steps = cfg.n_steps()
 
     t0 = _time.perf_counter()
     stepper = Stepper(initial.grid, initial.coeffs, cfg, reg)

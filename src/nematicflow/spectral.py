@@ -128,8 +128,12 @@ class SpectralGrid:
         self.hshape = (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
         self.npoints = self.n ** self.dim
         self.band = self.n // 3
-        self._kf = np.fft.fftfreq(self.n, d=1.0 / self.n)   # integers as floats
-        self._kr = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # last axis: 0..n/2
+        # numpy's fftfreq/rfftfreq order as floats, built without numpy.fft:
+        # numpy imports it on first use, and a sweep builds each member's
+        # grid to check it in a process that transforms nothing
+        k = np.arange(self.n, dtype=np.float64)
+        self._kf = np.where(k < self.n // 2, k, k - self.n)
+        self._kr = k[: self.n // 2 + 1]  # last axis: 0..n/2
         self._boxes: dict[int, _Box] = {}
 
     # -- box layouts -----------------------------------------------------------
@@ -377,8 +381,8 @@ class SpectralGrid:
     def sup_norm_unchecked(self, f: np.ndarray) -> float:
         if f.ndim == self.dim:
             return float(np.abs(f).max())
-        mag2 = np.sum(f * f, axis=tuple(range(f.ndim - self.dim)))
-        return float(np.sqrt(mag2.max()))
+        f = f.reshape((-1,) + f.shape[-self.dim:])
+        return float(np.sqrt(np.einsum("i...,i...->...", f, f).max()))
 
 
 def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.random.Generator) -> np.ndarray:

@@ -305,6 +305,7 @@ class TestRunCommand:
         assert manifest["blown_up"] is False
         assert manifest["final_E_total"] == 0.0
         assert manifest["config_sha256"] == config_sha256(parse_config_text(ALPHA_CFG))
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
         assert "final E_total" in capsys.readouterr().out
 
     def test_determinism_bitwise(self, cfg_file, tmp_path):
@@ -420,6 +421,21 @@ class TestSweepCommand:
         rows = (outdir / "sweep_summary.csv").read_text().splitlines()
         assert rows[0].startswith("member,axis,value")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("n", "16,12", "[grid] n must be a power of two >= 8, got 12"),
+        ("dt", "0.001,0.002", "[stepper] t_end=0.005 is not an integer multiple of dt=0.002"),
+    ], ids=["n", "dt"])
+    def test_bad_member_fails_before_any_member_runs(self, cfg_file, tmp_path, capsys,
+                                                     axis, values, message):
+        """A member that its configuration refuses ends the sweep with exit 1
+        before the first member runs: no member directory, no summary."""
+        outdir = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", axis,
+                   "--values", values, "--output-dir", str(outdir)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
 
     def test_bad_values(self, cfg_file, capsys):
         rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", "dt",

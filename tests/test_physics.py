@@ -8,6 +8,7 @@ from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
                          TimeStepperConfig, channels, constitutive, director_rhs,
                          ericksen_stress, from_alpha, leslie_stress,
                          momentum_rhs, penalty)
+from nematicflow import physics
 from nematicflow.physics import _momentum_force_hat, _visco_flux, mat_vec_director
 
 from conftest import _full_transform_reference, smooth_state
@@ -75,12 +76,26 @@ def test_constitutive_requires_negative_lambda1(grid2d):
         constitutive(st)
 
 
-def test_omega_antisymmetric_bitwise(grid2d, alpha_one):
-    st = smooth_state(grid2d, alpha_one, seed=4)
-    b = constitutive(st)
-    assert np.max(np.abs(b.omega + b.omega.swapaxes(0, 1))) == 0.0
-    assert np.max(np.abs(b.A - b.A.swapaxes(0, 1))) == 0.0
-    assert np.max(np.abs(b.A + b.omega - b.grad_u)) < 1e-15
+def test_omega_antisymmetric_bitwise(monkeypatch, grid2d, grid3d, alpha_one):
+    """The bundle's omega d and, with staging switched off, its A d are the
+    antisymmetric and symmetric parts of grid.gradient(u) applied to d, to
+    rounding in 2D and 3D; in 2D both third components are exactly zero."""
+    monkeypatch.setattr(physics, "_stage", lambda g, f: f)
+    for grid in (grid2d, grid3d):
+        st = smooth_state(grid, alpha_one, seed=4)
+        b = constitutive(st)
+        G = grid.gradient(st.u)
+        A, omega = 0.5 * (G + G.swapaxes(0, 1)), 0.5 * (G - G.swapaxes(0, 1))
+        for got, want in ((b.omega_d, mat_vec_director(omega, st.d)),
+                          (b.Ad, mat_vec_director(A, st.d))):
+            assert np.abs(got - want).max() <= 1e-12, grid.dim
+        if grid.dim == 2:
+            assert not b.omega_d[2].any() and not b.Ad[2].any()
+
+
+def _strain(b):
+    """A for leslie_stress: the symmetric part of the bundle's grad u."""
+    return 0.5 * (b.grad_u + b.grad_u.swapaxes(0, 1))
 
 
 def test_leslie_stress_constant_fields(grid2d):
@@ -108,7 +123,9 @@ def _reference_force_hat(st, b, reg):
     leslie_stress - mu4 A - ericksen_stress - u (x) u, or with the
     regularised scheme's advecting [u]_M and monitor flux."""
     g, c, u = st.grid, st.coeffs, st.u
-    stress = leslie_stress(g, c, st.d, b.A, b.N, b.Ad) - c.mu4 * b.A - ericksen_stress(b.grad_d)
+    A = _strain(b)
+    stress = (leslie_stress(g, c, st.d, A, b.N, b.Ad, b.dd, b.dAd) - c.mu4 * A
+              - ericksen_stress(b.grad_d))
     if reg is None:
         stress -= np.einsum("i...,j...->ij...", u, u)
     else:
@@ -227,7 +244,7 @@ def test_constitutive_3d(grid3d):
     b = constitutive(st)
     resid = c.lambda1 * b.N + c.lambda2 * b.Ad + b.tension
     assert grid3d.sup_norm(resid) < 1e-12
-    assert leslie_stress(grid3d, c, st.d, b.A, b.N, b.Ad).shape == (3, 3) + grid3d.shape
+    assert leslie_stress(grid3d, c, st.d, _strain(b), b.N, b.Ad).shape == (3, 3) + grid3d.shape
     rhs = momentum_rhs(st)
     assert grid3d.sup_norm(grid3d.divergence(rhs)) < 1e-9
 
@@ -281,19 +298,34 @@ def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
         assert b.dd is None and b.dAd is None
         assert channels(st, b).D_mu1 == 0.0
     else:
-        assert b.dd.shape == (grid.dim, grid.dim) + grid.shape
+        assert b.dd.shape == (grid.dim * (grid.dim + 1) // 2,) + grid.shape
         assert channels(st, b).D_mu1 > 0.0
+
+
+@pytest.mark.parametrize("grid_name, fields", [("grid2d", 27), ("grid3d", 38)])
+def test_bundle_holds_each_field_once(request, grid_name, fields):
+    """A Case 2 bundle holds grad u, grad d, W, Ad, omega d, the tension, N,
+    the distinct entries of d(x)d and dAd as real grid fields, once each:
+    dim^2 + 3 dim + 1 + 4*3 + npairs + 1, with no A, omega or full dd block."""
+    grid = request.getfixturevalue(grid_name)
+    b = constitutive(smooth_state(grid, CASE2_SET, seed=39))
+    npairs = grid.dim * (grid.dim + 1) // 2
+    assert grid.dim ** 2 + 3 * grid.dim + 1 + 4 * 3 + npairs + 1 == fields
+    real = sum(v.size for v in _bundle_arrays(b).values() if not np.iscomplexobj(v))
+    assert real == fields * grid.npoints
 
 
 @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
 def test_leslie_stress_stages_mu1_block_bitwise(request, grid_name):
-    """With mu1 != 0, leslie_stress staging d(x)d and dd : A itself gives the
-    stress from the bundle's dd and dAd bit for bit."""
+    """With mu1 != 0, leslie_stress staging d(x)d and dd : A itself from A
+    gives the stress from the bundle's dd and dAd, contracted from grad u,
+    bit for bit."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, CASE2_SET, seed=41)
     b = constitutive(st)
-    assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad),
-                          leslie_stress(grid, CASE2_SET, st.d, b.A, b.N, b.Ad, b.dd, b.dAd))
+    A = _strain(b)
+    assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, A, b.N, b.Ad),
+                          leslie_stress(grid, CASE2_SET, st.d, A, b.N, b.Ad, b.dd, b.dAd))
 
 
 def _bundle_arrays(b):

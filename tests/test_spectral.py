@@ -5,14 +5,18 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nematicflow import FieldState, ParameterError, SpectralGrid, constitutive
+import nematicflow
+from nematicflow import FieldState, ParameterError, SpectralGrid, constitutive, physics
 from nematicflow.spectral import (SNAPSHOT_MAGIC, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
@@ -26,6 +30,21 @@ TWO_PI = 2.0 * np.pi
 def test_grid_rejects_bad_shapes(dim, n):
     with pytest.raises(ParameterError):
         SpectralGrid(dim, n)
+
+
+def test_grid_construction_leaves_numpy_fft_unloaded():
+    """Building a grid imports no numpy.fft, which numpy loads on first use:
+    a sweep builds every member's grid in its parent process, which
+    transforms nothing, and the import would add about 0.4 MB to that
+    process's peak RSS.  The wavenumbers keep numpy's fftfreq bits."""
+    code = ("import sys; from nematicflow import SpectralGrid; g = SpectralGrid(3, 32); "
+            "print('numpy.fft' in sys.modules); import numpy as np; "
+            "print(g._kf.tobytes() == np.fft.fftfreq(32, 1 / 32).tobytes(), "
+            "g._kr.tobytes() == np.fft.rfftfreq(32, 1 / 32).tobytes())")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nematicflow.__file__))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True", "True"]
 
 
 def test_grid_band_is_third(grid2d, grid3d):
@@ -187,6 +206,25 @@ def test_l2_and_sup_norms(grid2d):
     assert grid2d.sup_norm(v) == pytest.approx(5.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("lead, dim, n", [((2, 3), 2, 64), ((2, 2), 2, 64),
+                                          ((3, 3), 3, 32), ((2, 2), 2, 128)])
+def test_sup_norm_matches_summed_squares_within_two_fields(lead, dim, n):
+    """The multi-component sup norm gives the bits of summing the squared
+    components over the leading axes, and allocates at most two grid fields
+    where that formula allocated the whole squared tensor."""
+    g = SpectralGrid(dim, n)
+    f = np.random.default_rng(n + dim).standard_normal(lead + g.shape)
+    want = float(np.sqrt(np.sum(f * f, axis=tuple(range(len(lead)))).max()))
+    tracemalloc.start()
+    try:
+        got = g.sup_norm_unchecked(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 2 * 8 * g.npoints, peak / (8 * g.npoints)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["l2_inner", "l2_norm", "sup_norm", "mean"])
 def test_quadrature_rejects_non_finite(grid2d, name, bad):
@@ -214,19 +252,21 @@ def test_mean_is_scalar_only(grid2d):
     assert grid2d.mean(v[0]) == 1.0
 
 
-def test_strain_vorticity_decomposition(grid2d, alpha_one):
-    """The bundle's A and omega split the grid's gradient of u."""
+def test_strain_vorticity_decomposition(monkeypatch, grid2d, alpha_one):
+    """The bundle's omega d and, unstaged, its A d are the antisymmetric and
+    symmetric parts of the grid's gradient of u applied to a tilted d."""
+    monkeypatch.setattr(physics, "_stage", lambda g, f: f)
     rng = np.random.default_rng(13)
     u = grid2d.leray(rng.standard_normal((2,) + grid2d.shape))
     d = np.zeros((3,) + grid2d.shape)
     d[2] = 1.0
+    d += random_band_limited(grid2d, 3, 4, rng)
     bundle = constitutive(FieldState(grid=grid2d, coeffs=alpha_one,
                                      time=0.0, u=u, d=d))
-    A, W = bundle.A, bundle.omega
     G = grid2d.gradient(u)
-    assert np.max(np.abs(A + W - G)) < 1e-12
-    assert np.max(np.abs(A - A.swapaxes(0, 1))) == 0.0
-    assert np.max(np.abs(W + W.swapaxes(0, 1))) == 0.0
+    A, W = 0.5 * (G + G.swapaxes(0, 1)), 0.5 * (G - G.swapaxes(0, 1))
+    assert np.max(np.abs(bundle.omega_d - physics.mat_vec_director(W, d))) < 1e-12
+    assert np.max(np.abs(bundle.Ad - physics.mat_vec_director(A, d))) < 1e-12
 
 
 def test_random_band_limited(grid2d):
