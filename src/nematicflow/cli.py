@@ -36,7 +36,7 @@ from .config import (RunConfig, build_coefficients, build_grid,
 from .diagnostics import write_timeseries
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .solver import run as run_solver
-from .spectral import load_snapshot, save_snapshot
+from .spectral import _sum_squares, load_snapshot, save_snapshot
 
 
 def member_label(axis: str, value) -> str:
@@ -227,10 +227,12 @@ def cmd_sweep(args) -> int:
     if not values:
         return _fail("--values is empty")
 
+    labels = [member_label(args.axis, v) for v in values]
+    if len(set(labels)) < len(labels):  # two members would write one directory
+        return _fail(f"sweep members must have distinct directory names, got {labels}")
     for v in values:  # refuse a bad member before any member runs
         _build_run(_member_config(cfg, args.axis, v))
-    jobs = [(cfg, args.axis, v, os.path.join(outdir, member_label(args.axis, v)))
-            for v in values]
+    jobs = [(cfg, args.axis, v, os.path.join(outdir, label)) for v, label in zip(values, labels)]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             summaries = list(pool.map(_sweep_member, jobs))
@@ -241,8 +243,7 @@ def cmd_sweep(args) -> int:
     lines = ["member,axis,value,final_E_total,max_abs_residual_general,"
              "max_abs_residual_case1,blown_up,wall_time_s"]
     print(f"{'member':<16} {'value':>12} {'final E':>18} {'max|res_case1|':>16} blown_up")
-    for v, s in zip(values, summaries):
-        label = member_label(args.axis, v)
+    for v, label, s in zip(values, labels, summaries):
         lines.append(",".join([
             label, args.axis, format(float(v), ".17g"),
             _num(s["final_E_total"], ".17g"),
@@ -268,7 +269,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     field, t, meta = load_snapshot(args.path)
-    mag = np.sqrt(np.sum(field * field, axis=0))
+    mag = np.sqrt(_sum_squares(field, meta["dim"]))
     info = {
         "path": args.path,
         **meta,  # dim, n, ncomp and time

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ParameterError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig, _spectra,
                       constitutive, penalty)
+from .spectral import _sum_squares
 
 CSV_COLUMNS = (
     "time", "E_total", "E_kinetic", "E_elastic", "E_penalty",
@@ -69,18 +70,19 @@ class EnergyReport:
 
 
 def _energies(g, u: np.ndarray, grad_d: np.ndarray,
-              W: np.ndarray) -> tuple[float, float, float, float]:
-    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature of finite fields."""
+              ep: float) -> tuple[float, float, float, float]:
+    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature of finite
+    fields; ep is E_penalty = int W(d)."""
     ek = 0.5 * g.l2_inner_unchecked(u, u)
     ee = 0.5 * g.l2_inner_unchecked(grad_d, grad_d)
-    ep = g.mean_unchecked(W)
     return ek, ee, ep, ek + ee + ep
 
 
 def energies(state: FieldState) -> tuple[float, float, float, float]:
     """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature."""
     W, _ = penalty(state.d, state.coeffs.epsilon)
-    return _energies(state.grid, state.u, state.grid.gradient(state.d), W)
+    return _energies(state.grid, state.u, state.grid.gradient(state.d),
+                     state.grid.mean_unchecked(W))
 
 
 def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
@@ -102,7 +104,7 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
         bundle = constitutive(state)
     inner = g.l2_inner_unchecked  # FieldState validates u and d; the bundle derives from them
 
-    ek, ee, ep, et = _energies(g, state.u, bundle.grad_d, bundle.W_val)
+    ek, ee, ep, et = _energies(g, state.u, bundle.grad_d, bundle.E_penalty)
 
     n2_N = inner(bundle.N, bundle.N)
     n2_Ad = inner(bundle.Ad, bundle.Ad)
@@ -117,8 +119,7 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
 
     d_reg = 0.0
     if reg is not None:
-        mag2 = np.sum(bundle.grad_u * bundle.grad_u, axis=(0, 1))
-        d_reg = float(np.mean(mag2 ** (0.5 * reg.r))) / float(reg.M)
+        d_reg = g.mean_unchecked(_sum_squares(bundle.grad_u, g.dim) ** (0.5 * reg.r)) / reg.M
 
     return EnergyReport(
         time=state.time, E_total=et, E_kinetic=ek, E_elastic=ee,

@@ -42,7 +42,7 @@ import numpy as np
 
 from .coeffs import LeslieCoefficients
 from .errors import ParameterError, RegimeError
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, _sum_squares
 
 
 @dataclass
@@ -87,7 +87,7 @@ def penalty(d: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise W(d) = (|d|^2-1)^2/(4 eps^2) and grad_d W = (|d|^2-1) d / eps^2."""
     if epsilon <= 0.0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    s = np.sum(d * d, axis=0) - 1.0
+    s = _sum_squares(d, d.ndim - 1) - 1.0
     W = s * s / (4.0 * epsilon ** 2)
     gradW = (s / epsilon ** 2) * d
     return W, gradW
@@ -99,23 +99,9 @@ def _pairs(dim: int):
     return combinations_with_replacement(range(dim), 2)
 
 
-def _ericksen_entry(grad_d: np.ndarray, i: int, j: int,
-                    out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = sum_c d_i(d_c) d_j(d_c), entry (i, j) of the Ericksen stress;
-    tmp is scratch of the same grid shape."""
-    np.multiply(grad_d[i, 0], grad_d[j, 0], out=out)
-    for c in range(1, grad_d.shape[1]):
-        out += np.multiply(grad_d[i, c], grad_d[j, c], out=tmp)
-
-
 def ericksen_stress(grad_d: np.ndarray) -> np.ndarray:
     """(grad d o grad d)_ij = sum_c d_i(d_c) d_j(d_c), pointwise, symmetric."""
-    dim = grad_d.shape[0]
-    out = np.empty((dim, dim) + grad_d.shape[2:])
-    tmp = np.empty(grad_d.shape[2:])
-    for i, j in np.ndindex(dim, dim):
-        _ericksen_entry(grad_d, i, j, out[i, j], tmp)
-    return out
+    return np.einsum("ic...,jc...->ij...", grad_d, grad_d)
 
 
 def mat_vec_director(M: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -126,11 +112,7 @@ def mat_vec_director(M: np.ndarray, d: np.ndarray) -> np.ndarray:
     """
     dim = M.shape[0]
     out = np.empty((3,) + M.shape[2:])
-    tmp = np.empty(M.shape[2:])
-    for i in range(dim):
-        np.multiply(M[i, 0], d[0], out=out[i])
-        for j in range(1, dim):
-            out[i] += np.multiply(M[i, j], d[j], out=tmp)
+    np.einsum("ij...,j...->i...", M, d[:dim], out=out[:dim])
     out[dim:] = 0.0
     return out
 
@@ -150,6 +132,9 @@ class RegularizationConfig:
     N_modes: int | None = None
 
     def __post_init__(self):
+        for name, v in (("M", self.M), ("N_modes", self.N_modes)):
+            if v is not None and not isinstance(v, (int, np.integer)):
+                raise ParameterError(f"regularization {name} must be an integer, got {v!r}")
         if self.M < 1:
             raise ParameterError(f"regularization M must be >= 1, got {self.M}")
         if not self.r > 10.0 / 3.0:
@@ -178,7 +163,7 @@ class ConstitutiveBundle:
     d_hat: np.ndarray        # coefficients of d: full half spectrum, or box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
-    W_val: np.ndarray        # scalar grid field, pointwise
+    E_penalty: float         # int W(d), the grid mean of the penalty density
     gradW_hat: np.ndarray    # stage(grad_d W), box(band)
     Ad: np.ndarray           # stage(A d), 3 components
     omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
@@ -242,9 +227,10 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     u_hat, d_hat = _spectra(state)
     grad_u = g.ifft(g.grad_hat(u_hat))
     grad_d = g.ifft(g.grad_hat(d_hat))
-    W_val, gradW = penalty(d, c.epsilon)
+    W, gradW = penalty(d, c.epsilon)
+    E_penalty = g.mean_unchecked(W)
     gradW_hat = g.fft(gradW, M=g.band)
-    del gradW
+    del W, gradW
     d_box = g.box_of(d_hat)
     tension = g.ifft(-d_box.ksq * d_hat - g.to_box(gradW_hat, d_box.M))
 
@@ -262,7 +248,7 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         dd, dAd = _stage_dd(g, d, grad_u)
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
-                              W_val=W_val, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
+                              E_penalty=E_penalty, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
                               tension=tension, N=N, dAd=dAd, dd=dd)
 
 
@@ -348,8 +334,8 @@ def _ifft_sum(g: SpectralGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarr
 
 
 def _visco_flux(grad_u: np.ndarray, r: float) -> np.ndarray:
-    mag2 = np.sum(grad_u * grad_u, axis=(0, 1))
-    return mag2 ** (0.5 * (r - 2.0)) * grad_u
+    w = _sum_squares(grad_u, grad_u.ndim - 2)
+    return np.power(w, 0.5 * (r - 2.0), out=w) * grad_u
 
 
 def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
@@ -370,7 +356,7 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
                              bundle.dAd, np.empty((g.dim, g.dim) + g.shape))
     e, tmp = np.empty(g.shape), np.empty(g.shape)
     for i, j in _pairs(g.dim):
-        _ericksen_entry(bundle.grad_d, i, j, e, tmp)
+        np.einsum("c...,c...->...", bundle.grad_d[i], bundle.grad_d[j], out=e)
         if reg is None:
             e += np.multiply(u[i], u[j], out=tmp)
         stress[i, j] -= e

@@ -381,8 +381,13 @@ class SpectralGrid:
     def sup_norm_unchecked(self, f: np.ndarray) -> float:
         if f.ndim == self.dim:
             return float(np.abs(f).max())
-        f = f.reshape((-1,) + f.shape[-self.dim:])
-        return float(np.sqrt(np.einsum("i...,i...->...", f, f).max()))
+        return float(np.sqrt(_sum_squares(f, self.dim).max()))
+
+
+def _sum_squares(f: np.ndarray, ndim: int) -> np.ndarray:
+    """Pointwise sum of f*f over all but the last ndim (grid) axes, with no squared temporary."""
+    f = f.reshape((-1,) + f.shape[f.ndim - ndim:])
+    return np.einsum("i...,i...->...", f, f)
 
 
 def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.random.Generator) -> np.ndarray:
@@ -395,13 +400,11 @@ def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.rando
         raise ParameterError(f"kmax must be in [1, {grid.band}], got {kmax}")
     f = rng.standard_normal((ncomp,) + grid.shape)
     f = grid.ifft(grid.fft(f, M=kmax))
-    peak = np.sqrt(np.sum(f * f, axis=0).max())
+    peak = np.sqrt(_sum_squares(f, grid.dim).max())
     if peak == 0.0:
         raise ParameterError("degenerate random draw, zero field")
     f /= peak
     return f
-
-
 
 
 # -- snapshots: raw little-endian float64 with a fixed 32-byte header ----------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,16 @@ from nematicflow.spectral import random_band_limited
 # test_acceptance appends one line per criterion; echoed after the run so the
 # verdicts survive pytest's output capture.
 ACCEPTANCE_LINES = []
+
+
+def pytest_collection_modifyitems(items):
+    """Every test under tests/ turns warnings into errors: a kernel that starts
+    to overflow or to drop an imaginary part fails instead of warning.  The
+    mark goes first, so a test's own filterwarnings marks still win."""
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -437,6 +437,20 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("values", ["0.001,1e-3", "0.001,0.001000000000001"],
+                             ids=["equal", "same-label"])
+    def test_members_sharing_a_directory_fail_before_any_member_runs(
+            self, cfg_file, tmp_path, capsys, values):
+        """Two values whose member directories would be the same one end the
+        sweep with exit 1 before any member runs, also on a process pool."""
+        outdir = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", "dt",
+                   "--values", values, "--threads", "2", "--output-dir", str(outdir)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: sweep members must have distinct "
+                                           "directory names, got ['dt_0p001', 'dt_0p001']\n")
+        assert not outdir.exists()
+
     def test_bad_values(self, cfg_file, capsys):
         rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", "dt",
                    "--values", "abc"])

@@ -1,5 +1,7 @@
 """Constitutive assembly: penalty, Leslie stress, and the right-hand sides."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,49 @@ def test_mat_vec_director_2d_embeds():
     assert np.all(out[0] == 2.0)  # M_01 d_1
     assert np.all(out[1] == 0.0)
     assert np.all(out[2] == 0.0)  # the in-plane tensor never tilts d_3
+
+
+def _traced(kernel, *args):
+    """(kernel(*args), the traced peak of the call in bytes)."""
+    tracemalloc.start()
+    try:
+        out = kernel(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (2, 128), (3, 32)])
+def test_contraction_kernels_match_loops_bitwise(dim, n):
+    """mat_vec_director (of G and of the view G^T) and every entry of
+    ericksen_stress give the bytes of the per-entry multiply-and-add loops,
+    summing in index order, and each allocates at most its output plus one
+    grid field."""
+    shape = (n,) * dim
+    rng = np.random.default_rng(n + dim)
+    G = rng.standard_normal((dim, dim) + shape)
+    d = rng.standard_normal((3,) + shape)
+    grad_d = rng.standard_normal((dim, 3) + shape)
+    field = 8 * n ** dim
+
+    for M in (G, G.swapaxes(0, 1)):
+        want = np.zeros((3,) + shape)
+        for i in range(dim):
+            want[i] = M[i, 0] * d[0]
+            for j in range(1, dim):
+                want[i] += M[i, j] * d[j]
+        got, peak = _traced(mat_vec_director, M, d)
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 4 * field, peak / field  # 3 components
+
+    got, peak = _traced(ericksen_stress, grad_d)
+    for i, j in np.ndindex(dim, dim):
+        want = grad_d[i, 0] * grad_d[j, 0]
+        for c in range(1, 3):
+            want += grad_d[i, c] * grad_d[j, c]
+        assert got[i, j].tobytes() == want.tobytes(), (i, j)
+    assert peak <= (dim * dim + 1) * field, peak / field
 
 
 def test_constitutive_identity(grid2d, alpha_one):
@@ -202,7 +247,11 @@ def test_regularization_config_validation():
         RegularizationConfig(r=3.0)  # must exceed 10/3
     with pytest.raises(ParameterError):
         RegularizationConfig(M=16, N_modes=8)
+    for bad in ({"M": 2.5}, {"N_modes": 8.5}):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            RegularizationConfig(**bad)
     RegularizationConfig(M=8, r=4.0, N_modes=8)
+    RegularizationConfig(M=np.int64(4), N_modes=np.int64(8))
 
 
 def test_visco_flux_constant_gradient(grid2d):
@@ -302,17 +351,21 @@ def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
         assert channels(st, b).D_mu1 > 0.0
 
 
-@pytest.mark.parametrize("grid_name, fields", [("grid2d", 27), ("grid3d", 38)])
+@pytest.mark.parametrize("grid_name, fields", [("grid2d", 26), ("grid3d", 37)])
 def test_bundle_holds_each_field_once(request, grid_name, fields):
-    """A Case 2 bundle holds grad u, grad d, W, Ad, omega d, the tension, N,
-    the distinct entries of d(x)d and dAd as real grid fields, once each:
-    dim^2 + 3 dim + 1 + 4*3 + npairs + 1, with no A, omega or full dd block."""
+    """A Case 2 bundle holds grad u, grad d, Ad, omega d, the tension, N, the
+    distinct entries of d(x)d and dAd as real grid fields, once each:
+    dim^2 + 3 dim + 4*3 + npairs + 1, with no A, omega or full dd block.
+    The penalty energy is a number, the mean of W(d), bit for bit."""
     grid = request.getfixturevalue(grid_name)
-    b = constitutive(smooth_state(grid, CASE2_SET, seed=39))
+    st = smooth_state(grid, CASE2_SET, seed=39)
+    b = constitutive(st)
     npairs = grid.dim * (grid.dim + 1) // 2
-    assert grid.dim ** 2 + 3 * grid.dim + 1 + 4 * 3 + npairs + 1 == fields
+    assert grid.dim ** 2 + 3 * grid.dim + 4 * 3 + npairs + 1 == fields
     real = sum(v.size for v in _bundle_arrays(b).values() if not np.iscomplexobj(v))
     assert real == fields * grid.npoints
+    assert type(b.E_penalty) is float
+    assert b.E_penalty == float(penalty(st.d, CASE2_SET.epsilon)[0].mean())
 
 
 @pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nematicflow
 from nematicflow import FieldState, ParameterError, SpectralGrid, constitutive, physics
-from nematicflow.spectral import (SNAPSHOT_MAGIC, load_snapshot,
+from nematicflow.spectral import (SNAPSHOT_MAGIC, _sum_squares, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
 
@@ -223,6 +223,25 @@ def test_sup_norm_matches_summed_squares_within_two_fields(lead, dim, n):
         tracemalloc.stop()
     assert got == want
     assert peak <= 2 * 8 * g.npoints, peak / (8 * g.npoints)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("dim, n", [(2, 64), (2, 128), (3, 32)])
+def test_sum_squares_matches_summed_products_bitwise(dim, n, lead):
+    """The squared-magnitude kernel gives the bytes of np.sum(f * f) over the
+    leading axes, for every component layout the package sums over, and
+    allocates at most its output plus one grid field."""
+    shape = (n,) * dim
+    f = np.random.default_rng(n + len(lead)).standard_normal(lead + shape)
+    want = np.sum(f * f, axis=tuple(range(len(lead))))
+    tracemalloc.start()
+    try:
+        got = _sum_squares(f, dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+    assert peak <= 2 * got.nbytes, peak / got.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
