@@ -9,8 +9,7 @@ from .diagnostics import (BlowupMonitorState, EnergyReport,
                           quantity_A, quantity_Ys, write_timeseries)
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      constitutive, director_rhs, ericksen_stress,
-                      leslie_stress, momentum_rhs, penalty)
+                      constitutive, director_rhs, momentum_rhs, penalty)
 from .solver import (Stepper, TimeStepperConfig, Trajectory,
                      reconstruct_pressure, run, step)
 from .spectral import (SpectralGrid, load_snapshot, random_band_limited,
@@ -22,8 +21,8 @@ __all__ = [
     "ParameterError", "RegimeError", "RegimeReport", "RegularizationConfig",
     "SpectralGrid", "Stepper", "TimeStepperConfig", "Trajectory",
     "case2_lower_bound_check", "channels", "constitutive",
-    "director_rhs", "dissipation_form", "energy_law_audit", "ericksen_stress",
-    "eta_margin", "from_alpha", "leslie_stress", "load_snapshot",
+    "director_rhs", "dissipation_form", "energy_law_audit",
+    "eta_margin", "from_alpha", "load_snapshot",
     "momentum_rhs", "penalty", "quantity_A", "quantity_Ys",
     "random_band_limited", "reconstruct_pressure", "run", "save_snapshot",
     "step", "validate", "write_timeseries",

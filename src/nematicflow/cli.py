@@ -269,12 +269,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     field, t, meta = load_snapshot(args.path)
-    mag = np.sqrt(_sum_squares(field, meta["dim"]))
+    sq = _sum_squares(field, meta["dim"])  # |field|^2, pointwise
     info = {
         "path": args.path,
         **meta,  # dim, n, ncomp and time
-        "l2_norm": float(np.sqrt(np.mean(mag ** 2))),
-        "sup_norm": float(mag.max()),
+        "l2_norm": float(np.sqrt(np.mean(sq))),
+        "sup_norm": float(np.sqrt(sq.max())),
         "component_means": [float(field[c].mean()) for c in range(meta["ncomp"])],
     }
     if args.structured:

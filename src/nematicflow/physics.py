@@ -99,11 +99,6 @@ def _pairs(dim: int):
     return combinations_with_replacement(range(dim), 2)
 
 
-def ericksen_stress(grad_d: np.ndarray) -> np.ndarray:
-    """(grad d o grad d)_ij = sum_c d_i(d_c) d_j(d_c), pointwise, symmetric."""
-    return np.einsum("ic...,jc...->ij...", grad_d, grad_d)
-
-
 def mat_vec_director(M: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Apply a (dim x dim) field to the director, embedding into 3 components.
 
@@ -156,7 +151,7 @@ class ConstitutiveBundle:
     A and omega are not held: A d = (G d + G^T d)/2 and omega d = G d - A d
     with G = grad_u.  dd holds d(x)d's distinct entries.  dd and dAd feed
     only the mu1 terms, so they are None when mu1 = 0.  The stresses are not
-    fields: the momentum force builds them in one buffer (see leslie_stress).
+    fields: momentum_rhs builds them in one buffer.
     """
 
     u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
@@ -182,8 +177,7 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
 
 def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """stage(d(x)d) as its entries i <= j, and stage(dd : A) for A the
-    symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji):
-    for G = A, dd : A bit for bit."""
+    symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji)."""
     pairs = list(_pairs(g.dim))
     dd = np.empty((len(pairs),) + g.shape)
     for p, (i, j) in enumerate(pairs):
@@ -252,25 +246,6 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
                               tension=tension, N=N, dAd=dAd, dd=dd)
 
 
-def leslie_stress(grid: SpectralGrid, c: LeslieCoefficients, d: np.ndarray,
-                  A: np.ndarray, N: np.ndarray, Ad: np.ndarray,
-                  dd: np.ndarray | None = None, dAd: np.ndarray | None = None) -> np.ndarray:
-    """Leslie stress from staged ingredient fields, pointwise:
-
-        sigma = mu4 A + mu1 dAd dd + mu2 N(x)d + mu3 d(x)N + mu5 Ad(x)d + mu6 d(x)Ad
-
-    The mu1 term is skipped when mu1 = 0; otherwise dd = stage(d(x)d), its
-    entries i <= j, and dAd = stage(dd : A) are staged here unless given.
-    The result is not staged again.  The reference form: the momentum force
-    writes the same entries, without mu4 A, into its stress buffer.
-    """
-    if c.mu1 != 0.0 and (dd is None or dAd is None):
-        dd, dAd = _stage_dd(grid, d, A)
-    sigma = _leslie_entries(c, d, N, Ad, dd, dAd, np.empty(A.shape))
-    sigma += c.mu4 * A
-    return sigma
-
-
 def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.ndarray,
                     dd: np.ndarray | None, dAd: np.ndarray | None,
                     out: np.ndarray) -> np.ndarray:
@@ -295,10 +270,13 @@ def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.
     return out
 
 
-def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
-    """Explicit director RHS on box(band):
+def director_rhs(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
+    """The director force the step integrates, on box(band):
 
-        -(u.grad)d + omega d - (lambda2/lambda1) Ad + stage(grad_d W)/lambda1.
+        -(u.grad)d + omega d - (lambda2/lambda1) Ad + stage(grad_d W)/lambda1,
+
+    d_t without the diffusion -(1/lambda1) Lap d, which the step takes
+    implicitly.
     """
     g = state.grid
     c = state.coeffs
@@ -313,42 +291,19 @@ def _director_force_hat(state: FieldState, bundle: ConstitutiveBundle) -> np.nda
     return f_hat
 
 
-def director_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None) -> np.ndarray:
-    """d_t = -(u.grad)d + omega d - (lambda2/lambda1) Ad - (1/lambda1)(Lap d - grad_d W).
-
-    A physical-space view of the spectral RHS the stepper integrates: the
-    diffusion -(1/lambda1) Lap d (implicit in the step) plus the explicit
-    force.  Only tests call it; it stays public while perfbench/tracing.py
-    binds it by name.
-    """
-    g = state.grid
-    if bundle is None:
-        bundle = constitutive(state)
-    lin_hat = bundle.d_hat * (g.box_of(bundle.d_hat).ksq / state.coeffs.lambda1)
-    return _ifft_sum(g, lin_hat, _director_force_hat(state, bundle))
-
-
-def _ifft_sum(g: SpectralGrid, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
-    """ifft(a_hat + b_hat), both zero-padded to the full half spectrum."""
-    return g.ifft(g.to_box(a_hat, g.n // 2) + g.to_box(b_hat, g.n // 2))
-
-
-def _visco_flux(grad_u: np.ndarray, r: float) -> np.ndarray:
-    w = _sum_squares(grad_u, grad_u.ndim - 2)
-    return np.power(w, 0.5 * (r - 2.0), out=w) * grad_u
-
-
-def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
-                       reg: RegularizationConfig | None = None) -> np.ndarray:
-    """Unprojected momentum RHS minus the pressure gradient and the mu4
-    diffusion, on box(band).
+def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
+                 reg: RegularizationConfig | None = None) -> np.ndarray:
+    """The momentum force the step integrates, on box(band) and before the
+    Leray projection: u_t without the pressure gradient and the mu4
+    diffusion (mu4/2) Lap u, which the step takes implicitly.
 
     The Leslie stress without its mu4 A part (integrated implicitly) minus
     the Ericksen stress and the convective flux u (x) u, whose divergence is
     (u.grad)u for the divergence-free u, is built entry by entry in one
     buffer and transformed as one tensor; each symmetric product is formed
     once per pair i <= j.  The regularised scheme advects with the
-    truncated velocity, -[u]_M (x) u, and adds the monitor stress.
+    truncated velocity, -[u]_M (x) u, and adds the monitor stress
+    (w grad u)/M, w = |grad u|^(r-2), one entry at a time.
     """
     g = state.grid
     u = state.u
@@ -363,29 +318,14 @@ def _momentum_force_hat(state: FieldState, bundle: ConstitutiveBundle,
         if i != j:
             stress[j, i] -= e
     if reg is not None:
-        flux = _visco_flux(bundle.grad_u, reg.r)
-        flux /= reg.M
-        stress += flux
+        w = _sum_squares(bundle.grad_u, g.dim)
+        np.power(w, 0.5 * (reg.r - 2.0), out=w)
         u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
         for i, j in np.ndindex(g.dim, g.dim):
+            np.multiply(w, bundle.grad_u[i, j], out=tmp)
+            tmp /= reg.M
+            stress[i, j] += tmp
             stress[i, j] -= np.multiply(u_M[i], u[j], out=tmp)
-        del flux, u_M
+        del w, u_M
     del e, tmp  # freed before the transform, where the force peaks
     return g.div_hat(g.fft(stress, M=g.band))
-
-
-def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle | None = None,
-                 reg: RegularizationConfig | None = None) -> np.ndarray:
-    """Leray-projected u_t: the diffusion (mu4/2) Lap u (implicit in the step)
-    plus the projected explicit force.
-
-    Precondition: u divergence-free and band-limited, so the diffusion needs
-    no projection.  A physical-space view of the spectral RHS the stepper
-    integrates.  Only tests call it; it stays public while
-    perfbench/tracing.py binds it by name.
-    """
-    g = state.grid
-    if bundle is None:
-        bundle = constitutive(state)
-    lin_hat = bundle.u_hat * (-0.5 * state.coeffs.mu4 * g.box_of(bundle.u_hat).ksq)
-    return _ifft_sum(g, lin_hat, g.leray_hat(_momentum_force_hat(state, bundle, reg)))

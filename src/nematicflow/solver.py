@@ -31,7 +31,7 @@ import numpy as np
 from .diagnostics import BlowupMonitorState, EnergyReport, _residuals, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      _director_force_hat, _momentum_force_hat, constitutive)
+                      constitutive, director_rhs, momentum_rhs)
 
 SCHEMES = ("semi-implicit-euler", "imex-bdf2")
 
@@ -115,8 +115,8 @@ class Stepper:
         bundle = constitutive(state)
         u_hat = g.to_box(bundle.u_hat, self._band_u)
         d_hat = g.to_box(bundle.d_hat, g.band)
-        fu_hat = g.leray_hat(g.to_box(_momentum_force_hat(state, bundle, self.reg), self._band_u))
-        fd_hat = _director_force_hat(state, bundle)
+        fu_hat = g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), self._band_u))
+        fd_hat = director_rhs(state, bundle)
 
         use_bdf2 = (
             self.cfg.scheme == "imex-bdf2"
@@ -275,5 +275,5 @@ def reconstruct_pressure(state: FieldState,
                          reg: RegularizationConfig | None = None) -> np.ndarray:
     """Solve Lap P = div F for the zero-mean pressure, F the unprojected force."""
     g = state.grid
-    force_hat = _momentum_force_hat(state, constitutive(state), reg)
+    force_hat = momentum_rhs(state, constitutive(state), reg)
     return g.ifft(-1j * g.potential_hat(force_hat))

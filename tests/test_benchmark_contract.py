@@ -10,7 +10,9 @@ import sys
 from pathlib import Path
 
 import nematicflow.cli  # noqa: F401  (the tracer patches cli too)
-from nematicflow import BlowupMonitorState, SpectralGrid, Stepper
+from nematicflow import BlowupMonitorState, SpectralGrid, Stepper, TimeStepperConfig
+
+from conftest import smooth_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,3 +45,23 @@ def test_tracer_installs_and_restores_every_attribute():
         assert now.keys() == saved.keys(), owner
         changed = [name for name in saved if now[name] is not saved[name]]
         assert changed == [], (owner, changed)
+
+
+def test_step_pair_traces_constitutive_and_both_rhs(grid2d, alpha_one):
+    """One traced step records exactly one constitutive, one momentum_rhs and
+    one director_rhs span, each a child of the step's span, so the per-layer
+    RHS self times measure the code the step runs."""
+    st = smooth_state(grid2d, alpha_one, seed=3)
+    stepper = Stepper(grid2d, alpha_one, TimeStepperConfig(dt=1e-3, t_end=0.01))
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        stepper.step_pair(st)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    step = names.index("solver.step_pair")
+    children = [name for name, parent, *_ in tracer.spans if parent == step]
+    for name in ("physics.constitutive", "physics.momentum_rhs", "physics.director_rhs"):
+        assert names.count(name) == 1, (name, names)
+        assert children.count(name) == 1, (name, children)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nematicflow
-from nematicflow import ConfigError
+from nematicflow import ConfigError, load_snapshot
 from nematicflow import cli
 from nematicflow.cli import main, member_label
 from nematicflow.config import (_SECTIONS, RunConfig, build_coefficients,
@@ -343,6 +343,10 @@ class TestRunCommand:
         assert rc == 0
         assert info["ncomp"] == 3 and info["n"] == 16
         assert info["sup_norm"] == pytest.approx(1.0)
+        field, _, _ = load_snapshot(str(outdir / "d_final.field"))
+        mag = np.linalg.norm(field, axis=0)
+        assert info["l2_norm"] == pytest.approx(np.linalg.norm(mag) / np.sqrt(mag.size), rel=1e-14)
+        assert info["sup_norm"] == pytest.approx(mag.max(), rel=1e-15)
 
     def test_inadmissible_config_fails(self, cfg_file, capsys):
         text = ALPHA_CFG.replace("alpha = 1.0\nnu = 1.0", EXPLICIT_BAD.split("\n", 1)[1])

@@ -7,17 +7,44 @@ import pytest
 
 from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
                          RegimeError, RegularizationConfig, SpectralGrid, Stepper,
-                         TimeStepperConfig, channels, constitutive, director_rhs,
-                         ericksen_stress, from_alpha, leslie_stress,
+                         TimeStepperConfig, channels, constitutive, from_alpha,
                          momentum_rhs, penalty)
 from nematicflow import physics
-from nematicflow.physics import _momentum_force_hat, _visco_flux, mat_vec_director
+from nematicflow.physics import mat_vec_director
 
-from conftest import _full_transform_reference, smooth_state
+from conftest import _full_transform_reference, physical_rhs, smooth_state
 
 TWO_PI = 2.0 * np.pi
 CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
                                mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
+
+
+def _outer(a, b):
+    """(a(x)b)_ij = a_i b_j over the first dim components, dim = a[0].ndim."""
+    dim = a[0].ndim
+    return np.einsum("i...,j...->ij...", a[:dim], b[:dim])
+
+
+def ericksen_stress(grad_d):
+    """Reference (grad d o grad d)_ij = sum_c d_i(d_c) d_j(d_c), pointwise."""
+    return np.einsum("ic...,jc...->ij...", grad_d, grad_d)
+
+
+def leslie_stress(grid, c, d, A, N, Ad):
+    """Reference Leslie stress, written from the formula in physics' module
+    docstring with N and Ad given staged:
+
+        sigma = mu1 (d.Ad) d(x)d + mu2 N(x)d + mu3 d(x)N + mu4 A
+              + mu5 (Ad)(x)d + mu6 d(x)(Ad),
+
+    where d(x)d and d.Ad = d(x)d : A are staged here through grid.dealias."""
+    sigma = (c.mu2 * _outer(N, d) + c.mu3 * _outer(d, N) + c.mu4 * A
+             + c.mu5 * _outer(Ad, d) + c.mu6 * _outer(d, Ad))
+    if c.mu1 != 0.0:
+        dd = grid.dealias(_outer(d, d))
+        dAd = grid.dealias(np.einsum("ij...,ij...->...", dd, A))
+        sigma += c.mu1 * dAd * dd
+    return sigma
 
 
 def test_penalty_values():
@@ -73,15 +100,13 @@ def _traced(kernel, *args):
 
 @pytest.mark.parametrize("dim, n", [(2, 64), (2, 128), (3, 32)])
 def test_contraction_kernels_match_loops_bitwise(dim, n):
-    """mat_vec_director (of G and of the view G^T) and every entry of
-    ericksen_stress give the bytes of the per-entry multiply-and-add loops,
-    summing in index order, and each allocates at most its output plus one
-    grid field."""
+    """mat_vec_director (of G and of the view G^T) gives the bytes of the
+    per-entry multiply-and-add loops, summing in index order, and allocates
+    at most its output plus one grid field."""
     shape = (n,) * dim
     rng = np.random.default_rng(n + dim)
     G = rng.standard_normal((dim, dim) + shape)
     d = rng.standard_normal((3,) + shape)
-    grad_d = rng.standard_normal((dim, 3) + shape)
     field = 8 * n ** dim
 
     for M in (G, G.swapaxes(0, 1)):
@@ -93,14 +118,6 @@ def test_contraction_kernels_match_loops_bitwise(dim, n):
         got, peak = _traced(mat_vec_director, M, d)
         assert got.tobytes() == want.tobytes()
         assert peak <= 4 * field, peak / field  # 3 components
-
-    got, peak = _traced(ericksen_stress, grad_d)
-    for i, j in np.ndindex(dim, dim):
-        want = grad_d[i, 0] * grad_d[j, 0]
-        for c in range(1, 3):
-            want += grad_d[i, c] * grad_d[j, c]
-        assert got[i, j].tobytes() == want.tobytes(), (i, j)
-    assert peak <= (dim * dim + 1) * field, peak / field
 
 
 def test_constitutive_identity(grid2d, alpha_one):
@@ -166,16 +183,15 @@ def test_leslie_stress_constant_fields(grid2d):
 def _reference_force_hat(st, b, reg):
     """The momentum force from the reference stresses: div of the transformed
     leslie_stress - mu4 A - ericksen_stress - u (x) u, or with the
-    regularised scheme's advecting [u]_M and monitor flux."""
+    regularised scheme's advecting [u]_M and monitor flux |grad u|^(r-2) grad u / M."""
     g, c, u = st.grid, st.coeffs, st.u
     A = _strain(b)
-    stress = (leslie_stress(g, c, st.d, A, b.N, b.Ad, b.dd, b.dAd) - c.mu4 * A
-              - ericksen_stress(b.grad_d))
+    stress = leslie_stress(g, c, st.d, A, b.N, b.Ad) - c.mu4 * A - ericksen_stress(b.grad_d)
     if reg is None:
-        stress -= np.einsum("i...,j...->ij...", u, u)
+        stress -= _outer(u, u)
     else:
-        u_M = g.truncate_modes(u, reg.M)
-        stress += _visco_flux(b.grad_u, reg.r) / reg.M - np.einsum("i...,j...->ij...", u_M, u)
+        norm = np.sqrt(np.sum(b.grad_u ** 2, axis=(0, 1)))
+        stress += norm ** (reg.r - 2.0) * b.grad_u / reg.M - _outer(g.truncate_modes(u, reg.M), u)
     return g.div_hat(g.fft(stress, M=g.band))
 
 
@@ -189,7 +205,7 @@ def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
             b = constitutive(st)
             for reg in (None, RegularizationConfig(M=4, r=4.0)):
                 want = _reference_force_hat(st, b, reg)
-                got = _momentum_force_hat(st, b, reg)
+                got = momentum_rhs(st, b, reg)
                 case = (grid.dim, coeffs.mu1, reg)
                 assert got.shape == want.shape, case
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), case
@@ -206,7 +222,7 @@ def test_director_rhs_linearized_oracle(grid2d):
     d[0] = delta * np.sin(TWO_PI * x[0])
     st = FieldState(grid=grid2d, coeffs=c, time=0.0,
                     u=np.zeros((2,) + grid2d.shape), d=d)
-    rhs = director_rhs(st)
+    _, rhs = physical_rhs(st)
     expect = np.zeros_like(d)
     expect[0] = -4.0 * np.pi ** 2 * delta * np.sin(TWO_PI * x[0])
     assert grid2d.sup_norm(rhs - expect) < 1e-8
@@ -216,9 +232,8 @@ def test_director_rhs_quiescent_zero(grid2d, alpha_one):
     d = np.zeros((3,) + grid2d.shape); d[2] = 1.0
     st = FieldState(grid=grid2d, coeffs=alpha_one, time=0.0,
                     u=np.zeros((2,) + grid2d.shape), d=d)
-    rhs = director_rhs(st)
+    mom, rhs = physical_rhs(st)
     assert grid2d.sup_norm(rhs) == 0.0
-    mom = momentum_rhs(st)
     assert grid2d.sup_norm(mom) == 0.0
 
 
@@ -230,7 +245,7 @@ def test_momentum_reduces_to_navier_stokes(grid2d):
     u = grid2d.dealias(grid2d.leray(rng.standard_normal((2,) + grid2d.shape)))
     d = np.zeros((3,) + grid2d.shape); d[2] = 1.0
     st = FieldState(grid=grid2d, coeffs=c, time=0.0, u=u, d=d)
-    rhs = momentum_rhs(st)
+    rhs, _ = physical_rhs(st)
 
     # independent assembly with raw numpy transforms
     g = grid2d
@@ -254,22 +269,13 @@ def test_regularization_config_validation():
     RegularizationConfig(M=np.int64(4), N_modes=np.int64(8))
 
 
-def test_visco_flux_constant_gradient(grid2d):
-    G = np.zeros((2, 2) + grid2d.shape)
-    G[0, 1] = 2.0
-    out = _visco_flux(G, 4.0)
-    # |G|^2 = 4, so |G|^(r-2) G has the single entry 4 * 2 = 8
-    assert np.max(np.abs(out[0, 1] - 8.0)) < 1e-12
-    assert np.max(np.abs(out[0, 0])) < 1e-12
-
-
 def test_regularized_force_fixed_points(grid2d, alpha_one):
     """With u = 0 the regularized and plain momentum forces coincide, and the
     director rhs never sees the regularization at all."""
     st = smooth_state(grid2d, alpha_one, seed=8, u_amp=0.0)
     reg = RegularizationConfig(M=8, r=4.0)
-    plain = momentum_rhs(st)
-    regd = momentum_rhs(st, reg=reg)
+    plain, _ = physical_rhs(st)
+    regd, _ = physical_rhs(st, reg)
     assert grid2d.sup_norm(plain - regd) < 1e-12
 
 
@@ -293,8 +299,7 @@ def test_constitutive_3d(grid3d):
     b = constitutive(st)
     resid = c.lambda1 * b.N + c.lambda2 * b.Ad + b.tension
     assert grid3d.sup_norm(resid) < 1e-12
-    assert leslie_stress(grid3d, c, st.d, _strain(b), b.N, b.Ad).shape == (3, 3) + grid3d.shape
-    rhs = momentum_rhs(st)
+    rhs, _ = physical_rhs(st)
     assert grid3d.sup_norm(grid3d.divergence(rhs)) < 1e-9
 
 
@@ -308,8 +313,7 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
     channels) to rounding: the spatial assembly balances the energy law exactly."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, coeffs, seed=31)
-    u_t = momentum_rhs(st, reg=reg)
-    d_t = director_rhs(st)
+    u_t, d_t = physical_rhs(st, reg)
     _, gradW = penalty(st.d, coeffs.epsilon)
     rate = (grid.l2_inner(st.u, u_t)
             + grid.l2_inner(grid.gradient(st.d), grid.gradient(d_t))
@@ -366,19 +370,6 @@ def test_bundle_holds_each_field_once(request, grid_name, fields):
     assert real == fields * grid.npoints
     assert type(b.E_penalty) is float
     assert b.E_penalty == float(penalty(st.d, CASE2_SET.epsilon)[0].mean())
-
-
-@pytest.mark.parametrize("grid_name", ["grid2d", "grid3d"])
-def test_leslie_stress_stages_mu1_block_bitwise(request, grid_name):
-    """With mu1 != 0, leslie_stress staging d(x)d and dd : A itself from A
-    gives the stress from the bundle's dd and dAd, contracted from grad u,
-    bit for bit."""
-    grid = request.getfixturevalue(grid_name)
-    st = smooth_state(grid, CASE2_SET, seed=41)
-    b = constitutive(st)
-    A = _strain(b)
-    assert np.array_equal(leslie_stress(grid, CASE2_SET, st.d, A, b.N, b.Ad),
-                          leslie_stress(grid, CASE2_SET, st.d, A, b.N, b.Ad, b.dd, b.dAd))
 
 
 def _bundle_arrays(b):
