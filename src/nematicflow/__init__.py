@@ -6,12 +6,12 @@ from .coeffs import (DissipationForm, LeslieCoefficients, RegimeReport,
                      dissipation_form, eta_margin, from_alpha, validate)
 from .diagnostics import (BlowupMonitorState, EnergyReport,
                           case2_lower_bound_check, channels, energy_law_audit,
-                          quantity_A, quantity_Ys, write_timeseries)
+                          write_timeseries)
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       constitutive, director_rhs, momentum_rhs, penalty)
 from .solver import (Stepper, TimeStepperConfig, Trajectory,
-                     reconstruct_pressure, run, step)
+                     reconstruct_pressure, run)
 from .spectral import (SpectralGrid, load_snapshot, random_band_limited,
                        save_snapshot)
 
@@ -23,7 +23,7 @@ __all__ = [
     "case2_lower_bound_check", "channels", "constitutive",
     "director_rhs", "dissipation_form", "energy_law_audit",
     "eta_margin", "from_alpha", "load_snapshot",
-    "momentum_rhs", "penalty", "quantity_A", "quantity_Ys",
-    "random_band_limited", "reconstruct_pressure", "run", "save_snapshot",
-    "step", "validate", "write_timeseries",
+    "momentum_rhs", "penalty", "random_band_limited",
+    "reconstruct_pressure", "run", "save_snapshot", "validate",
+    "write_timeseries",
 ]

@@ -103,25 +103,24 @@ def _fix_malloc_thresholds() -> bool:
         return False
 
 
-def _build_run(cfg: RunConfig) -> tuple:
+def _build_run(cfg: RunConfig, cadence: int | None = None) -> tuple:
     """(coeffs, regime report, grid, stepper config, regularization, cadence,
-    snapshot cadence): all a run can be refused for but its initial state."""
+    snapshot cadence): all a run can be refused for but its initial state.
+    cadence, when given, overrides the configured sampling cadence."""
     coeffs = build_coefficients(cfg)
     report = validate_coeffs(coeffs)
     if not report.admissible:
         bad = ", ".join(name for name, _ in report.violations) or "regime conditions"
         raise RegimeError(f"coefficient set is not admissible (failed: {bad})")
     return (coeffs, report, build_grid(cfg), build_stepper_config(cfg),
-            build_regularization(cfg), *build_sampling(cfg))
+            build_regularization(cfg), *build_sampling(cfg, cadence))
 
 
 def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dict:
     """Run one configuration, write CSV/manifest/snapshots, return a summary."""
     _fix_malloc_thresholds()
-    coeffs, report, grid, stepper_cfg, reg, cad, snap_cad = _build_run(cfg)
+    coeffs, report, grid, stepper_cfg, reg, cad, snap_cad = _build_run(cfg, cadence)
     state0 = build_initial_state(cfg, grid, coeffs)
-    if cadence is not None:
-        cad = cadence
 
     os.makedirs(outdir, exist_ok=True)
     hooks = ()

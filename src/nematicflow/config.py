@@ -244,16 +244,22 @@ def build_regularization(cfg: RunConfig) -> RegularizationConfig | None:
         return RegularizationConfig(M=rg.m, r=rg.r, N_modes=rg.n_modes)
 
 
-def build_sampling(cfg: RunConfig) -> tuple[int, int]:
+def build_sampling(cfg: RunConfig, cadence: int | None = None) -> tuple[int, int]:
     """([diagnostics] cadence, snapshot_cadence): sample every cadence >= 1
-    steps, write snapshots every snapshot_cadence steps, or none when it is 0."""
+    steps, write snapshots every snapshot_cadence steps, or none when it is 0.
+    cadence, when given, overrides the configured one.  Snapshots are taken
+    of sampled states, so snapshot_cadence must be a multiple of cadence."""
     dg = cfg.diagnostics
     if dg.cadence < 1:
         raise ConfigError(f"[diagnostics] cadence must be >= 1, got {dg.cadence}")
     if dg.snapshot_cadence < 0:
         raise ConfigError(
             f"[diagnostics] snapshot_cadence must be >= 0, got {dg.snapshot_cadence}")
-    return dg.cadence, dg.snapshot_cadence
+    cad = dg.cadence if cadence is None else cadence
+    if dg.snapshot_cadence % cad:
+        raise ConfigError(f"[diagnostics] snapshot_cadence must be a multiple of the "
+                          f"sampling cadence {cad}, got {dg.snapshot_cadence}")
+    return cad, dg.snapshot_cadence
 
 
 def taylor_green_velocity(grid: SpectralGrid, amplitude: float) -> np.ndarray:

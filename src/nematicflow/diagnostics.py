@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig, _spectra,
-                      constitutive, penalty)
+from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig, constitutive,
+                      penalty)
 from .spectral import _sum_squares
 
 CSV_COLUMNS = (
@@ -81,8 +81,7 @@ def _energies(g, u: np.ndarray, grad_d: np.ndarray,
 def energies(state: FieldState) -> tuple[float, float, float, float]:
     """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature."""
     W, _ = penalty(state.d, state.coeffs.epsilon)
-    return _energies(state.grid, state.u, state.grid.gradient(state.d),
-                     state.grid.mean_unchecked(W))
+    return _energies(state.grid, state.u, state.grid.gradient(state.d), float(W.mean()))
 
 
 def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
@@ -119,7 +118,7 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
 
     d_reg = 0.0
     if reg is not None:
-        d_reg = g.mean_unchecked(_sum_squares(bundle.grad_u, g.dim) ** (0.5 * reg.r)) / reg.M
+        d_reg = float((_sum_squares(bundle.grad_u, g.dim) ** (0.5 * reg.r)).mean()) / reg.M
 
     return EnergyReport(
         time=state.time, E_total=et, E_kinetic=ek, E_elastic=ee,
@@ -169,32 +168,6 @@ def case2_lower_bound_check(report: EnergyReport, eta: float, tol: float = 1e-10
 # -- blow-up criterion monitors -------------------------------------------------
 
 
-def quantity_A(state: FieldState, bundle: ConstitutiveBundle | None = None) -> float:
-    """A(t) = ||grad u||^2 + ||Lap d - grad_d W||^2 (grid quadrature)."""
-    g = state.grid
-    if bundle is None:
-        bundle = constitutive(state)
-    return (g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u)
-            + g.l2_inner_unchecked(bundle.tension, bundle.tension))
-
-
-def quantity_Ys(state: FieldState, s: float,
-                bundle: ConstitutiveBundle | None = None) -> float:
-    """Y_s = ||L^s u||^2 + ||grad (L^s d)||^2 with L = (1 - Lap)^(1/2).
-
-    bundle, when given, must be constitutive(state); its spectral
-    coefficients of u and d are used instead of transforming them again.
-    """
-    u_hat, d_hat = _spectra(state) if bundle is None else (bundle.u_hat, bundle.d_hat)
-    norm_u, norm_grad_d = _ys_norms(state.grid, u_hat, d_hat, s)
-    return norm_u ** 2 + norm_grad_d ** 2
-
-
-def _ys_norms(g, u_hat: np.ndarray, d_hat: np.ndarray, s: float) -> tuple[float, float]:
-    """(||L^s u||, ||grad (L^s d)||), the square roots of Y_s's two terms."""
-    return g.sobolev_norm_hat(u_hat, s), g.sobolev_norm_hat(d_hat, s, grad=True)
-
-
 def _curl(grad_u: np.ndarray) -> np.ndarray:
     """curl u from grad_u[i, j] = d_i u_j: the scalar vorticity in 2D, the vector in 3D."""
     if grad_u.shape[0] == 2:
@@ -213,7 +186,8 @@ class BlowupMonitorState:
       B_integral = int_0^t (sup|curl u| + sup|grad d|^4)  (trapezoid),
       G_bracket  = 1 + sup|curl u| + sup|grad d|^2
                      + (mu5+mu6)^2 sup|grad d|^(8/3) + mu1 sup|grad d|^4,
-      Y3, A_qty as above, and
+      Y3         = ||L^3 u||^2 + ||grad (L^3 d)||^2 with L = (1 - Lap)^(1/2),
+      A_qty      = ||grad u||^2 + ||Lap d - grad_d W||^2, and
       logsob_ratio = sup|grad u| /
                      (1 + ||curl u||_L2 + sup|curl u| ln(e + ||u||_H3)).
     """
@@ -256,9 +230,10 @@ class BlowupMonitorState:
         self._last_integrand = integrand
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        h3, norm_grad_d = _ys_norms(g, bundle.u_hat, bundle.d_hat, 3.0)
-        y3 = h3 ** 2 + norm_grad_d ** 2
-        a_qty = quantity_A(state, bundle)
+        h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
+        y3 = h3 ** 2 + g.sobolev_norm_hat(bundle.d_hat, 3.0, grad=True) ** 2
+        a_qty = (g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u)
+                 + g.l2_inner_unchecked(bundle.tension, bundle.tension))
         logsob = (g.sup_norm_unchecked(bundle.grad_u)
                   / (1.0 + g.l2_norm_unchecked(curl) + a * math.log(math.e + h3)))
 

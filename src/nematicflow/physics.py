@@ -132,8 +132,9 @@ class RegularizationConfig:
                 raise ParameterError(f"regularization {name} must be an integer, got {v!r}")
         if self.M < 1:
             raise ParameterError(f"regularization M must be >= 1, got {self.M}")
-        if not self.r > 10.0 / 3.0:
-            raise ParameterError(f"regularization exponent r must exceed 10/3, got {self.r}")
+        if not (np.isfinite(self.r) and self.r > 10.0 / 3.0):
+            raise ParameterError(
+                f"regularization exponent r must be finite and exceed 10/3, got {self.r}")
         if self.N_modes is not None:
             if self.N_modes < 1:
                 raise ParameterError(f"N_modes must be >= 1, got {self.N_modes}")
@@ -222,7 +223,7 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     grad_u = g.ifft(g.grad_hat(u_hat))
     grad_d = g.ifft(g.grad_hat(d_hat))
     W, gradW = penalty(d, c.epsilon)
-    E_penalty = g.mean_unchecked(W)
+    E_penalty = float(W.mean())
     gradW_hat = g.fft(gradW, M=g.band)
     del W, gradW
     d_box = g.box_of(d_hat)

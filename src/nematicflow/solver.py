@@ -1,22 +1,27 @@
 """Time integration: exponential semi-implicit stepping on the spectral grid.
 
-Both schemes treat the stiff Fourier-diagonal parts exactly and the
-remaining terms explicitly:
+The unknowns are the pair y = (u, d), each with a stiff Fourier-diagonal
+linear part L taken exactly and a force F(y) taken explicitly:
 
-    semi-implicit-euler:  y+ = e^z y + dt phi1(z) F(y),   z = dt * symbol,
-                          phi1(z) = (e^z - 1)/z
-    imex-bdf2 (SBDF2):    y+ = [4 y_n - y_{n-1} + 2 dt (2 F_n - F_{n-1})]
-                               / (3 - 2 dt * symbol),
+    L = -(mu4/2)|kappa|^2 for u,   L = |kappa|^2/lambda1 for d   (both <= 0),
+    F = the Leray-projected momentum_rhs for u,   director_rhs for d.
+
+One rule updates both fields, with z = dt L:
+
+    semi-implicit-euler:  y+ = e^z y + dt phi1(z) F(y),   phi1(z) = (e^z - 1)/z
+                          (integrating-factor Euler; Cox & Matthews, JCP 2002)
+    imex-bdf2 (SBDF2):    y+ = [4 y_n - y_{n-1} + 2 dt (2 F_n - F_{n-1})] / (3 - 2 z)
+                          (Ascher, Ruuth & Wetton, SINUM 1995),
                           bootstrapped by one euler step.
 
-Linear symbols: -(mu4/2)|kappa|^2 for u and |kappa|^2/lambda1 for d (both
-nonpositive).  y, F(y), the propagators, the BDF2 history and both updates
-live in the dealias box: d in box(band), u in box(min(band, N_modes)).  The
-coefficients of a state built from fields are gathered into those boxes.
-After each step u is re-projected divergence-free and both are read back
-from their boxes, so a quiescent state is a bitwise fixed point and pure
-Stokes decay integrates exactly.  The new state carries those coefficients,
-so only a step from a state built from fields transforms u and d forward.
+Stepper builds the three diagonal factors of each field once.  y, F, the
+factors, the BDF2 history and both updates live in the dealias box: d in
+box(band), u in box(min(band, N_modes)).  The coefficients of a state built
+from fields are gathered into those boxes.  After each step u is re-projected
+divergence-free and both are read back from their boxes, so a quiescent
+state is a bitwise fixed point and pure Stokes decay integrates exactly.  The
+new state carries those coefficients, so only a step from a state built from
+fields transforms u and d forward.
 """
 
 from __future__ import annotations
@@ -71,12 +76,12 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 class Stepper:
-    """Caches the Fourier-diagonal propagators for one (grid, coeffs, cfg, reg).
+    """Holds the linear part of (u, d) for one (grid, coeffs, cfg, reg).
 
-    step() is stateless for semi-implicit-euler.  For imex-bdf2 the instance
-    keeps one level of history; the first call (or any call whose input is not
-    the very state object the previous call returned) falls back to the euler
-    step.
+    step_pair() is stateless for semi-implicit-euler.  For imex-bdf2 the
+    instance keeps one level of history; the first call (or any call whose
+    input is not the very state object the previous call returned) falls back
+    to the euler step.
     """
 
     def __init__(self, grid, coeffs, cfg: TimeStepperConfig,
@@ -90,18 +95,15 @@ class Stepper:
         self.cfg = cfg
         self.reg = reg
         dt = cfg.dt
-        # u lives in box(band) & box(N_modes) == box(min(band, N_modes))
+        # u lives in box(band) & box(N_modes) == box(min(band, N_modes)), d in box(band)
         n_modes = grid.band if reg is None or reg.N_modes is None else reg.N_modes
-        self._band_u = min(grid.band, n_modes)
-        sym_u = -0.5 * coeffs.mu4 * grid.box(self._band_u).ksq
-        sym_d = grid.box(grid.band).ksq / coeffs.lambda1
-        self._exp_u = np.exp(dt * sym_u)
-        self._exp_d = np.exp(dt * sym_d)
-        self._phi_u = dt * _phi1(dt * sym_u)
-        self._phi_d = dt * _phi1(dt * sym_d)
-        self._den_u = 3.0 - 2.0 * dt * sym_u
-        self._den_d = 3.0 - 2.0 * dt * sym_d
-        self._hist = None  # (output state, u_hat, d_hat, Fu_hat, Fd_hat) of previous step
+        self._bands = (min(grid.band, n_modes), grid.band)
+        symbols = (-0.5 * coeffs.mu4 * grid.box(self._bands[0]).ksq,
+                   grid.box(self._bands[1]).ksq / coeffs.lambda1)
+        # the linear part of (u, d): e^{dt L} and dt phi1(dt L) for euler, 3 - 2 dt L for SBDF2
+        self._linear = [(np.exp(dt * L), dt * _phi1(dt * L), 3.0 - 2.0 * dt * L)
+                        for L in symbols]
+        self._hist = None  # (output state, y, F) of the previous step
 
     def step_pair(self, state: FieldState) -> tuple[FieldState, ConstitutiveBundle]:
         """Advance one dt; returns (new state, bundle evaluated at the input state).
@@ -113,23 +115,19 @@ class Stepper:
         g = self.grid
         dt = self.cfg.dt
         bundle = constitutive(state)
-        u_hat = g.to_box(bundle.u_hat, self._band_u)
-        d_hat = g.to_box(bundle.d_hat, g.band)
-        fu_hat = g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), self._band_u))
-        fd_hat = director_rhs(state, bundle)
+        band_u, band_d = self._bands
+        y = (g.to_box(bundle.u_hat, band_u), g.to_box(bundle.d_hat, band_d))
+        F = (g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), band_u)),
+             director_rhs(state, bundle))
 
-        use_bdf2 = (
-            self.cfg.scheme == "imex-bdf2"
-            and self._hist is not None
-            and self._hist[0] is state
-        )
-        if use_bdf2:
-            _, up_hat, dp_hat, fup_hat, fdp_hat = self._hist
-            u_new_hat = (4.0 * u_hat - up_hat + 2.0 * dt * (2.0 * fu_hat - fup_hat)) / self._den_u
-            d_new_hat = (4.0 * d_hat - dp_hat + 2.0 * dt * (2.0 * fd_hat - fdp_hat)) / self._den_d
+        if self.cfg.scheme == "imex-bdf2" and self._hist is not None and self._hist[0] is state:
+            _, y_prev, F_prev = self._hist
+            u_new_hat, d_new_hat = [(4.0 * yn - yp + 2.0 * dt * (2.0 * fn - fp)) / den
+                                    for yn, yp, fn, fp, (_, _, den)
+                                    in zip(y, y_prev, F, F_prev, self._linear)]
         else:
-            u_new_hat = self._exp_u * u_hat + self._phi_u * fu_hat
-            d_new_hat = self._exp_d * d_hat + self._phi_d * fd_hat
+            u_new_hat, d_new_hat = [e * yn + phi * fn
+                                    for yn, fn, (e, phi, _) in zip(y, F, self._linear)]
 
         u_new_hat = g.leray_hat(u_new_hat)
         u_new_hat.flags.writeable = d_new_hat.flags.writeable = False
@@ -154,16 +152,8 @@ class Stepper:
                     state=state, time=state.time,
                 )
         if self.cfg.scheme == "imex-bdf2":
-            self._hist = (new_state, u_hat, d_hat, fu_hat, fd_hat)
+            self._hist = (new_state, y, F)
         return new_state, bundle
-
-
-def step(state: FieldState, cfg: TimeStepperConfig,
-         reg: RegularizationConfig | None = None) -> FieldState:
-    """Single step from scratch (no history, so imex-bdf2 boots with euler)."""
-    stepper = Stepper(state.grid, state.coeffs, cfg, reg)
-    new_state, _ = stepper.step_pair(state)
-    return new_state
 
 
 @dataclass

@@ -345,30 +345,13 @@ class SpectralGrid:
 
     # -- quadrature (collocation sums on the unit box) ------------------------
     #
-    # The public forms validate their input; the *_unchecked kernels hold the
-    # formulas and serve callers whose fields are finite by construction.
-
-    def mean(self, f: np.ndarray) -> float:
-        """Grid average of a scalar field == its integral over the unit box."""
-        return self.mean_unchecked(self._check(f, "mean", ()))
-
-    def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """<a, b> = mean over the grid of the full component contraction."""
-        a = self._check(a, "l2_inner lhs")
-        b = self._check(b, "l2_inner rhs")
-        if a.shape != b.shape:
-            raise ParameterError(f"l2_inner: shape mismatch {a.shape} vs {b.shape}")
-        return self.l2_inner_unchecked(a, b)
-
-    def l2_norm(self, f: np.ndarray) -> float:
-        return self.l2_norm_unchecked(self._check(f, "l2_norm"))
+    # sup_norm validates its input; the *_unchecked kernels hold the formulas
+    # and serve callers whose fields are finite by construction.  The grid
+    # mean of a scalar field is its integral over the unit box.
 
     def sup_norm(self, f: np.ndarray) -> float:
         """max over grid points of the pointwise Euclidean (Frobenius) magnitude."""
         return self.sup_norm_unchecked(self._check(f, "sup_norm"))
-
-    def mean_unchecked(self, f: np.ndarray) -> float:
-        return float(f.mean())
 
     # einsum contracts without a temporary and without BLAS, whose threaded
     # dot would oversubscribe the cores a sweep's workers share.

@@ -380,6 +380,11 @@ SECTION_ERRORS = {
                             "[diagnostics] cadence must be >= 1, got 0"),
     "diagnostics-snapshot-cadence": (ALPHA_CFG + "\n[diagnostics]\nsnapshot_cadence = -3\n",
                                      "[diagnostics] snapshot_cadence must be >= 0, got -3"),
+    "diagnostics-snapshot-off-samples": (
+        ALPHA_CFG + "\n[diagnostics]\ncadence = 3\nsnapshot_cadence = 2\n",
+        "[diagnostics] snapshot_cadence must be a multiple of the sampling cadence 3, got 2"),
+    "regularization-r-inf": (ALPHA_CFG + "\n[regularization]\nenabled = true\nr = inf\n",
+                             "[regularization] regularization exponent r must be finite"),
 }
 
 
@@ -395,14 +400,24 @@ def test_bad_value_error_names_its_section(cfg_file, tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["run", "--cadence", "0"], "--cadence must be >= 1, got 0"),
-    (["sweep", "--axis", "dt", "--values", "0.001", "--threads", "-4"],
+SNAP_2 = "\n[diagnostics]\nsnapshot_cadence = 2\n"
+SNAP_2_OFF_SAMPLES = "[diagnostics] snapshot_cadence must be a multiple of the sampling cadence"
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (["run", "--cadence", "0"], "", "--cadence must be >= 1, got 0"),
+    (["sweep", "--axis", "dt", "--values", "0.001", "--threads", "-4"], "",
      "--threads must be >= 1, got -4"),
-], ids=["run-cadence", "sweep-threads"])
-def test_bad_count_flag_fails_before_writing(cfg_file, tmp_path, capsys, argv, message):
+    (["run", "--cadence", "3"], SNAP_2, f"{SNAP_2_OFF_SAMPLES} 3, got 2"),
+    (["sweep", "--axis", "dt", "--values", "0.001,0.0005"],
+     SNAP_2.replace("[diagnostics]", "[diagnostics]\ncadence = 4"), f"{SNAP_2_OFF_SAMPLES} 4, got 2"),
+], ids=["run-cadence", "sweep-threads", "run-cadence-snapshots", "sweep-snapshots"])
+def test_bad_count_flag_fails_before_writing(cfg_file, tmp_path, capsys, argv, extra, message):
+    """A bad count, from a flag or from the configuration a flag overrides,
+    ends the command with exit 1 before it writes anything; a sweep refuses
+    before any member runs."""
     out = tmp_path / "out"
-    rc = main(argv + ["--config", cfg_file(ALPHA_CFG), "--output-dir", str(out)])
+    rc = main(argv + ["--config", cfg_file(ALPHA_CFG + extra), "--output-dir", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -659,6 +674,17 @@ def test_python_m_nematicflow(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == f"nematicflow {nematicflow.__version__}"
+
+
+def test_public_names_resolve_once():
+    """Every name in nematicflow.__all__ is bound in the package and listed
+    once, so `from nematicflow import *` imports each of them."""
+    names = nematicflow.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(nematicflow, n)] == []
+    namespace = {}
+    exec("from nematicflow import *", namespace)
+    assert set(names) <= namespace.keys()
 
 
 @pytest.mark.skipif(not _installed_by_installer(),

@@ -8,8 +8,8 @@ import pytest
 from nematicflow import (BlowupMonitorState, FieldState, LeslieCoefficients,
                          ParameterError, TimeStepperConfig,
                          case2_lower_bound_check, channels, constitutive,
-                         energy_law_audit, eta_margin, from_alpha, quantity_A,
-                         quantity_Ys, run, write_timeseries)
+                         energy_law_audit, eta_margin, from_alpha, run,
+                         write_timeseries)
 from nematicflow.diagnostics import CSV_COLUMNS, _curl, energies
 from nematicflow.config import taylor_green_velocity
 
@@ -132,22 +132,30 @@ def test_case2_lower_bound_on_random_states(grid2d):
 
 
 def test_quantity_A_taylor_green(grid2d, alpha_one):
+    """The monitor's A = ||grad u||^2 + ||Lap d - grad_d W||^2."""
     a = 0.4
     st = quiescent(grid2d, alpha_one)
     st = st.with_fields(taylor_green_velocity(grid2d, a), st.d, 0.0)
     # ||grad u||^2 = 4 pi^2 a^2, tension = 0 for the uniform director
-    assert quantity_A(st) == pytest.approx(4.0 * np.pi ** 2 * a ** 2, rel=1e-13)
-    assert quantity_A(quiescent(grid2d, alpha_one)) == 0.0
+    assert BlowupMonitorState().update(st).A_history == [
+        pytest.approx(4.0 * np.pi ** 2 * a ** 2, rel=1e-13)]
+    assert BlowupMonitorState().update(quiescent(grid2d, alpha_one)).A_history == [0.0]
 
 
 def test_quantity_Ys_single_mode(grid2d, alpha_one):
-    x = grid2d.coords()
-    u = np.zeros((2,) + grid2d.shape)
+    """Y_s = ||L^s u||^2 + ||grad (L^s d)||^2 of u = (0, sin 2 pi x) and a
+    uniform director is (1 + 4 pi^2)^s / 2; the monitor's Y3 is Y_3."""
+    g = grid2d
+    x = g.coords()
+    u = np.zeros((2,) + g.shape)
     u[1] = np.sin(TWO_PI * x[0])
-    st = quiescent(grid2d, alpha_one).with_fields(u, quiescent(grid2d, alpha_one).d, 0.0)
+    st = quiescent(g, alpha_one).with_fields(u, quiescent(g, alpha_one).d, 0.0)
     for s in (0.0, 3.0):
         expect = (1.0 + 4.0 * np.pi ** 2) ** s / 2.0
-        assert quantity_Ys(st, s) == pytest.approx(expect, rel=1e-12)
+        ys = (g.sobolev_norm_hat(g.fft(st.u), s) ** 2
+              + g.sobolev_norm_hat(g.fft(st.d), s, grad=True) ** 2)
+        assert ys == pytest.approx(expect, rel=1e-12)
+    assert BlowupMonitorState().update(st).Y3_history == [pytest.approx(expect, rel=1e-12)]
 
 
 @pytest.mark.parametrize("grid", ["grid2d", "grid3d"])
