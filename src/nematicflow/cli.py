@@ -120,21 +120,25 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
     """Run one configuration, write CSV/manifest/snapshots, return a summary."""
     _fix_malloc_thresholds()
     coeffs, report, grid, stepper_cfg, reg, cad, snap_cad = _build_run(cfg, cadence)
-    state0 = build_initial_state(cfg, grid, coeffs)
 
-    os.makedirs(outdir, exist_ok=True)
     hooks = ()
     if snap_cad > 0:
         def snapshot_hook(state, step_index):
             if step_index % snap_cad == 0:
+                os.makedirs(outdir, exist_ok=True)
                 save_snapshot(os.path.join(outdir, f"u_{step_index:06d}.field"),
                               state.u, state.time, grid)
                 save_snapshot(os.path.join(outdir, f"d_{step_index:06d}.field"),
                               state.d, state.time, grid)
         hooks = (snapshot_hook,)
 
-    traj = run_solver(state0, stepper_cfg, reg=reg, hooks=hooks, cadence=cad)
+    # Built in the call, so the run holds the initial state's only reference
+    # and frees it after the first step; a refused initial condition raises
+    # before any directory is made.
+    traj = run_solver(build_initial_state(cfg, grid, coeffs), stepper_cfg, reg=reg,
+                      hooks=hooks, cadence=cad)
 
+    os.makedirs(outdir, exist_ok=True)
     write_timeseries(os.path.join(outdir, "diagnostics.csv"), traj.reports, traj.monitor)
     save_snapshot(os.path.join(outdir, "u_final.field"),
                   traj.final_state.u, traj.final_state.time, grid)
@@ -171,8 +175,6 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
 
 
 def cmd_run(args) -> int:
-    if args.cadence is not None and args.cadence < 1:
-        return _fail(f"--cadence must be >= 1, got {args.cadence}")
     cfg = parse_config(args.config)
     outdir = _resolve_output_dir(args, cfg)
     summary = _execute_run(cfg, outdir, cadence=args.cadence)

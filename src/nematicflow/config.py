@@ -247,15 +247,17 @@ def build_regularization(cfg: RunConfig) -> RegularizationConfig | None:
 def build_sampling(cfg: RunConfig, cadence: int | None = None) -> tuple[int, int]:
     """([diagnostics] cadence, snapshot_cadence): sample every cadence >= 1
     steps, write snapshots every snapshot_cadence steps, or none when it is 0.
-    cadence, when given, overrides the configured one.  Snapshots are taken
+    cadence, when given, overrides the configured one, and an override below
+    1 is reported as the run command's --cadence flag.  Snapshots are taken
     of sampled states, so snapshot_cadence must be a multiple of cadence."""
     dg = cfg.diagnostics
-    if dg.cadence < 1:
-        raise ConfigError(f"[diagnostics] cadence must be >= 1, got {dg.cadence}")
+    cad, source = ((dg.cadence, "[diagnostics] cadence") if cadence is None
+                   else (cadence, "--cadence"))
+    if cad < 1:
+        raise ConfigError(f"{source} must be >= 1, got {cad}")
     if dg.snapshot_cadence < 0:
         raise ConfigError(
             f"[diagnostics] snapshot_cadence must be >= 0, got {dg.snapshot_cadence}")
-    cad = dg.cadence if cadence is None else cadence
     if dg.snapshot_cadence % cad:
         raise ConfigError(f"[diagnostics] snapshot_cadence must be a multiple of the "
                           f"sampling cadence {cad}, got {dg.snapshot_cadence}")

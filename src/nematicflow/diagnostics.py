@@ -193,6 +193,7 @@ class BlowupMonitorState:
     """
 
     def __init__(self):
+        # one list per column, one entry per sample; pop() relies on that
         self.times: list[float] = []
         self.sup_curl_u: list[float] = []
         self.sup_grad_d: list[float] = []
@@ -201,7 +202,11 @@ class BlowupMonitorState:
         self.Y3_history: list[float] = []
         self.A_history: list[float] = []
         self.logsob_history: list[float] = []
-        self.B_integral = 0.0
+
+    @property
+    def B_integral(self) -> float:
+        """B at the last sample, 0.0 before the first."""
+        return self.B_history[-1] if self.B_history else 0.0
 
     def update(self, state: FieldState,
                bundle: ConstitutiveBundle | None = None) -> "BlowupMonitorState":
@@ -225,9 +230,10 @@ class BlowupMonitorState:
         b = np.float64(g.sup_norm_unchecked(bundle.grad_d))
 
         integrand = a + b ** 4
+        B = self.B_integral
         if self.times:
-            self.B_integral += 0.5 * (self._last_integrand + integrand) * (t - self.times[-1])
-        self._last_integrand = integrand
+            last = self.sup_curl_u[-1] + self.sup_grad_d[-1] ** 4
+            B += 0.5 * (last + integrand) * (t - self.times[-1])
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
         h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
@@ -240,12 +246,17 @@ class BlowupMonitorState:
         self.times.append(t)
         self.sup_curl_u.append(a)
         self.sup_grad_d.append(b)
-        self.B_history.append(self.B_integral)
+        self.B_history.append(B)
         self.G_history.append(G)
         self.Y3_history.append(y3)
         self.A_history.append(a_qty)
         self.logsob_history.append(logsob)
         return self
+
+    def pop(self) -> None:
+        """Remove the last sample; B_integral returns to its value before it."""
+        for column in vars(self).values():
+            column.pop()
 
     def row(self, i: int) -> tuple[float, ...]:
         """Sample i's values in CSV column order, sup_curl_u .. logsob_ratio."""

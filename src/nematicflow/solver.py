@@ -22,13 +22,20 @@ divergence-free and both are read back from their boxes, so a quiescent
 state is a bitwise fixed point and pure Stokes decay integrates exactly.  The
 new state carries those coefficients, so only a step from a state built from
 fields transforms u and d forward.
+
+A step evaluates constitutive() once, on the state it steps from.  run()
+samples a due state inside its step, from that bundle, before the forces.
+After director_rhs the step drops the bundle's tension, omega d,
+stage(grad_d W) and, unless regularised, grad u, so momentum_rhs builds and
+transforms the stress with only its own inputs alive, and it drops the rest
+of the bundle before the update.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time as _time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,20 +112,31 @@ class Stepper:
                         for L in symbols]
         self._hist = None  # (output state, y, F) of the previous step
 
-    def step_pair(self, state: FieldState) -> tuple[FieldState, ConstitutiveBundle]:
-        """Advance one dt; returns (new state, bundle evaluated at the input state).
+    def step_pair(self, state: FieldState,
+                  sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
+                  ) -> FieldState:
+        """Advance one dt and return the new state.
 
-        The bundle is the step's only constitutive evaluation of `state`;
-        run() samples `state` from it instead of evaluating it again.  A
-        BlowUpError discards it.
+        The step evaluates constitutive(state) once.  sample, when given, is
+        called as sample(state, bundle) on that bundle before the forces, so
+        also when the step then raises BlowUpError.  The step frees the
+        bundle's fields after their last reader (see the module docstring)
+        and does not return it.
         """
         g = self.grid
         dt = self.cfg.dt
         bundle = constitutive(state)
+        if sample is not None:
+            sample(state, bundle)
         band_u, band_d = self._bands
         y = (g.to_box(bundle.u_hat, band_u), g.to_box(bundle.d_hat, band_d))
-        F = (g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), band_u)),
-             director_rhs(state, bundle))
+        Fd = director_rhs(state, bundle)
+        # drop what momentum_rhs does not read; replace() leaves the bundle
+        # a sample callback may have kept whole
+        bundle = replace(bundle, tension=None, omega_d=None, gradW_hat=None,
+                         grad_u=None if self.reg is None else bundle.grad_u)
+        F = (g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), band_u)), Fd)
+        del bundle
 
         if self.cfg.scheme == "imex-bdf2" and self._hist is not None and self._hist[0] is state:
             _, y_prev, F_prev = self._hist
@@ -153,7 +171,7 @@ class Stepper:
                 )
         if self.cfg.scheme == "imex-bdf2":
             self._hist = (new_state, y, F)
-        return new_state, bundle
+        return new_state
 
 
 @dataclass
@@ -182,13 +200,12 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     (first row: zero residuals).  A blow-up mid-run is caught and returned as
     a flagged partial trajectory, not raised.
 
-    Each state is evaluated by constitutive() once: a due state i is sampled
-    right after step_pair(state_i) succeeds, from the bundle that call
-    returns, and the bundle is dropped before the next step, so at most one
-    is alive during a step.  Only
-    the final state, and a due state whose step raised BlowUpError, are
-    sampled from a fresh constitutive() call; the latter only when every
-    value of its sample (report and monitor row) is finite.
+    Each state is evaluated by constitutive() once: a due state is sampled
+    inside its step, from the step's bundle (see the module docstring), and
+    the final state from a fresh call.  The hooks see a sampled state once
+    its step has returned.  A sample whose step then raises BlowUpError is
+    kept only if every value of it (report and monitor row) is finite.
+    run() holds no reference to `initial` past the first step.
     """
     if cadence < 1:
         raise ParameterError(f"cadence must be >= 1, got {cadence}")
@@ -200,51 +217,52 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     reports: list[EnergyReport] = []
     sample_steps: list[int] = []
 
-    def sample(state: FieldState, bundle, step_index: int, finite_only: bool = False):
-        """Record one sample; with finite_only, drop it unless all its values are finite."""
-        nonlocal monitor
+    def sample(state: FieldState, bundle: ConstitutiveBundle) -> None:
+        """Append the report and the monitor row of one due state."""
         rep = channels(state, bundle, reg=reg)
         if reports:
             prev = reports[-1]
             rep = replace(rep, **_residuals(prev, rep.E_total, rep.time - prev.time))
-        mon = copy.deepcopy(monitor) if finite_only else monitor
-        mon.update(state, bundle)
-        if finite_only and not all(map(math.isfinite, (*rep.__dict__.values(), *mon.row(-1)))):
-            return
-        monitor = mon
+        monitor.update(state, bundle)
         reports.append(rep)
+
+    def keep(state: FieldState, step_index: int) -> None:
+        """Keep a sampled state's sample: record its step, call the hooks."""
         sample_steps.append(step_index)
         for hook in hooks:
             hook(state, step_index)
 
     state = initial
+    del initial
     blown_up = False
     blowup_time = None
     blowup_step = None
     for i in range(n_steps):
         due = i % cadence == 0
         try:
-            new_state, bundle = stepper.step_pair(state)
+            new_state = stepper.step_pair(state, sample if due else None)
         except BlowUpError:
             if due:
                 # the products of a finite but huge state may overflow, so
                 # its sample is kept only when every value of it is finite
-                with np.errstate(over="ignore", invalid="ignore"):
-                    sample(state, constitutive(state), i, finite_only=True)
+                if all(map(math.isfinite, (*reports[-1].__dict__.values(), *monitor.row(-1)))):
+                    keep(state, i)
+                else:
+                    reports.pop()
+                    monitor.pop()
             blown_up = True
             blowup_time = state.time
             blowup_step = i
             break
         if due:
-            sample(state, bundle, i)
-        # Dropped before the next step, so one bundle at a time is resident.
-        # Under glibc's dynamic malloc thresholds the freed heap top may be
-        # trimmed and faulted back each step; the CLI fixes those thresholds
-        # (cli._fix_malloc_thresholds), a library caller may not.
-        del bundle
+            keep(state, i)
+        # Under glibc's dynamic malloc thresholds the heap top a step frees
+        # may be trimmed and faulted back each step; the CLI fixes those
+        # thresholds (cli._fix_malloc_thresholds), a library caller may not.
         state = new_state
     if not blown_up:
-        sample(state, constitutive(state), n_steps)
+        sample(state, constitutive(state))
+        keep(state, n_steps)
 
     return Trajectory(
         final_state=state,

@@ -287,7 +287,7 @@ def test_criterion_08_regularized_energy_identity():
     dts = (1e-3, 5e-4, 2.5e-4)
     balances = []
     for dt in dts:
-        nxt, _ = Stepper(g, c, TimeStepperConfig(dt=dt, t_end=2 * dt), reg).step_pair(prep)
+        nxt = Stepper(g, c, TimeStepperConfig(dt=dt, t_end=2 * dt), reg).step_pair(prep)
         audit = energy_law_audit(prep, nxt, reg=reg)
         balances.append(abs(dt * audit.residual_general))
     order = fitted_order(dts, balances)

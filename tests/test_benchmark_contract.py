@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 import nematicflow.cli  # noqa: F401  (the tracer patches cli too)
-from nematicflow import BlowupMonitorState, SpectralGrid, Stepper, TimeStepperConfig
+from nematicflow import (BlowupMonitorState, SpectralGrid, Stepper, TimeStepperConfig,
+                         run)
 
 from conftest import smooth_state
 
@@ -65,3 +66,23 @@ def test_step_pair_traces_constitutive_and_both_rhs(grid2d, alpha_one):
     for name in ("physics.constitutive", "physics.momentum_rhs", "physics.director_rhs"):
         assert names.count(name) == 1, (name, names)
         assert children.count(name) == 1, (name, children)
+
+
+def test_run_traces_one_channels_and_monitor_span_per_sample(grid2d, alpha_one):
+    """A traced run() records one channels and one monitor_update span per
+    sample, taken inside the steps or of the final state, and one
+    constitutive span per step plus one for the final sample.  The
+    benchmark's per-layer metrics divide by the monitor spans, and refuse a
+    traced run that has none."""
+    st = smooth_state(grid2d, alpha_one, seed=3)
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        traj = run(st, TimeStepperConfig(dt=1e-3, t_end=7e-3), cadence=3)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert traj.sample_steps == [0, 3, 6, 7]
+    assert names.count("diagnostics.channels") == len(traj.reports) == 4
+    assert names.count("diagnostics.monitor_update") == len(traj.monitor.times) == 4
+    assert names.count("physics.constitutive") == traj.n_steps + 1

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nematicflow
-from nematicflow import ConfigError, load_snapshot
+from nematicflow import ConfigError, load_snapshot, save_snapshot
 from nematicflow import cli
 from nematicflow.cli import main, member_label
 from nematicflow.config import (_SECTIONS, RunConfig, build_coefficients,
-                                build_initial_state, config_sha256,
+                                build_initial_state, build_sampling, config_sha256,
                                 parse_config_text, serialize_config)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -348,6 +349,30 @@ class TestRunCommand:
         assert info["l2_norm"] == pytest.approx(np.linalg.norm(mag) / np.sqrt(mag.size), rel=1e-14)
         assert info["sup_norm"] == pytest.approx(mag.max(), rel=1e-15)
 
+    def test_run_frees_the_initial_state(self, cfg_file, tmp_path, monkeypatch):
+        """The command keeps no reference to its initial state, so the state
+        is freed once the first step has returned: every snapshot after step
+        0's is written with the initial state gone."""
+        refs, alive = [], []
+
+        def build(*args, **kwargs):
+            state = build_initial_state(*args, **kwargs)
+            refs.append(weakref.ref(state))
+            return state
+
+        def save(path, field, time, grid):
+            alive.append(refs[0]() is not None)
+            save_snapshot(path, field, time, grid)
+
+        monkeypatch.setattr(cli, "build_initial_state", build)
+        monkeypatch.setattr(cli, "save_snapshot", save)
+        text = ALPHA_CFG.replace("preset = quiescent",
+                                 "preset = perturbed-director\namplitude = 0.1")
+        text += "\n[diagnostics]\nsnapshot_cadence = 1\n"
+        assert main(["run", "--config", cfg_file(text), "--output-dir", str(tmp_path / "out")]) == 0
+        # u and d of steps 0..5, then of the final state
+        assert alive == [True, True] + [False] * 12
+
     def test_inadmissible_config_fails(self, cfg_file, capsys):
         text = ALPHA_CFG.replace("alpha = 1.0\nnu = 1.0", EXPLICIT_BAD.split("\n", 1)[1])
         rc = main(["run", "--config", cfg_file(text)])
@@ -422,6 +447,16 @@ def test_bad_count_flag_fails_before_writing(cfg_file, tmp_path, capsys, argv, e
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("cadence", [0, -2])
+def test_build_sampling_refuses_an_override_below_one(cadence):
+    """build_sampling checks the cadence it returns, the override when one
+    is given, and names it as the flag it comes from."""
+    cfg = parse_config_text(ALPHA_CFG)
+    with pytest.raises(ConfigError, match=f"^--cadence must be >= 1, got {cadence}$"):
+        build_sampling(cfg, cadence)
+    assert build_sampling(cfg, 2) == (2, 0)
 
 class TestSweepCommand:
     def test_dt_axis(self, cfg_file, tmp_path, capsys):

@@ -207,6 +207,23 @@ class TestBlowupMonitor:
             handed.update(s, constitutive(s))
         assert vars(handed) == vars(fresh)
 
+    def test_pop_undoes_the_last_update(self, grid2d, alpha_one):
+        """pop() removes the last sample, B_integral included: a monitor that
+        took a sample and dropped it goes on as one that never took it."""
+        st = smooth_state(grid2d, alpha_one, seed=6)
+        states = [st.with_fields((1.0 + k) * st.u, st.d, 0.1 * k) for k in range(3)]
+        kept, popped = BlowupMonitorState(), BlowupMonitorState()
+        popped.update(states[0]).pop()
+        assert vars(popped) == vars(BlowupMonitorState()) and popped.B_integral == 0.0
+        for s in (states[0], states[2]):
+            kept.update(s)
+        for s in states:
+            popped.update(s)
+            if s is states[1]:
+                popped.pop()
+        assert vars(popped) == vars(kept)
+        assert popped.B_integral == kept.B_integral > 0.0
+
     def test_update_overflows_to_inf(self, grid2d, alpha_one):
         """sup|grad d| ~ 1e81 puts sup|grad d|^4 past the float range: the
         update gives inf, as numpy does, instead of raising OverflowError."""

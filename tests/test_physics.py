@@ -380,7 +380,7 @@ def _stepped(grid, coeffs, seed):
     """(a state the stepper built, the same fields without spectra)."""
     st = smooth_state(grid, coeffs, seed=seed)
     stepper = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01))
-    stepped, _ = stepper.step_pair(st)
+    stepped = stepper.step_pair(st)
     return stepped, stepped.with_fields(stepped.u, stepped.d, stepped.time)
 
 
