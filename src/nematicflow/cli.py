@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -101,6 +100,28 @@ def _fix_malloc_thresholds() -> bool:
         return (mallopt(-3, 32 << 20), mallopt(-1, 1 << 30)) == (1, 1)
     except (OSError, AttributeError, TypeError):
         return False
+
+
+class ProcessPoolExecutor:
+    """concurrent.futures.ProcessPoolExecutor, imported when a pool is built.
+
+    Importing it loads multiprocessing (about 1.5 MB resident), which only
+    a parallel sweep uses.  Offers map and the context-manager protocol,
+    and can be subclassed.
+    """
+
+    def __init__(self, max_workers: int):
+        from concurrent.futures import ProcessPoolExecutor as pool_class
+        self._pool = pool_class(max_workers=max_workers)
+
+    def map(self, fn, *iterables, **kwargs):
+        return self._pool.map(fn, *iterables, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._pool.shutdown()
 
 
 def _build_run(cfg: RunConfig, cadence: int | None = None) -> tuple:
@@ -234,8 +255,10 @@ def cmd_sweep(args) -> int:
     for v in values:  # refuse a bad member before any member runs
         _build_run(_member_config(cfg, args.axis, v))
     jobs = [(cfg, args.axis, v, os.path.join(outdir, label)) for v, label in zip(values, labels)]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # the fork start method launches every worker on the first submit
+    workers = min(args.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_sweep_member, jobs))
     else:
         summaries = [_sweep_member(j) for j in jobs]
@@ -314,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--values", required=True, help="comma-separated axis values")
     ps.add_argument("--output-dir", default=None)
     ps.add_argument("--threads", type=int, default=1,
-                    help="parallel worker processes for family members")
+                    help="parallel worker processes for family members, at most one per member")
     ps.set_defaults(fn=cmd_sweep)
 
     pi = sub.add_parser("inspect", help="print metadata and norms of a snapshot file")

@@ -178,12 +178,18 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
 
 def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """stage(d(x)d) as its entries i <= j, and stage(dd : A) for A the
-    symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji)."""
+    symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji).
+
+    Each unstaged product is dropped once its forward transform exists, so
+    only its box coefficients are alive while the inverse runs; at 3D step
+    0, where the bundle also holds full-layout spectra, this is the run's
+    traced memory peak."""
     pairs = list(_pairs(g.dim))
     dd = np.empty((len(pairs),) + g.shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(d[i], d[j], out=dd[p])
-    dd = _stage(g, dd)
+    dd = g.fft(dd, M=g.band)  # _stage, with the unstaged entries dropped
+    dd = g.ifft(dd)
     dAd = np.zeros(g.shape)
     tmp = np.empty(g.shape)
     for (i, j), staged in zip(pairs, dd):
@@ -193,7 +199,9 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray
             np.add(G[i, j], G[j, i], out=tmp)
             tmp *= staged
         dAd += tmp
-    return dd, _stage(g, dAd)
+    del tmp
+    dAd = g.fft(dAd, M=g.band)
+    return dd, g.ifft(dAd)
 
 
 def _spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray]:

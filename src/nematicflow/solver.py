@@ -25,10 +25,14 @@ fields transforms u and d forward.
 
 A step evaluates constitutive() once, on the state it steps from.  run()
 samples a due state inside its step, from that bundle, before the forces.
-After director_rhs the step drops the bundle's tension, omega d,
-stage(grad_d W) and, unless regularised, grad u, so momentum_rhs builds and
-transforms the stress with only its own inputs alive, and it drops the rest
-of the bundle before the update.
+The step then frees each bundle field after its last reader.  Once y is
+gathered it drops the coefficients of d and, unless regularised (the
+regularised momentum force reads them), those of u and grad u, before
+director_rhs; at step 0, from a state built from fields, the coefficients
+are full half spectra (1.7 MB at 3D n=32), not boxes.
+After director_rhs it drops the tension, omega d and stage(grad_d W), so
+momentum_rhs builds and transforms the stress with only its own inputs
+alive, and it drops the rest of the bundle before the update.
 """
 
 from __future__ import annotations
@@ -120,8 +124,11 @@ class Stepper:
         The step evaluates constitutive(state) once.  sample, when given, is
         called as sample(state, bundle) on that bundle before the forces, so
         also when the step then raises BlowUpError.  The step frees the
-        bundle's fields after their last reader (see the module docstring)
-        and does not return it.
+        bundle's fields after their last reader and does not return it:
+        d_hat and (unless regularised) u_hat and grad_u before director_rhs,
+        which matters at step 0, where u_hat and d_hat are full-layout
+        spectra; tension, omega_d and gradW_hat before momentum_rhs; the
+        rest before the update.
         """
         g = self.grid
         dt = self.cfg.dt
@@ -130,11 +137,15 @@ class Stepper:
             sample(state, bundle)
         band_u, band_d = self._bands
         y = (g.to_box(bundle.u_hat, band_u), g.to_box(bundle.d_hat, band_d))
+        # drop what no force reads; replace() leaves the bundle a sample
+        # callback may have kept whole
+        if self.reg is None:
+            bundle = replace(bundle, grad_u=None, u_hat=None, d_hat=None)
+        else:
+            bundle = replace(bundle, d_hat=None)
         Fd = director_rhs(state, bundle)
-        # drop what momentum_rhs does not read; replace() leaves the bundle
-        # a sample callback may have kept whole
-        bundle = replace(bundle, tension=None, omega_d=None, gradW_hat=None,
-                         grad_u=None if self.reg is None else bundle.grad_u)
+        # and what momentum_rhs does not read
+        bundle = replace(bundle, tension=None, omega_d=None, gradW_hat=None)
         F = (g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), band_u)), Fd)
         del bundle
 

@@ -9,7 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import nematicflow.cli  # noqa: F401  (the tracer patches cli too)
+import nematicflow.cli  # the tracer patches cli too
 from nematicflow import (BlowupMonitorState, SpectralGrid, Stepper, TimeStepperConfig,
                          run)
 
@@ -86,3 +86,44 @@ def test_run_traces_one_channels_and_monitor_span_per_sample(grid2d, alpha_one):
     assert names.count("diagnostics.channels") == len(traj.reports) == 4
     assert names.count("diagnostics.monitor_update") == len(traj.monitor.times) == 4
     assert names.count("physics.constitutive") == traj.n_steps + 1
+
+
+SWEEP_CFG = """\
+[grid]
+dim = 2
+n = 16
+
+[coefficients]
+alpha = 1.0
+nu = 1.0
+
+[initial_condition]
+preset = perturbed-director
+amplitude = 0.1
+
+[stepper]
+dt = 0.001
+t_end = 0.004
+
+[run]
+seed = 5
+"""
+
+
+def test_traced_parallel_sweep_returns_every_members_spans(tmp_path):
+    """A 2-member `sweep --threads 2` under the tracer maps through its
+    subclass of cli.ProcessPoolExecutor: each worker's solver.run span comes
+    back to the calling process, one per member."""
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_CFG)
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        rc = nematicflow.cli.main(["sweep", "--config", str(cfg), "--axis", "dt",
+                                   "--values", "0.001,0.0005", "--threads", "2",
+                                   "--output-dir", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.sweep_member") == names.count("solver.run") == 2, names

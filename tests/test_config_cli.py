@@ -505,6 +505,38 @@ class TestSweepCommand:
                                            "directory names, got ['dt_0p001', 'dt_0p001']\n")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("threads, values, pools", [
+        (3, "0.001,0.0005", [2]), (2, "0.001,0.0005", [2]), (4, "0.001", []),
+    ])
+    def test_pool_has_at_most_one_worker_per_member(self, cfg_file, tmp_path, monkeypatch,
+                                                    threads, values, pools):
+        """--threads is capped at the member count, since the fork start
+        method launches every worker on the first submit; one member runs
+        without a pool.  A serial stand-in pool records its size, so no
+        process starts."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        outdir = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", "dt", "--values", values,
+                   "--threads", str(threads), "--output-dir", str(outdir)])
+        assert rc == 0
+        assert sizes == pools
+        assert len((outdir / "sweep_summary.csv").read_text().splitlines()) == 1 + len(
+            values.split(","))
+
     def test_bad_values(self, cfg_file, capsys):
         rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", "dt",
                    "--values", "abc"])
@@ -709,6 +741,23 @@ def test_python_m_nematicflow(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == f"nematicflow {nematicflow.__version__}"
+
+
+def test_cli_loads_the_process_pool_only_for_a_parallel_sweep(cfg_file, tmp_path):
+    """A fresh interpreter that imports the CLI and runs a configuration has
+    not imported concurrent.futures.process (and with it multiprocessing):
+    only `sweep --threads K`, K > 1, builds a pool."""
+    pkg_root = str(Path(nematicflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": pkg_root}
+    code = ("import sys, nematicflow.cli as cli\n"
+            "loaded = 'concurrent.futures.process' in sys.modules\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, loaded, 'concurrent.futures.process' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code, "run", "--config", cfg_file(ALPHA_CFG),
+                          "--output-dir", str(tmp_path / "out")],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_public_names_resolve_once():
