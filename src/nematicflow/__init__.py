@@ -9,7 +9,7 @@ from .diagnostics import (BlowupMonitorState, EnergyReport,
                           write_timeseries)
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      constitutive, director_rhs, momentum_rhs, penalty)
+                      constitutive, penalty, rhs_hat)
 from .solver import (Stepper, TimeStepperConfig, Trajectory,
                      reconstruct_pressure, run)
 from .spectral import (SpectralGrid, load_snapshot, random_band_limited,
@@ -21,9 +21,8 @@ __all__ = [
     "ParameterError", "RegimeError", "RegimeReport", "RegularizationConfig",
     "SpectralGrid", "Stepper", "TimeStepperConfig", "Trajectory",
     "case2_lower_bound_check", "channels", "constitutive",
-    "director_rhs", "dissipation_form", "energy_law_audit",
-    "eta_margin", "from_alpha", "load_snapshot",
-    "momentum_rhs", "penalty", "random_band_limited",
-    "reconstruct_pressure", "run", "save_snapshot", "validate",
-    "write_timeseries",
+    "dissipation_form", "energy_law_audit", "eta_margin",
+    "from_alpha", "load_snapshot", "penalty", "random_band_limited",
+    "reconstruct_pressure", "rhs_hat", "run", "save_snapshot",
+    "validate", "write_timeseries",
 ]

@@ -30,8 +30,8 @@ from .coeffs import CONSTRAINTS
 from .coeffs import validate as validate_coeffs
 from .config import (RunConfig, build_coefficients, build_grid,
                      build_initial_state, build_regularization, build_sampling,
-                     build_stepper_config, config_sha256, parse_config,
-                     serialize_config)
+                     build_stepper_config, check_initial_condition, config_sha256,
+                     parse_config, serialize_config)
 from .diagnostics import write_timeseries
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .solver import run as run_solver
@@ -215,10 +215,8 @@ def cmd_run(args) -> int:
 
 def _sweep_member(payload):
     """Worker for parallel sweep members (must be picklable)."""
-    cfg, axis, value, outdir = payload
-    summary = _execute_run(_member_config(cfg, axis, value), outdir)
-    summary["axis_value"] = value
-    return summary
+    cfg, outdir = payload
+    return _execute_run(cfg, outdir)
 
 
 def _member_config(cfg: RunConfig, axis: str, value: float) -> RunConfig:
@@ -252,9 +250,10 @@ def cmd_sweep(args) -> int:
     labels = [member_label(args.axis, v) for v in values]
     if len(set(labels)) < len(labels):  # two members would write one directory
         return _fail(f"sweep members must have distinct directory names, got {labels}")
-    for v in values:  # refuse a bad member before any member runs
-        _build_run(_member_config(cfg, args.axis, v))
-    jobs = [(cfg, args.axis, v, os.path.join(outdir, label)) for v, label in zip(values, labels)]
+    members = [_member_config(cfg, args.axis, v) for v in values]
+    for member in members:  # refuse a bad member before any member runs
+        check_initial_condition(member, _build_run(member)[2])
+    jobs = [(member, os.path.join(outdir, label)) for member, label in zip(members, labels)]
     # the fork start method launches every worker on the first submit
     workers = min(args.threads, len(jobs))
     if workers > 1:

@@ -25,8 +25,6 @@ from .errors import ParameterError, RegimeError
 
 EQUALITY_TOL = 1e-12
 
-_NAMES = ("lambda1", "lambda2", "mu1", "mu2", "mu3", "mu4", "mu5", "mu6")
-
 
 @dataclass(frozen=True)
 class LeslieCoefficients:

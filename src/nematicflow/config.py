@@ -25,7 +25,8 @@ from .coeffs import LeslieCoefficients, from_alpha
 from .errors import ConfigError, ParameterError
 from .physics import FieldState, RegularizationConfig
 from .solver import TimeStepperConfig
-from .spectral import SpectralGrid, load_snapshot, random_band_limited
+from .spectral import (SpectralGrid, check_kmax, load_snapshot,
+                       random_band_limited, read_snapshot_header)
 
 
 @dataclass
@@ -265,14 +266,40 @@ def build_sampling(cfg: RunConfig, cadence: int | None = None) -> tuple[int, int
 
 
 def taylor_green_velocity(grid: SpectralGrid, amplitude: float) -> np.ndarray:
-    """u = amp (sin 2pi x cos 2pi y, -cos 2pi x sin 2pi y); 2D only."""
-    if grid.dim != 2:
-        raise ParameterError("taylor-green initial condition is 2D only")
-    x = grid.coords()
+    """u = amp (sin 2pi x cos 2pi y, -cos 2pi x sin 2pi y) on a 2D grid; the
+    coordinates of a 3D grid do not unpack (the preset's check refuses it)."""
+    x, y = grid.coords()
     u = np.empty((2,) + grid.shape)
-    u[0] = amplitude * np.sin(2.0 * np.pi * x[0]) * np.cos(2.0 * np.pi * x[1])
-    u[1] = -amplitude * np.cos(2.0 * np.pi * x[0]) * np.sin(2.0 * np.pi * x[1])
+    u[0] = amplitude * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+    u[1] = -amplitude * np.cos(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y)
     return u
+
+
+def check_initial_condition(cfg: RunConfig, grid: SpectralGrid) -> float:
+    """Refuse the initial condition for every reason its config and grid
+    decide, reading snapshot headers but no payload; return its start time."""
+    ic = cfg.initial_condition
+    with _in_section("initial_condition"):
+        if ic.preset not in PRESETS:
+            raise ParameterError(f"unknown preset {ic.preset!r}; choose from {PRESETS}")
+        if ic.preset == "taylor-green-uniform-director" and grid.dim != 2:
+            raise ParameterError("taylor-green initial condition is 2D only")
+        elif ic.preset == "perturbed-director":
+            check_kmax(grid, ic.kmax)
+        elif ic.preset == "snapshot":
+            if not ic.u_path or not ic.d_path:
+                raise ParameterError("snapshot preset needs u_path and d_path")
+            metas = [read_snapshot_header(path) for path in (ic.u_path, ic.d_path)]
+            for name, meta, ncomp in zip("ud", metas, (grid.dim, 3)):
+                if (meta["dim"], meta["n"], meta["ncomp"]) != (grid.dim, grid.n, ncomp):
+                    raise ParameterError(f"{name} snapshot holds a {meta['ncomp']}-component "
+                                         f"{meta['dim']}D n={meta['n']} field, expected {ncomp} "
+                                         f"components on the configured {grid.dim}D n={grid.n} grid")
+            if metas[0]["time"] != metas[1]["time"]:
+                raise ParameterError(
+                    f"snapshot times differ: {metas[0]['time']} vs {metas[1]['time']}")
+            return metas[0]["time"]
+    return 0.0
 
 
 def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
@@ -282,10 +309,9 @@ def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
         grid = build_grid(cfg)
     if coeffs is None:
         coeffs = build_coefficients(cfg)
+    time = check_initial_condition(cfg, grid)
     ic = cfg.initial_condition
-    e3 = np.zeros((3,) + (1,) * grid.dim)  # the unit director, broadcast over the grid
-    e3[2] = 1.0
-    time = 0.0
+    e3 = np.reshape([0.0, 0.0, 1.0], (3,) + (1,) * grid.dim)  # broadcast over the grid
 
     with _in_section("initial_condition"):
         if ic.preset == "quiescent":
@@ -300,22 +326,6 @@ def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
             d = random_band_limited(grid, 3, ic.kmax, rng)
             d *= ic.amplitude
             d += e3
-        elif ic.preset == "snapshot":
-            if not ic.u_path or not ic.d_path:
-                raise ConfigError("[initial_condition] snapshot preset needs u_path and d_path")
-            u, t_u, meta_u = load_snapshot(ic.u_path)
-            d, t_d, meta_d = load_snapshot(ic.d_path)
-            for name, meta, ncomp in (("u", meta_u, grid.dim), ("d", meta_d, 3)):
-                if (meta["dim"], meta["n"], meta["ncomp"]) != (grid.dim, grid.n, ncomp):
-                    raise ConfigError(
-                        f"[initial_condition] {name} snapshot holds a {meta['ncomp']}-component "
-                        f"{meta['dim']}D n={meta['n']} field, expected {ncomp} components "
-                        f"on the configured {grid.dim}D n={grid.n} grid")
-            if t_u != t_d:
-                raise ConfigError(f"[initial_condition] snapshot times differ: {t_u} vs {t_d}")
-            time = t_u
-        else:
-            raise ConfigError(
-                f"[initial_condition] unknown preset {ic.preset!r}; choose from {PRESETS}"
-            )
+        else:  # snapshot
+            u, d = load_snapshot(ic.u_path)[0], load_snapshot(ic.d_path)[0]
         return FieldState(grid=grid, coeffs=coeffs, time=time, u=u, d=d)

@@ -152,7 +152,7 @@ class ConstitutiveBundle:
     A and omega are not held: A d = (G d + G^T d)/2 and omega d = G d - A d
     with G = grad_u.  dd holds d(x)d's distinct entries.  dd and dAd feed
     only the mu1 terms, so they are None when mu1 = 0.  The stresses are not
-    fields: momentum_rhs builds them in one buffer.
+    fields: momentum_rhs builds them in one buffer.  rhs_hat consumes a bundle.
     """
 
     u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
@@ -338,3 +338,20 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
         del w, u_M
     del e, tmp  # freed before the transform, where the force peaks
     return g.div_hat(g.fft(stress, M=g.band))
+
+
+def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
+            reg: RegularizationConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(P momentum_rhs, director_rhs), P the Leray projection: the forces of
+    u and d the step integrates, on box(band).  Consumes the bundle: each
+    field is set to None on it after its last reader, so no caller keeps it
+    alive.  d_hat and, unless regularised, u_hat and grad_u go before
+    director_rhs (from a state built from fields they are full half spectra,
+    1.7 MB at 3D n=32); tension, omega_d and gradW_hat before momentum_rhs
+    builds and transforms the stress."""
+    bundle.d_hat = None
+    if reg is None:
+        bundle.u_hat = bundle.grad_u = None
+    F_d = director_rhs(state, bundle)
+    bundle.tension = bundle.omega_d = bundle.gradW_hat = None
+    return state.grid.leray_hat(momentum_rhs(state, bundle, reg)), F_d

@@ -4,7 +4,7 @@ The unknowns are the pair y = (u, d), each with a stiff Fourier-diagonal
 linear part L taken exactly and a force F(y) taken explicitly:
 
     L = -(mu4/2)|kappa|^2 for u,   L = |kappa|^2/lambda1 for d   (both <= 0),
-    F = the Leray-projected momentum_rhs for u,   director_rhs for d.
+    F = physics.rhs_hat, the Leray-projected momentum force and the director force.
 
 One rule updates both fields, with z = dt L:
 
@@ -24,15 +24,8 @@ new state carries those coefficients, so only a step from a state built from
 fields transforms u and d forward.
 
 A step evaluates constitutive() once, on the state it steps from.  run()
-samples a due state inside its step, from that bundle, before the forces.
-The step then frees each bundle field after its last reader.  Once y is
-gathered it drops the coefficients of d and, unless regularised (the
-regularised momentum force reads them), those of u and grad u, before
-director_rhs; at step 0, from a state built from fields, the coefficients
-are full half spectra (1.7 MB at 3D n=32), not boxes.
-After director_rhs it drops the tension, omega d and stage(grad_d W), so
-momentum_rhs builds and transforms the stress with only its own inputs
-alive, and it drops the rest of the bundle before the update.
+samples a due state inside its step, from that bundle, before the forces;
+rhs_hat then consumes the bundle, freeing each field after its last reader.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ import numpy as np
 from .diagnostics import BlowupMonitorState, EnergyReport, _residuals, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      constitutive, director_rhs, momentum_rhs)
+                      constitutive, momentum_rhs, rhs_hat)
 
 SCHEMES = ("semi-implicit-euler", "imex-bdf2")
 
@@ -116,6 +109,7 @@ class Stepper:
                         for L in symbols]
         self._hist = None  # (output state, y, F) of the previous step
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step_pair(self, state: FieldState,
                   sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
                   ) -> FieldState:
@@ -123,12 +117,9 @@ class Stepper:
 
         The step evaluates constitutive(state) once.  sample, when given, is
         called as sample(state, bundle) on that bundle before the forces, so
-        also when the step then raises BlowUpError.  The step frees the
-        bundle's fields after their last reader and does not return it:
-        d_hat and (unless regularised) u_hat and grad_u before director_rhs,
-        which matters at step 0, where u_hat and d_hat are full-layout
-        spectra; tension, omega_d and gradW_hat before momentum_rhs; the
-        rest before the update.
+        also when the step then raises BlowUpError; the bundle is valid only
+        during that call, as rhs_hat then consumes it.  Overflow in a huge
+        state does not warn: the finiteness guard ends it as BlowUpError.
         """
         g = self.grid
         dt = self.cfg.dt
@@ -137,17 +128,9 @@ class Stepper:
             sample(state, bundle)
         band_u, band_d = self._bands
         y = (g.to_box(bundle.u_hat, band_u), g.to_box(bundle.d_hat, band_d))
-        # drop what no force reads; replace() leaves the bundle a sample
-        # callback may have kept whole
-        if self.reg is None:
-            bundle = replace(bundle, grad_u=None, u_hat=None, d_hat=None)
-        else:
-            bundle = replace(bundle, d_hat=None)
-        Fd = director_rhs(state, bundle)
-        # and what momentum_rhs does not read
-        bundle = replace(bundle, tension=None, omega_d=None, gradW_hat=None)
-        F = (g.leray_hat(g.to_box(momentum_rhs(state, bundle, self.reg), band_u)), Fd)
-        del bundle
+        F_u, F_d = rhs_hat(state, bundle, self.reg)
+        del bundle  # the fields no force reads, freed before the update
+        F = (g.to_box(F_u, band_u), F_d)
 
         if self.cfg.scheme == "imex-bdf2" and self._hist is not None and self._hist[0] is state:
             _, y_prev, F_prev = self._hist

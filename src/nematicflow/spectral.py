@@ -373,14 +373,18 @@ def _sum_squares(f: np.ndarray, ndim: int) -> np.ndarray:
     return np.einsum("i...,i...->...", f, f)
 
 
+def check_kmax(grid: SpectralGrid, kmax: int) -> None:
+    if not (1 <= kmax <= grid.band):
+        raise ParameterError(f"kmax must be in [1, {grid.band}], got {kmax}")
+
+
 def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.random.Generator) -> np.ndarray:
     """Real random field with modes confined to |k_j| <= kmax, unit sup norm.
 
     Deterministic given the generator state; used by initial-condition presets
     and by randomized tests.
     """
-    if not (1 <= kmax <= grid.band):
-        raise ParameterError(f"kmax must be in [1, {grid.band}], got {kmax}")
+    check_kmax(grid, kmax)
     f = rng.standard_normal((ncomp,) + grid.shape)
     f = grid.ifft(grid.fft(f, M=kmax))
     peak = np.sqrt(_sum_squares(f, grid.dim).max())

@@ -3,8 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nematicflow import (FieldState, SpectralGrid, constitutive, director_rhs,
-                         from_alpha, momentum_rhs)
+from nematicflow import FieldState, SpectralGrid, constitutive, from_alpha, rhs_hat
 from nematicflow.spectral import random_band_limited
 
 # test_acceptance appends one line per criterion; echoed after the run so the
@@ -59,18 +58,16 @@ def smooth_state(grid, coeffs, seed=0, u_amp=0.1, d_amp=0.1, kmax=None):
 
 def physical_rhs(state, reg=None):
     """(u_t, d_t) in physical space: each field's implicit diffusion plus the
-    force the step integrates, the Leray-projected momentum_rhs for u and
-    director_rhs for d, summed on the full half spectrum and transformed back.
-    Precondition: u divergence-free and band-limited, so the diffusion needs
-    no projection."""
+    force rhs_hat gives the step, summed on the full half spectrum and
+    transformed back.  Precondition: u divergence-free and band-limited, so
+    the diffusion needs no projection."""
     g, c = state.grid, state.coeffs
     b = constitutive(state)
     full = g.n // 2
-    lin_u = b.u_hat * (-0.5 * c.mu4 * g.box_of(b.u_hat).ksq)
-    lin_d = b.d_hat * (g.box_of(b.d_hat).ksq / c.lambda1)
-    u_t = g.ifft(g.to_box(lin_u, full) + g.to_box(g.leray_hat(momentum_rhs(state, b, reg)), full))
-    d_t = g.ifft(g.to_box(lin_d, full) + g.to_box(director_rhs(state, b), full))
-    return u_t, d_t
+    lin = (b.u_hat * (-0.5 * c.mu4 * g.box_of(b.u_hat).ksq),
+           b.d_hat * (g.box_of(b.d_hat).ksq / c.lambda1))  # before rhs_hat consumes b
+    return tuple(g.ifft(g.to_box(L, full) + g.to_box(F, full))
+                 for L, F in zip(lin, rhs_hat(state, b, reg)))
 
 
 def box_index(grid, M):

@@ -537,6 +537,53 @@ class TestSweepCommand:
         assert len((outdir / "sweep_summary.csv").read_text().splitlines()) == 1 + len(
             values.split(","))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_member_initial_condition_is_refused_before_any_member_runs(
+            self, cfg_file, tmp_path, monkeypatch, capsys, threads):
+        """kmax = 4 fits the n = 16 member (band 5) but not the n = 8 one
+        (band 2): the sweep exits 1 with the builder's message before the
+        first member runs, serially and on a pool.  A stand-in pool records
+        whether it was built, so no process starts."""
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        text = ALPHA_CFG.replace("preset = quiescent", "preset = perturbed-director\nkmax = 4")
+        outdir = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg_file(text), "--axis", "n", "--values", "16,8",
+                   "--threads", str(threads), "--output-dir", str(outdir)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: [initial_condition] kmax must be in [1, 2], got 4\n"
+        assert not outdir.exists()
+        assert built == []
+
+    def test_snapshot_member_is_refused_from_its_header(self, cfg_file, tmp_path, monkeypatch,
+                                                        capsys):
+        """A snapshot preset swept over n: the n = 8 member's grid does not
+        match the n = 16 snapshots, and the sweep refuses it from their
+        headers before any member runs, without reading a payload."""
+        grid = nematicflow.SpectralGrid(2, 16)
+        paths = {name: str(tmp_path / f"{name}.field") for name in "ud"}
+        save_snapshot(paths["u"], np.zeros((2,) + grid.shape), 0.0, grid)
+        save_snapshot(paths["d"], np.ones((3,) + grid.shape), 0.0, grid)
+
+        def no_payload(path):
+            raise AssertionError(f"payload of {path} read")
+        monkeypatch.setattr(nematicflow.config, "load_snapshot", no_payload)
+        text = ALPHA_CFG.replace("preset = quiescent",
+                                 f"preset = snapshot\nu_path = {paths['u']}\n"
+                                 f"d_path = {paths['d']}")
+        outdir = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg_file(text), "--axis", "n", "--values", "16,8",
+                   "--output-dir", str(outdir)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: [initial_condition] u snapshot holds a 2-component 2D n=16 field, "
+            "expected 2 components on the configured 2D n=8 grid\n")
+        assert not outdir.exists()
+
     def test_bad_values(self, cfg_file, capsys):
         rc = main(["sweep", "--config", cfg_file(ALPHA_CFG), "--axis", "dt",
                    "--values", "abc"])
@@ -548,8 +595,6 @@ HUGE_CFG = ALPHA_CFG.replace("preset = quiescent",
                              "preset = perturbed-director\namplitude = 1e80")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_first_step_blowup_writes_a_run_without_samples(cfg_file, tmp_path, capsys, command):
     """|d| ~ 1e80 blows up in the first step, before any sample: the command
@@ -757,6 +802,35 @@ def test_cli_loads_the_process_pool_only_for_a_parallel_sweep(cfg_file, tmp_path
                           "--output-dir", str(tmp_path / "out")],
                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_parallel_sweep_parent_imports_neither_numpy_random_nor_fft(cfg_file, tmp_path):
+    """A fresh interpreter running `sweep --threads 2`, with a stand-in pool
+    whose map returns canned member summaries so no worker runs, checks
+    every member up front without importing numpy.random or numpy.fft: the
+    parent builds no field, and those imports would raise its peak RSS."""
+    pkg_root = str(Path(nematicflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": pkg_root}
+    code = ("import sys, nematicflow.cli as cli\n"
+            "class CannedPool:\n"
+            "    def __init__(self, max_workers): pass\n"
+            "    def __enter__(self): return self\n"
+            "    def __exit__(self, *exc_info): return False\n"
+            "    def map(self, fn, jobs):\n"
+            "        return [dict(final_E_total=1.0, max_abs_residual_general=1e-3 * k,\n"
+            "                     max_abs_residual_case1=1e-3 * k, blown_up=False,\n"
+            "                     wall_time_s=0.0) for k, _ in enumerate(jobs, 1)]\n"
+            "cli.ProcessPoolExecutor = CannedPool\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)\n")
+    text = ALPHA_CFG.replace("preset = quiescent", "preset = perturbed-director\namplitude = 0.1")
+    res = subprocess.run([sys.executable, "-c", code, "sweep", "--config", cfg_file(text),
+                          "--axis", "dt", "--values", "0.001,0.0005", "--threads", "2",
+                          "--output-dir", str(tmp_path / "out")],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    assert "fitted residual_case1 order" in res.stdout
     assert res.stdout.splitlines()[-1] == "0 False False"
 
 

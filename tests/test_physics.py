@@ -1,16 +1,17 @@
 """Constitutive assembly: penalty, Leslie stress, and the right-hand sides."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from nematicflow import (FieldState, LeslieCoefficients, ParameterError,
+from nematicflow import (ConstitutiveBundle, FieldState, LeslieCoefficients, ParameterError,
                          RegimeError, RegularizationConfig, SpectralGrid, Stepper,
                          TimeStepperConfig, channels, constitutive, from_alpha,
-                         momentum_rhs, penalty)
+                         penalty, rhs_hat)
 from nematicflow import physics
-from nematicflow.physics import mat_vec_director
+from nematicflow.physics import director_rhs, mat_vec_director, momentum_rhs
 
 from conftest import _full_transform_reference, physical_rhs, smooth_state
 
@@ -209,6 +210,40 @@ def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
                 case = (grid.dim, coeffs.mu1, reg)
                 assert got.shape == want.shape, case
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), case
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["from-fields", "stepped"])
+@pytest.mark.parametrize("case", ["2d-alpha", "2d-regularised", "3d-case2"])
+def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_one,
+                                                          case, stepped):
+    """rhs_hat gives the bytes of (leray_hat(momentum_rhs), director_rhs) on a
+    fresh bundle, from a state built from fields (full-layout coefficients)
+    and from a stepped one (box coefficients).  It leaves d_hat, tension,
+    omega_d and gradW_hat None on the bundle it consumed, and u_hat and
+    grad_u exactly when unregularised; every other field stays."""
+    grid, coeffs, reg = {
+        "2d-alpha": (grid2d, alpha_one, None),
+        "2d-regularised": (grid2d, alpha_one, RegularizationConfig(M=4, r=4.0)),
+        "3d-case2": (grid3d, CASE2_SET, None),
+    }[case]
+    st = smooth_state(grid, coeffs, seed=23)
+    if stepped:
+        st = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01), reg).step_pair(st)
+        assert st.spectra is not None
+    b = constitutive(st)
+    want = (grid.leray_hat(momentum_rhs(st, b, reg)), director_rhs(st, b))
+    consumed = constitutive(st)
+    got = rhs_hat(st, consumed, reg)
+    assert len(got) == 2
+    for g_hat, w_hat in zip(got, want):
+        assert g_hat.shape == w_hat.shape == (g_hat.shape[0],) + grid.box(grid.band).shape
+        assert g_hat.tobytes() == w_hat.tobytes()
+    freed = {"d_hat", "tension", "omega_d", "gradW_hat"} | (
+        {"u_hat", "grad_u"} if reg is None else set())
+    for f in fields(ConstitutiveBundle):
+        kept = getattr(b, f.name)
+        assert (getattr(consumed, f.name) is None) == (f.name in freed or kept is None), f.name
+    assert (b.dd is None) == (coeffs.mu1 == 0.0)
 
 
 def test_director_rhs_linearized_oracle(grid2d):

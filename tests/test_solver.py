@@ -14,14 +14,14 @@ import nematicflow.solver
 from nematicflow import (BlowUpError, BlowupMonitorState, FieldState, LeslieCoefficients,
                          ParameterError, RegularizationConfig, RegimeError,
                          Stepper, TimeStepperConfig, case2_lower_bound_check, channels,
-                         constitutive, director_rhs, eta_margin, from_alpha,
-                         momentum_rhs, reconstruct_pressure, run)
+                         constitutive, eta_margin, from_alpha, reconstruct_pressure, run)
 from nematicflow.cli import main
 from nematicflow.config import (build_coefficients, build_grid,
                                 build_initial_state, build_regularization,
                                 build_stepper_config, parse_config_text,
                                 taylor_green_velocity)
 from nematicflow.diagnostics import _residuals
+from nematicflow.physics import director_rhs, momentum_rhs
 from nematicflow.spectral import random_band_limited
 
 from conftest import _full_transform_reference, box_mask, smooth_state
@@ -239,8 +239,6 @@ def test_vorticity_threshold_raises(grid2d, alpha_one):
     assert exc.value.time == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_nonfinite_step_raises_blowup(grid2d, alpha_one):
     """|d| = 1e120 overflows the penalty force: the step raises BlowUpError
     with the last finite state, not the ParameterError of a state built from
@@ -609,8 +607,6 @@ cadence = 1
 """
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_state_ends_as_blowup(tmp_path):
     """The 3D regularised scheme at this dt grows u to ~1e171 in six steps:
     the state is still finite but its products overflow.  The run ends as a
@@ -639,8 +635,6 @@ def test_overflowing_state_ends_as_blowup(tmp_path):
     assert manifest["blown_up"] and manifest["samples"] == len(rows)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_huge_director_blows_up_at_once_without_a_sample(grid2d, alpha_one):
     """|d| ~ 1e80 overflows the penalty in the first step, and sup|grad d|^4
     overflows to inf in the monitor: the state gets no sample, and run()
