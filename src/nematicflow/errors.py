@@ -18,11 +18,11 @@ class ConfigError(ValueError):
 class BlowUpError(RuntimeError):
     """Time integration produced non-finite fields or tripped a monitor threshold.
 
-    Carries the last finite state so callers can dump diagnostics.
+    Carries the state whose check failed (the tripping state), or the last
+    finite state when a step produced non-finite fields, and its time.
     """
 
-    def __init__(self, message, state=None, step=None, time=None):
+    def __init__(self, message, state=None, time=None):
         super().__init__(message)
         self.state = state
-        self.step = step
         self.time = time

@@ -23,9 +23,10 @@ state is a bitwise fixed point and pure Stokes decay integrates exactly.  The
 new state carries those coefficients, so only a step from a state built from
 fields transforms u and d forward.
 
-A step evaluates constitutive() once, on the state it steps from.  run()
-samples a due state inside its step, from that bundle, before the forces;
-rhs_hat then consumes the bundle, freeing each field after its last reader.
+Every state a run holds is visited once (Stepper._visit): constitutive()
+builds its bundle, a due state is sampled from it, and the vorticity guard
+reads it.  A step starts with that visit; rhs_hat then consumes the bundle,
+freeing each field after its last reader.  The final state takes no step.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BlowupMonitorState, EnergyReport, _residuals, channels
+from .diagnostics import BlowupMonitorState, EnergyReport, _curl, _residuals, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       constitutive, momentum_rhs, rhs_hat)
@@ -110,22 +111,36 @@ class Stepper:
         self._hist = None  # (output state, y, F) of the previous step
 
     @np.errstate(over="ignore", invalid="ignore")
+    def _visit(self, state: FieldState,
+               sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
+               ) -> ConstitutiveBundle:
+        """Build constitutive(state), hand it to sample when given, then guard
+        sup|curl u| (the monitor's formula); a trip raises BlowUpError(state)."""
+        bundle = constitutive(state)
+        if sample is not None:
+            sample(state, bundle)
+        limit = self.cfg.max_vorticity_sup
+        if limit is not None:
+            w = self.grid.sup_norm_unchecked(_curl(bundle.grad_u))
+            if w > limit:
+                raise BlowUpError(f"sup|curl u| = {w:.6g} exceeded threshold {limit:.6g} "
+                                  f"at t={state.time}", state=state, time=state.time)
+        return bundle
+
+    @np.errstate(over="ignore", invalid="ignore")
     def step_pair(self, state: FieldState,
                   sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
                   ) -> FieldState:
         """Advance one dt and return the new state.
 
-        The step evaluates constitutive(state) once.  sample, when given, is
-        called as sample(state, bundle) on that bundle before the forces, so
-        also when the step then raises BlowUpError; the bundle is valid only
-        during that call, as rhs_hat then consumes it.  Overflow in a huge
-        state does not warn: the finiteness guard ends it as BlowUpError.
+        The step starts with _visit(state, sample), so state's one bundle is
+        sampled and guarded before the forces; it is valid only during the
+        sample call, as rhs_hat then consumes it.  Overflow in a huge state
+        does not warn: the finiteness guard ends it as BlowUpError.
         """
         g = self.grid
         dt = self.cfg.dt
-        bundle = constitutive(state)
-        if sample is not None:
-            sample(state, bundle)
+        bundle = self._visit(state, sample)
         band_u, band_d = self._bands
         y = (g.to_box(bundle.u_hat, band_u), g.to_box(bundle.d_hat, band_d))
         F_u, F_d = rhs_hat(state, bundle, self.reg)
@@ -155,14 +170,6 @@ class Stepper:
                 f"non-finite fields after step to t={t_new}",
                 state=state, time=state.time,
             ) from None
-        if self.cfg.max_vorticity_sup is not None:
-            w = g.sup_norm_unchecked(g.ifft(g.curl_hat(u_new_hat)))
-            if w > self.cfg.max_vorticity_sup:
-                raise BlowUpError(
-                    f"sup|curl u| = {w:.6g} exceeded threshold "
-                    f"{self.cfg.max_vorticity_sup:.6g} at t={t_new}",
-                    state=state, time=state.time,
-                )
         if self.cfg.scheme == "imex-bdf2":
             self._hist = (new_state, y, F)
         return new_state
@@ -191,15 +198,16 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
 
     Sample rows carry energies and channels of the sampled state; residuals
     compare against the previous sample with the channel sum evaluated there
-    (first row: zero residuals).  A blow-up mid-run is caught and returned as
-    a flagged partial trajectory, not raised.
+    (first row: zero residuals).  A blow-up is caught and returned as a
+    flagged partial trajectory, not raised.
 
-    Each state is evaluated by constitutive() once: a due state is sampled
-    inside its step, from the step's bundle (see the module docstring), and
-    the final state from a fresh call.  The hooks see a sampled state once
-    its step has returned.  A sample whose step then raises BlowUpError is
-    kept only if every value of it (report and monitor row) is finite.
-    run() holds no reference to `initial` past the first step.
+    Every state, the initial and the final one included, is visited once
+    (see the module docstring); the final state is always due and takes no
+    step.  A sample that is not finite is not kept and raises BlowUpError.
+    A state is kept (its step recorded, then the hooks called) exactly when
+    its sample was appended.  blowup_step and final_state name the state
+    whose check failed: the tripping state, or the last finite one.  run()
+    holds no reference to `initial` past the first step.
     """
     if cadence < 1:
         raise ParameterError(f"cadence must be >= 1, got {cadence}")
@@ -212,51 +220,40 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     sample_steps: list[int] = []
 
     def sample(state: FieldState, bundle: ConstitutiveBundle) -> None:
-        """Append the report and the monitor row of one due state."""
+        """Append the report and the monitor row of one due state, if finite."""
         rep = channels(state, bundle, reg=reg)
         if reports:
             prev = reports[-1]
             rep = replace(rep, **_residuals(prev, rep.E_total, rep.time - prev.time))
         monitor.update(state, bundle)
+        # the products of a finite but huge state may overflow
+        if not all(map(math.isfinite, (*rep.__dict__.values(), *monitor.row(-1)))):
+            monitor.pop()
+            raise BlowUpError(f"non-finite sample at t={state.time}",
+                              state=state, time=state.time)
         reports.append(rep)
-
-    def keep(state: FieldState, step_index: int) -> None:
-        """Keep a sampled state's sample: record its step, call the hooks."""
-        sample_steps.append(step_index)
-        for hook in hooks:
-            hook(state, step_index)
 
     state = initial
     del initial
     blown_up = False
-    blowup_time = None
-    blowup_step = None
-    for i in range(n_steps):
-        due = i % cadence == 0
+    for i in range(n_steps + 1):
         try:
-            new_state = stepper.step_pair(state, sample if due else None)
+            if i < n_steps:
+                new_state = stepper.step_pair(state, sample if i % cadence == 0 else None)
+            else:
+                stepper._visit(state, sample)
         except BlowUpError:
-            if due:
-                # the products of a finite but huge state may overflow, so
-                # its sample is kept only when every value of it is finite
-                if all(map(math.isfinite, (*reports[-1].__dict__.values(), *monitor.row(-1)))):
-                    keep(state, i)
-                else:
-                    reports.pop()
-                    monitor.pop()
             blown_up = True
-            blowup_time = state.time
-            blowup_step = i
+        if len(reports) > len(sample_steps):  # state i's sample was appended
+            sample_steps.append(i)
+            for hook in hooks:
+                hook(state, i)
+        if blown_up or i == n_steps:
             break
-        if due:
-            keep(state, i)
         # Under glibc's dynamic malloc thresholds the heap top a step frees
         # may be trimmed and faulted back each step; the CLI fixes those
         # thresholds (cli._fix_malloc_thresholds), a library caller may not.
         state = new_state
-    if not blown_up:
-        sample(state, constitutive(state))
-        keep(state, n_steps)
 
     return Trajectory(
         final_state=state,
@@ -265,8 +262,8 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
         sample_steps=sample_steps,
         n_steps=n_steps,
         blown_up=blown_up,
-        blowup_time=blowup_time,
-        blowup_step=blowup_step,
+        blowup_time=state.time if blown_up else None,
+        blowup_step=i if blown_up else None,
         max_energy_increase=max(
             [0.0] + [b.E_total - a.E_total for a, b in zip(reports, reports[1:])]),
         wall_time=_time.perf_counter() - t0,

@@ -32,6 +32,7 @@ band-limited only up to rounding, so dropping modes would change bits.
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 from functools import cached_property
 
@@ -439,11 +440,12 @@ def load_snapshot(path) -> tuple[np.ndarray, float, dict]:
     dim, n, ncomp = meta["dim"], meta["n"], meta["ncomp"]
     expected = ncomp * n ** dim * 8
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if size != expected:
+            raise ParameterError(f"{path}: payload is {size} bytes, expected {expected}")
+        field = np.empty((ncomp,) + (n,) * dim, dtype="<f8")  # read in place, no copy
         fh.seek(_HEADER_SIZE)
-        payload = fh.read()
-    if len(payload) != expected:
-        raise ParameterError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    field = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + (n,) * dim).copy()
+        fh.readinto(field)
     if not np.isfinite(field).all():
         raise ParameterError(f"{path}: non-finite values in stored field")
     return field, meta["time"], meta

@@ -12,7 +12,7 @@ import pytest
 import nematicflow.diagnostics
 import nematicflow.solver
 from nematicflow import (BlowUpError, BlowupMonitorState, FieldState, LeslieCoefficients,
-                         ParameterError, RegularizationConfig, RegimeError,
+                         ParameterError, RegularizationConfig, RegimeError, SpectralGrid,
                          Stepper, TimeStepperConfig, case2_lower_bound_check, channels,
                          constitutive, eta_margin, from_alpha, reconstruct_pressure, run)
 from nematicflow.cli import main
@@ -299,25 +299,25 @@ def test_run_evaluates_each_state_once(grid2d, alpha_one, monkeypatch, cadence):
     assert len(calls) == traj.n_steps + 1
 
 
-@pytest.mark.parametrize("blowup_step", [7, 8])
-def test_run_blowup_samples_before_the_failed_step(grid2d, alpha_one, blowup_step):
-    """A guard tripping at a later step keeps the sample-before-step rule:
-    the trajectory is the unguarded one cut after the state whose step
-    failed, that state included when it is due (8) and excluded when not (7)."""
+@pytest.mark.parametrize("tripping", [8, 9])
+def test_run_blowup_samples_before_the_failed_step(grid2d, alpha_one, tripping):
+    """A guard tripping on a later state keeps the sample-before-guard rule:
+    the trajectory is the unguarded one cut after the tripping state, that
+    state included when it is due (8) and excluded when not (9)."""
     st = smooth_state(grid2d, alpha_one, seed=11, u_amp=0.0)
     cfg = TimeStepperConfig(dt=1e-4, t_end=2e-3)
     states = []
     run(st, cfg, hooks=(lambda s, i: states.append(s),))
     w = [grid2d.sup_norm(grid2d.curl(s.u)) for s in states]
-    assert w[: blowup_step + 2] == sorted(w[: blowup_step + 2])  # vorticity grows
-    threshold = 0.5 * (w[blowup_step] + w[blowup_step + 1])
+    assert w[: tripping + 1] == sorted(w[: tripping + 1])  # vorticity grows
+    threshold = 0.5 * (w[tripping - 1] + w[tripping])
     guarded = TimeStepperConfig(dt=1e-4, t_end=2e-3, max_vorticity_sup=threshold)
 
     ref = run(st, cfg, cadence=4)
     traj = run(st, guarded, cadence=4)
-    kept = sum(1 for i in ref.sample_steps if i <= blowup_step)
-    assert traj.blown_up and traj.blowup_step == blowup_step
-    assert traj.sample_steps == ref.sample_steps[:kept] == [0, 4, 8][:kept]
+    kept = sum(1 for i in ref.sample_steps if i <= tripping)
+    assert traj.blown_up and traj.blowup_step == tripping
+    assert traj.sample_steps == ref.sample_steps[:kept] == [0, 4, 8]
     assert traj.reports == ref.reports[:kept]
     assert traj.monitor.A_history == ref.monitor.A_history[:kept]
     assert traj.monitor.B_history == ref.monitor.B_history[:kept]
@@ -440,9 +440,9 @@ def test_in_step_sample_matches_sampling_after_the_step(grid2d, grid3d, alpha_on
 
 
 def test_guard_blowup_keeps_the_in_step_sample(grid2d, alpha_one):
-    """The vorticity guard trips in step 8 while the fields are finite: the
-    sample the step took of state 8 is kept, and every row equals sampling
-    after the step from a fresh constitutive() call."""
+    """The vorticity guard trips on state 9 while the fields are finite: the
+    sample the step took of state 9 before the guard is kept, and every row
+    equals sampling after the step from a fresh constitutive() call."""
     st = smooth_state(grid2d, alpha_one, seed=11, u_amp=0.0)
     cfg = TimeStepperConfig(dt=1e-4, t_end=2e-3)
     reports, monitor, steps, _ = _sample_after_step(st, cfg)
@@ -450,10 +450,54 @@ def test_guard_blowup_keeps_the_in_step_sample(grid2d, alpha_one):
     assert w[:10] == sorted(w[:10])  # vorticity grows
     guarded = TimeStepperConfig(dt=1e-4, t_end=2e-3, max_vorticity_sup=0.5 * (w[8] + w[9]))
     traj = run(st, guarded)
-    assert traj.blown_up and traj.blowup_step == 8
-    assert traj.sample_steps == steps[:9]
-    assert _sample_bytes(traj.reports, traj.monitor) == _sample_bytes(reports[:9], monitor)
-    assert vars(traj.monitor) == {name: column[:9] for name, column in vars(monitor).items()}
+    assert traj.blown_up and traj.blowup_step == 9
+    assert traj.sample_steps == steps[:10]
+    assert _sample_bytes(traj.reports, traj.monitor) == _sample_bytes(reports[:10], monitor)
+    assert vars(traj.monitor) == {name: column[:10] for name, column in vars(monitor).items()}
+
+
+@pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
+def test_vorticity_guard_reads_the_monitors_sup_curl(grid3d, scheme):
+    """The guard and the monitor share one curl formula, so a threshold equal
+    to a monitored sup|curl u| is a knife edge: that state passes and the
+    first later state above it trips.  A threshold between the last two
+    values trips on the final state, with every sample kept."""
+    st = smooth_state(grid3d, CASE2, seed=21, u_amp=0.0)
+    cfg = TimeStepperConfig(dt=1e-3, t_end=8e-3, scheme=scheme)
+    ref = run(st, cfg)
+    w = ref.monitor.sup_curl_u
+    assert w == sorted(w) and len(set(w)) == len(w) == ref.n_steps + 1  # vorticity grows
+
+    edge = run(st, replace(cfg, max_vorticity_sup=w[4]))
+    assert edge.blown_up and edge.blowup_step == 5 and edge.final_state.time == edge.blowup_time
+    assert edge.sample_steps == ref.sample_steps[:6]
+    assert _sample_bytes(edge.reports, edge.monitor) == _sample_bytes(ref.reports[:6], ref.monitor)
+
+    last = run(st, replace(cfg, max_vorticity_sup=0.5 * (w[-2] + w[-1])))
+    assert last.blown_up and last.blowup_step == last.n_steps
+    assert last.sample_steps == ref.sample_steps
+    assert _run_bytes(last) == _run_bytes(ref)
+
+
+def test_guard_takes_no_transform(grid2d, alpha_one, monkeypatch):
+    """A guarded run makes as many inverse transforms as an unguarded one:
+    the guard reads the curl from the bundle's grad u."""
+    calls = []
+    ifft = SpectralGrid.ifft
+
+    def counted(self, fhat):
+        calls.append(fhat.shape)
+        return ifft(self, fhat)
+
+    monkeypatch.setattr(SpectralGrid, "ifft", counted)
+    st = smooth_state(grid2d, alpha_one, seed=9)
+    counts = []
+    for limit in (None, 1e6):
+        calls.clear()
+        traj = run(st, TimeStepperConfig(dt=1e-3, t_end=0.01, max_vorticity_sup=limit))
+        assert not traj.blown_up
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
@@ -633,6 +677,31 @@ def test_overflowing_state_ends_as_blowup(tmp_path):
         raise ValueError(f"non-finite {constant} in run_manifest.json")
     manifest = json.loads((out / "run_manifest.json").read_text(), parse_constant=reject)
     assert manifest["blown_up"] and manifest["samples"] == len(rows)
+
+
+def test_overflowing_final_state_ends_as_blowup(tmp_path):
+    """With the horizon at the overflow run's blow-up step, the overflowing
+    state is the final one: it is sampled and checked like every other state,
+    so the command exits 2 and writes no inf, nan or Infinity."""
+    cfg = parse_config_text(OVERFLOW_CFG)
+    grid = build_grid(cfg)
+    stepper_cfg = build_stepper_config(cfg)
+    k = run(build_initial_state(cfg, grid, build_coefficients(cfg)), stepper_cfg,
+            reg=build_regularization(cfg)).blowup_step
+    assert k is not None and k > 0
+
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOW_CFG.replace("t_end = 0.005", f"t_end = {k * stepper_cfg.dt!r}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
+    assert len(rows) == k
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in run_manifest.json")
+    manifest = json.loads((out / "run_manifest.json").read_text(), parse_constant=reject)
+    assert manifest["blown_up"] and manifest["blowup_step"] == manifest["n_steps"] == k
 
 
 def test_huge_director_blows_up_at_once_without_a_sample(grid2d, alpha_one):

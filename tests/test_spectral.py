@@ -442,6 +442,23 @@ class TestSnapshots:
         with pytest.raises(ParameterError):
             load_snapshot(p)
 
+    def test_load_reads_into_the_returned_array(self, tmp_path):
+        """The payload is read straight into the returned array, with no
+        second copy: loading a 3D n=32 field peaks at at most 1.25 times its
+        bytes (the finiteness mask adds an eighth)."""
+        g = SpectralGrid(3, 32)
+        f = np.random.default_rng(23).standard_normal((3,) + g.shape)
+        p = tmp_path / "u.field"
+        save_snapshot(p, f, 0.5, g)
+        tracemalloc.start()
+        try:
+            field, _, _ = load_snapshot(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.tobytes() == f.tobytes() and field.flags.writeable
+        assert peak <= 1.25 * f.nbytes, peak / f.nbytes
+
     def test_rejects_wrong_shape(self, tmp_path, grid2d):
         with pytest.raises(ParameterError):
             save_snapshot(tmp_path / "x.field", np.zeros(grid2d.shape), 0.0, grid2d)
