@@ -80,8 +80,9 @@ def _energies(g, u: np.ndarray, grad_d: np.ndarray,
 
 def energies(state: FieldState) -> tuple[float, float, float, float]:
     """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature."""
+    g = state.grid
     W, _ = penalty(state.d, state.coeffs.epsilon)
-    return _energies(state.grid, state.u, state.grid.gradient(state.d), float(W.mean()))
+    return _energies(g, state.u, g.ifft(g.grad_hat(g.fft(state.d))), float(W.mean()))
 
 
 def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,

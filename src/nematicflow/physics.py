@@ -153,6 +153,13 @@ class ConstitutiveBundle:
     with G = grad_u.  dd holds d(x)d's distinct entries.  dd and dAd feed
     only the mu1 terms, so they are None when mu1 = 0.  The stresses are not
     fields: momentum_rhs builds them in one buffer.  rhs_hat consumes a bundle.
+
+    Each array's last reader in a step, after the sample and the vorticity
+    guard have read the bundle, and where it is set to None: u_hat and d_hat,
+    the step's gather into its boxes; grad_u, the guard; tension, the sample;
+    gradW_hat and omega_d, director_rhs; N, Ad, dd and dAd, momentum_rhs's
+    Leslie entries; grad_d, its Ericksen entries.  Under regularisation
+    u_hat and grad_u last feed momentum_rhs's [u]_M and monitor stress.
     """
 
     u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
@@ -243,12 +250,12 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     Ad *= 0.5  # A d = (G d + G^T d)/2
     omega_d -= Ad  # omega d = G d - A d
     Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
-    N = np.multiply(Ad, c.lambda2)
-    N += tension
-    N /= -c.lambda1
     dd = dAd = None
     if c.mu1 != 0.0:
         dd, dAd = _stage_dd(g, d, grad_u)
+    N = np.multiply(Ad, c.lambda2)  # formed after the mu1 block: its first reader is the stress
+    N += tension
+    N /= -c.lambda1
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
                               E_penalty=E_penalty, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
@@ -313,11 +320,18 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     once per pair i <= j.  The regularised scheme advects with the
     truncated velocity, -[u]_M (x) u, and adds the monitor stress
     (w grad u)/M, w = |grad u|^(r-2), one entry at a time.
+
+    Consumes the fields it reads last, setting each to None on the bundle
+    before the stress transform: N, Ad, dd and dAd once the Leslie entries
+    are in; grad_d, and u_hat and grad_u when regularised, once the Ericksen
+    and convective entries are.  A caller that also wants director_rhs
+    calls it first.
     """
     g = state.grid
     u = state.u
     stress = _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dd,
                              bundle.dAd, np.empty((g.dim, g.dim) + g.shape))
+    bundle.N = bundle.Ad = bundle.dd = bundle.dAd = None
     e, tmp = np.empty(g.shape), np.empty(g.shape)
     for i, j in _pairs(g.dim):
         np.einsum("c...,c...->...", bundle.grad_d[i], bundle.grad_d[j], out=e)
@@ -336,6 +350,8 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
             stress[i, j] += tmp
             stress[i, j] -= np.multiply(u_M[i], u[j], out=tmp)
         del w, u_M
+        bundle.u_hat = bundle.grad_u = None
+    bundle.grad_d = None
     del e, tmp  # freed before the transform, where the force peaks
     return g.div_hat(g.fft(stress, M=g.band))
 
@@ -344,11 +360,11 @@ def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
             reg: RegularizationConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(P momentum_rhs, director_rhs), P the Leray projection: the forces of
     u and d the step integrates, on box(band).  Consumes the bundle: each
-    field is set to None on it after its last reader, so no caller keeps it
+    array is set to None on it after its last reader, so no caller keeps it
     alive.  d_hat and, unless regularised, u_hat and grad_u go before
     director_rhs (from a state built from fields they are full half spectra,
-    1.7 MB at 3D n=32); tension, omega_d and gradW_hat before momentum_rhs
-    builds and transforms the stress."""
+    1.7 MB at 3D n=32); tension, omega_d and gradW_hat before momentum_rhs,
+    which frees the rest before it transforms the stress."""
     bundle.d_hat = None
     if reg is None:
         bundle.u_hat = bundle.grad_u = None

@@ -199,12 +199,13 @@ def _reference_force_hat(st, b, reg):
 def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
     """The momentum force, built entry by entry in one buffer from the bundle,
     equals the divergence of the reference stresses to rounding: 2D and 3D,
-    mu1 = 0 and mu1 != 0, plain and regularised."""
+    mu1 = 0 and mu1 != 0, plain and regularised.  momentum_rhs consumes
+    the fields it reads last, so each case builds its own bundle."""
     for grid in (grid2d, grid3d):
         for coeffs in (alpha_one, CASE2_SET):
             st = smooth_state(grid, coeffs, seed=5)
-            b = constitutive(st)
             for reg in (None, RegularizationConfig(M=4, r=4.0)):
+                b = constitutive(st)
                 want = _reference_force_hat(st, b, reg)
                 got = momentum_rhs(st, b, reg)
                 case = (grid.dim, coeffs.mu1, reg)
@@ -218,9 +219,11 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
                                                           case, stepped):
     """rhs_hat gives the bytes of (leray_hat(momentum_rhs), director_rhs) on a
     fresh bundle, from a state built from fields (full-layout coefficients)
-    and from a stepped one (box coefficients).  It leaves d_hat, tension,
-    omega_d and gradW_hat None on the bundle it consumed, and u_hat and
-    grad_u exactly when unregularised; every other field stays."""
+    and from a stepped one (box coefficients).  It leaves every array of the
+    bundle it consumed None: d_hat, tension, omega_d and gradW_hat, N, Ad,
+    grad_d and, when mu1 != 0, dd and dAd; u_hat and grad_u too, by rhs_hat
+    when unregularised and by momentum_rhs when regularised.  Only
+    E_penalty stays."""
     grid, coeffs, reg = {
         "2d-alpha": (grid2d, alpha_one, None),
         "2d-regularised": (grid2d, alpha_one, RegularizationConfig(M=4, r=4.0)),
@@ -231,19 +234,38 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
         st = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01), reg).step_pair(st)
         assert st.spectra is not None
     b = constitutive(st)
-    want = (grid.leray_hat(momentum_rhs(st, b, reg)), director_rhs(st, b))
+    assert (b.dd is None) == (b.dAd is None) == (coeffs.mu1 == 0.0)
+    F_d = director_rhs(st, b)  # momentum_rhs consumes grad_d, which director_rhs reads
+    want = (grid.leray_hat(momentum_rhs(st, b, reg)), F_d)
     consumed = constitutive(st)
     got = rhs_hat(st, consumed, reg)
     assert len(got) == 2
     for g_hat, w_hat in zip(got, want):
         assert g_hat.shape == w_hat.shape == (g_hat.shape[0],) + grid.box(grid.band).shape
         assert g_hat.tobytes() == w_hat.tobytes()
-    freed = {"d_hat", "tension", "omega_d", "gradW_hat"} | (
-        {"u_hat", "grad_u"} if reg is None else set())
     for f in fields(ConstitutiveBundle):
-        kept = getattr(b, f.name)
-        assert (getattr(consumed, f.name) is None) == (f.name in freed or kept is None), f.name
-    assert (b.dd is None) == (coeffs.mu1 == 0.0)
+        assert (getattr(consumed, f.name) is None) == (f.name != "E_penalty"), f.name
+    assert consumed.E_penalty == b.E_penalty
+
+
+def test_rhs_hat_frees_the_leslie_inputs_before_the_stress_transform():
+    """3D Case 2 at n=32 from a stepped state, its bundle built under
+    tracemalloc: the traced peak of rhs_hat stays below 43 scalar grid
+    fields, bundle included, so momentum_rhs drops N, Ad, dd, dAd and grad_d
+    before it transforms the stress (40.9; 45.5 with them held through it)."""
+    g = SpectralGrid(3, 32)
+    st = Stepper(g, CASE2_SET, TimeStepperConfig(dt=1e-3, t_end=0.01)).step_pair(
+        smooth_state(g, CASE2_SET, seed=29))
+    tracemalloc.start()
+    try:
+        bundle = constitutive(st)
+        tracemalloc.reset_peak()
+        rhs_hat(st, bundle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields_at_peak = peak / np.empty(g.shape).nbytes
+    assert fields_at_peak < 43.0, fields_at_peak
 
 
 def test_director_rhs_linearized_oracle(grid2d):
