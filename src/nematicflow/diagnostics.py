@@ -213,8 +213,9 @@ class BlowupMonitorState:
                bundle: ConstitutiveBundle | None = None) -> "BlowupMonitorState":
         """Append the quantities of one sampled state.
 
-        bundle, when given, must be constitutive(state); grad u, grad d and
-        the tension are read from it instead of being recomputed.
+        bundle, when given, must be constitutive(state); grad u, grad d,
+        the tension and the two H^3 norms are read from it instead of being
+        recomputed.
         """
         g = state.grid
         c = state.coeffs
@@ -237,8 +238,8 @@ class BlowupMonitorState:
             B += 0.5 * (last + integrand) * (t - self.times[-1])
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
-        y3 = h3 ** 2 + g.sobolev_norm_hat(bundle.d_hat, 3.0, grad=True) ** 2
+        h3 = bundle.u_H3
+        y3 = h3 ** 2 + bundle.grad_d_H3 ** 2
         a_qty = (g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u)
                  + g.l2_inner_unchecked(bundle.tension, bundle.tension))
         logsob = (g.sup_norm_unchecked(bundle.grad_u)

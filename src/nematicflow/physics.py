@@ -28,9 +28,10 @@ formed pointwise, transformed forward once onto the dealias box, box(band)
 of spectral.py, where divergence, Leray projection and time integration
 act.  A state the stepper built carries the box coefficients of u and d,
 so they are not transformed forward again.  A state built from fields has
-them on the full half spectrum; SpectralGrid.to_box meets the two layouts
-where they are added.  With collocation (grid-mean) quadrature the
-semi-discrete energy law then balances to rounding error; see tests.
+them on the full half spectrum; constitutive reads that layout only for
+grad u, grad d, the tension and the two H^3 norms, then folds both into
+box(band).  With collocation (grid-mean) quadrature the semi-discrete
+energy law then balances to rounding error; see tests.
 """
 
 from __future__ import annotations
@@ -157,16 +158,18 @@ class ConstitutiveBundle:
     Each array's last reader in a step, after the sample and the vorticity
     guard have read the bundle, and where it is set to None: u_hat and d_hat,
     the step's gather into its boxes; grad_u, the guard; tension, the sample;
-    gradW_hat and omega_d, director_rhs; N, Ad, dd and dAd, momentum_rhs's
-    Leslie entries; grad_d, its Ericksen entries.  Under regularisation
+    gradW_hat and omega_d, director_rhs; grad_d, momentum_rhs's Ericksen
+    entries; N, Ad, dd and dAd, its Leslie entries.  Under regularisation
     u_hat and grad_u last feed momentum_rhs's [u]_M and monitor stress.
     """
 
-    u_hat: np.ndarray        # coefficients of u: full half spectrum, or carried box
-    d_hat: np.ndarray        # coefficients of d: full half spectrum, or box(band)
+    u_hat: np.ndarray        # coefficients of u: carried box, else box(band) or [u]_M's box
+    d_hat: np.ndarray        # coefficients of d on box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
     E_penalty: float         # int W(d), the grid mean of the penalty density
+    u_H3: float              # ||u||_{H^3}, from u's coefficients before any fold
+    grad_d_H3: float         # ||grad d||_{H^3}, likewise
     gradW_hat: np.ndarray    # stage(grad_d W), box(band)
     Ad: np.ndarray           # stage(A d), 3 components
     omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
@@ -188,9 +191,8 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray
     symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji).
 
     Each unstaged product is dropped once its forward transform exists, so
-    only its box coefficients are alive while the inverse runs; at 3D step
-    0, where the bundle also holds full-layout spectra, this is the run's
-    traced memory peak."""
+    only its box coefficients are alive while the inverse runs; for a
+    stepped state this is where constitutive peaks."""
     pairs = list(_pairs(g.dim))
     dd = np.empty((len(pairs),) + g.shape)
     for p, (i, j) in enumerate(pairs):
@@ -211,22 +213,20 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray
     return dd, g.ifft(dAd)
 
 
-def _spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray]:
-    """(u_hat, d_hat): the box coefficients the stepper carried on the state,
-    or for any other state the full transforms of its fields."""
-    if state.spectra is not None:
-        return state.spectra
-    return state.grid.fft(state.u), state.grid.fft(state.d)
-
-
-def constitutive(state: FieldState) -> ConstitutiveBundle:
+def constitutive(state: FieldState,
+                 reg: RegularizationConfig | None = None) -> ConstitutiveBundle:
     """Assemble all constitutive fields for one state.
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
     algebra.  u and d are transformed once, unless the state carries their
-    coefficients, and the inverses of grad u, grad d and the tension then
-    run on the carried boxes; each staged field is one forward and one
-    inverse transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
+    coefficients; each staged field is one forward and one inverse
+    transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
+
+    A state built from fields has full-layout coefficients.  They are read
+    in that layout only by grad u, grad d, the tension and the two H^3
+    norms, then folded into box(band): the box the step gathers from.  reg
+    names the regularisation of the forces the bundle will feed; when its M
+    exceeds band, u_hat keeps its modes up to min(M, n/2), which [u]_M reads.
     """
     g = state.grid
     c = state.coeffs
@@ -234,15 +234,23 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
     d = state.d
 
-    u_hat, d_hat = _spectra(state)
+    if state.spectra is not None:
+        u_hat, d_hat = state.spectra
+    else:
+        u_hat, d_hat = g.fft(state.u), g.fft(d)
     grad_u = g.ifft(g.grad_hat(u_hat))
+    u_H3 = g.sobolev_norm_hat(u_hat, 3.0)
     grad_d = g.ifft(g.grad_hat(d_hat))
+    grad_d_H3 = g.sobolev_norm_hat(d_hat, 3.0, grad=True)
     W, gradW = penalty(d, c.epsilon)
     E_penalty = float(W.mean())
     gradW_hat = g.fft(gradW, M=g.band)
     del W, gradW
     d_box = g.box_of(d_hat)
     tension = g.ifft(-d_box.ksq * d_hat - g.to_box(gradW_hat, d_box.M))
+    if state.spectra is None:  # past their last full-layout reader
+        u_hat = g.to_box(u_hat, g.band if reg is None else max(g.band, min(reg.M, g.n // 2)))
+        d_hat = g.to_box(d_hat, g.band)
 
     omega_d = mat_vec_director(grad_u, d)  # G d
     Ad = mat_vec_director(grad_u.swapaxes(0, 1), d)  # G^T d
@@ -258,31 +266,32 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     N /= -c.lambda1
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
-                              E_penalty=E_penalty, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
+                              E_penalty=E_penalty, u_H3=u_H3, grad_d_H3=grad_d_H3,
+                              gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
                               tension=tension, N=N, dAd=dAd, dd=dd)
 
 
 def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.ndarray,
                     dd: np.ndarray | None, dAd: np.ndarray | None,
                     out: np.ndarray) -> np.ndarray:
-    """out[i, j] = (mu2 N + mu5 Ad)_i d_j + d_i (mu3 N + mu6 Ad)_j
-    + mu1 dAd dd_ij, the Leslie stress without its mu4 A part; the mu1 term
-    only when mu1 != 0, from dd's entry of the pair i <= j."""
+    """Replace each entry e of out by L - e, for L[i, j] = (mu2 N + mu5 Ad)_i
+    d_j + d_i (mu3 N + mu6 Ad)_j + mu1 dAd dd_ij, the Leslie stress without
+    its mu4 A part; the mu1 term only when mu1 != 0, from dd's entry of the
+    pair i <= j.  L is summed in that order before e is subtracted."""
     dim = out.shape[0]
     left = c.mu2 * N[:dim]     # (.)(x)d terms
     left += c.mu5 * Ad[:dim]
     right = c.mu3 * N[:dim]    # d(x)(.) terms
     right += c.mu6 * Ad[:dim]
-    tmp = np.empty(out.shape[2:])
+    w = c.mu1 * dAd if c.mu1 != 0.0 else None
+    pair = {ij: p for p, ij in enumerate(_pairs(dim))}
+    entry, tmp = np.empty(out.shape[2:]), np.empty(out.shape[2:])
     for i, j in np.ndindex(dim, dim):
-        entry = np.multiply(left[i], d[j], out=out[i, j])
+        np.multiply(left[i], d[j], out=entry)
         entry += np.multiply(d[i], right[j], out=tmp)
-    if c.mu1 != 0.0:
-        w = c.mu1 * dAd
-        for (i, j), dd_ij in zip(_pairs(dim), dd):
-            out[i, j] += np.multiply(w, dd_ij, out=tmp)
-            if i != j:
-                out[j, i] += tmp
+        if w is not None:
+            entry += np.multiply(w, dd[pair[min(i, j), max(i, j)]], out=tmp)
+        np.subtract(entry, out[i, j], out=out[i, j])
     return out
 
 
@@ -321,25 +330,26 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     truncated velocity, -[u]_M (x) u, and adds the monitor stress
     (w grad u)/M, w = |grad u|^(r-2), one entry at a time.
 
-    Consumes the fields it reads last, setting each to None on the bundle
-    before the stress transform: N, Ad, dd and dAd once the Leslie entries
-    are in; grad_d, and u_hat and grad_u when regularised, once the Ericksen
-    and convective entries are.  A caller that also wants director_rhs
-    calls it first.
+    The Ericksen and convective entries e go into the buffer first, so grad_d
+    is set to None on the bundle before the Leslie entries L are formed;
+    each entry then becomes L - e, and N, Ad, dd and dAd are set to None
+    too.  When regularised, u_hat and grad_u go after the monitor stress.
+    All of them are freed before the stress transform.  A caller that also
+    wants director_rhs calls it first.
     """
     g = state.grid
     u = state.u
-    stress = _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dd,
-                             bundle.dAd, np.empty((g.dim, g.dim) + g.shape))
-    bundle.N = bundle.Ad = bundle.dd = bundle.dAd = None
-    e, tmp = np.empty(g.shape), np.empty(g.shape)
+    stress = np.empty((g.dim, g.dim) + g.shape)
+    tmp = np.empty(g.shape)
     for i, j in _pairs(g.dim):
-        np.einsum("c...,c...->...", bundle.grad_d[i], bundle.grad_d[j], out=e)
+        e = np.einsum("c...,c...->...", bundle.grad_d[i], bundle.grad_d[j], out=stress[i, j])
         if reg is None:
             e += np.multiply(u[i], u[j], out=tmp)
-        stress[i, j] -= e
         if i != j:
-            stress[j, i] -= e
+            stress[j, i] = e
+    bundle.grad_d = None
+    _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dd, bundle.dAd, stress)
+    bundle.N = bundle.Ad = bundle.dd = bundle.dAd = None
     if reg is not None:
         w = _sum_squares(bundle.grad_u, g.dim)
         np.power(w, 0.5 * (reg.r - 2.0), out=w)
@@ -351,8 +361,7 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
             stress[i, j] -= np.multiply(u_M[i], u[j], out=tmp)
         del w, u_M
         bundle.u_hat = bundle.grad_u = None
-    bundle.grad_d = None
-    del e, tmp  # freed before the transform, where the force peaks
+    del tmp  # freed before the transform, where the force peaks
     return g.div_hat(g.fft(stress, M=g.band))
 
 
@@ -362,9 +371,9 @@ def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
     u and d the step integrates, on box(band).  Consumes the bundle: each
     array is set to None on it after its last reader, so no caller keeps it
     alive.  d_hat and, unless regularised, u_hat and grad_u go before
-    director_rhs (from a state built from fields they are full half spectra,
-    1.7 MB at 3D n=32); tension, omega_d and gradW_hat before momentum_rhs,
-    which frees the rest before it transforms the stress."""
+    director_rhs; tension, omega_d and gradW_hat before momentum_rhs, which
+    frees the rest before it transforms the stress.  Only the numbers stay:
+    E_penalty and the two H^3 norms."""
     bundle.d_hat = None
     if reg is None:
         bundle.u_hat = bundle.grad_u = None

@@ -114,9 +114,9 @@ class Stepper:
     def _visit(self, state: FieldState,
                sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
                ) -> ConstitutiveBundle:
-        """Build constitutive(state), hand it to sample when given, then guard
+        """Build constitutive(state, reg), hand it to sample when given, then guard
         sup|curl u| (the monitor's formula); a trip raises BlowUpError(state)."""
-        bundle = constitutive(state)
+        bundle = constitutive(state, self.reg)
         if sample is not None:
             sample(state, bundle)
         limit = self.cfg.max_vorticity_sup
@@ -274,5 +274,5 @@ def reconstruct_pressure(state: FieldState,
                          reg: RegularizationConfig | None = None) -> np.ndarray:
     """Solve Lap P = div F for the zero-mean pressure, F the unprojected force."""
     g = state.grid
-    force_hat = momentum_rhs(state, constitutive(state), reg)
+    force_hat = momentum_rhs(state, constitutive(state, reg), reg)
     return g.ifft(-1j * g.potential_hat(force_hat))

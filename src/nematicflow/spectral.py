@@ -21,11 +21,12 @@ Conventions, fixed for the whole package:
 
 fft(f, M=M) returns the box gather of numpy's rfftn and ifft the irfftn of
 the zero-padded box, both bit for bit; only lines that reach the box are
-transformed.  box(M) holds the wavenumber multipliers of one layout, and
-to_box gathers or zero-pads an array into another box.  The solver keeps
-its forces, its update and the coefficients a stepped state carries in
-box(band).  Only a state built from fields (the initial state, a snapshot)
-and the validating calculus use the full layout: there the operands are
+transformed, and in 3D the forward transform gathers slab by slab.  box(M)
+holds the wavenumber multipliers of one layout, and to_box gathers or
+zero-pads an array into another box.  The solver keeps its forces, its
+update and the coefficients of every bundle in box(band).  Only the first
+readers of a state built from fields (the initial state, a snapshot) and
+the validating calculus use the full layout: there the operands are
 band-limited only up to rounding, so dropping modes would change bits.
 """
 
@@ -186,16 +187,28 @@ class SpectralGrid:
         """Coefficients of a real field over the grid axes on box(M), by
         default the full half spectrum (numpy's rfftn).  Each complex pass
         runs over full-length lines of the rows still in the box and is
-        followed by a row gather."""
+        followed by a row gather.  In 3D the rfft and the axis -2 pass run
+        in four slabs of the first grid axis, each gathered into the box
+        before the next, so a transform onto a smaller box never holds the
+        full half spectrum."""
         n = self.n
         M = n // 2 if M is None else self.box(M).M
-        y = np.fft.rfft(f, axis=-1)
-        if 2 * M < n:
-            y = y[..., :M + 1]
-        for ax in range(-2, -self.dim - 1, -1):
-            np.fft.fft(y, axis=ax, out=y)
-            if 2 * M < n:
-                y = np.concatenate([y[b] for b in _row_blocks(ax, M, n)], axis=ax)
+        if 2 * M >= n:
+            y = np.fft.rfft(f, axis=-1)
+            for ax in range(-2, -self.dim - 1, -1):
+                np.fft.fft(y, axis=ax, out=y)
+            return y
+        y = np.empty(f.shape[:-2] + (2 * M + 1, M + 1), dtype=complex)
+        slabs = [(Ellipsis,)] if self.dim == 2 else [
+            (Ellipsis, slice(a, a + n // 4), slice(None), slice(None)) for a in range(0, n, n // 4)]
+        for slab in slabs:
+            lines = np.fft.rfft(f[slab], axis=-1)[..., :M + 1]
+            np.fft.fft(lines, axis=-2, out=lines)
+            np.concatenate([lines[b] for b in _row_blocks(-2, M, n)], axis=-2, out=y[slab])
+            del lines
+        if self.dim == 3:
+            np.fft.fft(y, axis=-3, out=y)
+            y = np.concatenate([y[b] for b in _row_blocks(-3, M, n)], axis=-3)
         return y
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
@@ -341,8 +354,13 @@ class SpectralGrid:
         """sobolev_norm from coefficients on any box; with grad, the norm of
         grad f (the Nyquist-free |kappa|^2 joins the weight)."""
         w = self.box_of(fhat).sobolev_weight(s, grad)
-        total = float(np.sum(w * (fhat.real ** 2 + fhat.imag ** 2)))
-        return float(np.sqrt(total)) / self.npoints
+        sq = np.square(fhat.real)  # one array of fhat's shape, plus one component
+        imag = fhat.imag.reshape((-1,) + w.shape)
+        tmp = np.empty(w.shape)
+        for sq_c, imag_c in zip(sq.reshape(imag.shape), imag):
+            sq_c += np.square(imag_c, out=tmp)
+        sq *= w
+        return float(np.sqrt(float(np.sum(sq)))) / self.npoints
 
     # -- quadrature (collocation sums on the unit box) ------------------------
     #
@@ -399,8 +417,10 @@ def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.rando
 
 
 def save_snapshot(path, field: np.ndarray, time: float, grid: SpectralGrid) -> None:
-    """Write one multi-component field (shape (ncomp,) + grid shape) to disk."""
-    field = np.asarray(field, dtype=np.float64)
+    """Write one multi-component field (shape (ncomp,) + grid shape) to disk;
+    the payload is written from the field itself when it is contiguous
+    little-endian float64, else from one converted copy."""
+    field = np.asarray(field, dtype="<f8")
     if field.ndim != grid.dim + 1 or field.shape[1:] != grid.shape:
         raise ParameterError(
             f"save_snapshot: expected shape (ncomp,) + {grid.shape}, got {field.shape}"
@@ -413,7 +433,7 @@ def save_snapshot(path, field: np.ndarray, time: float, grid: SpectralGrid) -> N
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field).astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(field).data)
 
 
 def read_snapshot_header(path) -> dict:

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +63,26 @@ def physical_rhs(state, reg=None):
     transformed back.  Precondition: u divergence-free and band-limited, so
     the diffusion needs no projection."""
     g, c = state.grid, state.coeffs
-    b = constitutive(state)
+    b = constitutive(state, reg)
     full = g.n // 2
     lin = (b.u_hat * (-0.5 * c.mu4 * g.box_of(b.u_hat).ksq),
            b.d_hat * (g.box_of(b.d_hat).ksq / c.lambda1))  # before rhs_hat consumes b
     return tuple(g.ifft(g.to_box(L, full) + g.to_box(F, full))
                  for L, F in zip(lin, rhs_hat(state, b, reg)))
+
+
+def traced_peak_fields(call, grid):
+    """(call(), the tracemalloc peak of the call in scalar fields of grid,
+    float64 arrays of grid.shape).  A call that runs
+    tracemalloc.reset_peak() after its set-up counts only what follows,
+    with what the set-up still holds."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak / (8 * grid.npoints)
 
 
 def box_index(grid, M):

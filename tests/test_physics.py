@@ -13,7 +13,8 @@ from nematicflow import (ConstitutiveBundle, FieldState, LeslieCoefficients, Par
 from nematicflow import physics
 from nematicflow.physics import director_rhs, mat_vec_director, momentum_rhs
 
-from conftest import _full_transform_reference, physical_rhs, smooth_state
+from conftest import (_full_transform_reference, physical_rhs, smooth_state,
+                      traced_peak_fields)
 
 TWO_PI = 2.0 * np.pi
 CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
@@ -88,17 +89,6 @@ def test_mat_vec_director_2d_embeds():
     assert np.all(out[2] == 0.0)  # the in-plane tensor never tilts d_3
 
 
-def _traced(kernel, *args):
-    """(kernel(*args), the traced peak of the call in bytes)."""
-    tracemalloc.start()
-    try:
-        out = kernel(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 @pytest.mark.parametrize("dim, n", [(2, 64), (2, 128), (3, 32)])
 def test_contraction_kernels_match_loops_bitwise(dim, n):
     """mat_vec_director (of G and of the view G^T) gives the bytes of the
@@ -108,7 +98,6 @@ def test_contraction_kernels_match_loops_bitwise(dim, n):
     rng = np.random.default_rng(n + dim)
     G = rng.standard_normal((dim, dim) + shape)
     d = rng.standard_normal((3,) + shape)
-    field = 8 * n ** dim
 
     for M in (G, G.swapaxes(0, 1)):
         want = np.zeros((3,) + shape)
@@ -116,9 +105,10 @@ def test_contraction_kernels_match_loops_bitwise(dim, n):
             want[i] = M[i, 0] * d[0]
             for j in range(1, dim):
                 want[i] += M[i, j] * d[j]
-        got, peak = _traced(mat_vec_director, M, d)
+        got, fields_at_peak = traced_peak_fields(lambda: mat_vec_director(M, d),
+                                                 SpectralGrid(dim, n))
         assert got.tobytes() == want.tobytes()
-        assert peak <= 4 * field, peak / field  # 3 components
+        assert fields_at_peak <= 4.0, fields_at_peak  # 3 components
 
 
 def test_constitutive_identity(grid2d, alpha_one):
@@ -218,12 +208,13 @@ def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
 def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_one,
                                                           case, stepped):
     """rhs_hat gives the bytes of (leray_hat(momentum_rhs), director_rhs) on a
-    fresh bundle, from a state built from fields (full-layout coefficients)
-    and from a stepped one (box coefficients).  It leaves every array of the
-    bundle it consumed None: d_hat, tension, omega_d and gradW_hat, N, Ad,
-    grad_d and, when mu1 != 0, dd and dAd; u_hat and grad_u too, by rhs_hat
-    when unregularised and by momentum_rhs when regularised.  Only
-    E_penalty stays."""
+    fresh bundle, from a state built from fields (its coefficients folded
+    into box(band)) and from a stepped one (carried box coefficients).  It
+    leaves every array of the bundle it consumed None: d_hat, tension,
+    omega_d and gradW_hat, N, Ad, grad_d and, when mu1 != 0, dd and dAd;
+    u_hat and grad_u too, by rhs_hat when unregularised and by momentum_rhs
+    when regularised.  Only the numbers stay: E_penalty and the two H^3
+    norms."""
     grid, coeffs, reg = {
         "2d-alpha": (grid2d, alpha_one, None),
         "2d-regularised": (grid2d, alpha_one, RegularizationConfig(M=4, r=4.0)),
@@ -244,28 +235,53 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
         assert g_hat.shape == w_hat.shape == (g_hat.shape[0],) + grid.box(grid.band).shape
         assert g_hat.tobytes() == w_hat.tobytes()
     for f in fields(ConstitutiveBundle):
-        assert (getattr(consumed, f.name) is None) == (f.name != "E_penalty"), f.name
-    assert consumed.E_penalty == b.E_penalty
+        if f.name in ("E_penalty", "u_H3", "grad_d_H3"):
+            assert getattr(consumed, f.name) == getattr(b, f.name), f.name
+        else:
+            assert getattr(consumed, f.name) is None, f.name
+
+
+@pytest.mark.parametrize("M", [27, 32])
+def test_regularised_m_above_band_reads_u_beyond_the_box(alpha_one, M):
+    """A state built from fields at 2D n=64 (band 21) under a regularised M
+    above band: constitutive(state, reg) keeps u_hat's modes up to
+    min(M, n/2), so rhs_hat gives the bytes of an oracle that takes [u]_M
+    from the full transform of u.  A bundle folded into box(band) gives
+    other bits."""
+    g = SpectralGrid(2, 64)
+    reg = RegularizationConfig(M=M, r=4.0)
+    st = smooth_state(g, alpha_one, seed=31)
+    b = constitutive(st, reg)
+    assert g.box_of(b.u_hat).M == M and g.box_of(b.d_hat).M == g.band
+    got = rhs_hat(st, b, reg)
+    oracle = constitutive(st, reg)
+    oracle.u_hat = g.fft(st.u)
+    want = rhs_hat(st, oracle, reg)
+    folded = rhs_hat(st, constitutive(st), reg)
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+    assert got[0].tobytes() != folded[0].tobytes()
 
 
 def test_rhs_hat_frees_the_leslie_inputs_before_the_stress_transform():
     """3D Case 2 at n=32 from a stepped state, its bundle built under
-    tracemalloc: the traced peak of rhs_hat stays below 43 scalar grid
-    fields, bundle included, so momentum_rhs drops N, Ad, dd, dAd and grad_d
-    before it transforms the stress (40.9; 45.5 with them held through it)."""
+    tracemalloc, after a first call has filled the grid's caches: the
+    traced peak of rhs_hat stays below 39.5 scalar grid fields, bundle
+    included, so momentum_rhs writes the Ericksen entries and drops grad_d
+    before it forms the Leslie entries, and drops N, Ad, dd and dAd before
+    it transforms the stress (37.9; 40.9 with the Leslie entries first and
+    grad_d held through them)."""
     g = SpectralGrid(3, 32)
     st = Stepper(g, CASE2_SET, TimeStepperConfig(dt=1e-3, t_end=0.01)).step_pair(
         smooth_state(g, CASE2_SET, seed=29))
-    tracemalloc.start()
-    try:
+
+    def forces():
         bundle = constitutive(st)
         tracemalloc.reset_peak()
         rhs_hat(st, bundle)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    fields_at_peak = peak / np.empty(g.shape).nbytes
-    assert fields_at_peak < 43.0, fields_at_peak
+
+    forces()
+    _, fields_at_peak = traced_peak_fields(forces, g)
+    assert fields_at_peak < 39.5, fields_at_peak
 
 
 def test_director_rhs_linearized_oracle(grid2d):
@@ -447,20 +463,22 @@ def _stepped(grid, coeffs, seed):
 def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
                                                          grid_name, coeffs):
     """A stepped state's bundle, built from its carried box(band)
-    coefficients, equals the bundle of the same fields (full half spectrum)
-    to rounding, and the bundle built on numpy's full transforms, gathered
-    into and zero-padded from the boxes, byte for byte."""
+    coefficients, equals the bundle of the same fields (transformed on the
+    full half spectrum, then folded into box(band)) to rounding, H^3 norms
+    included, and the bundle built on numpy's full transforms, gathered
+    into and zero-padded from the boxes, byte for byte.  Both bundles hold
+    u_hat and d_hat on box(band)."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=43)
     carried, from_fields = constitutive(stepped), constitutive(derived)
-    for b, shape in ((carried, grid.box(grid.band).shape), (from_fields, grid.hshape)):
-        assert b.u_hat.shape[-grid.dim:] == b.d_hat.shape[-grid.dim:] == shape
+    for b in (carried, from_fields):
+        assert b.u_hat.shape[-grid.dim:] == b.d_hat.shape[-grid.dim:] == grid.box(grid.band).shape
     for name, value in _bundle_arrays(from_fields).items():
         got = getattr(carried, name)
-        if np.iscomplexobj(got):
-            got = grid.to_box(got, grid.box_of(value).M)
         scale = np.abs(value).max()
         assert np.abs(got - value).max() <= 1e-12 * scale, name
+    for name in ("u_H3", "grad_d_H3"):
+        assert getattr(carried, name) == pytest.approx(getattr(from_fields, name), rel=1e-12)
     seen = _full_transform_reference(monkeypatch)
     reference = _bundle_arrays(constitutive(stepped))
     assert seen == {grid.band}

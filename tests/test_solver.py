@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 import weakref
 from dataclasses import astuple, replace
 
@@ -24,7 +23,7 @@ from nematicflow.diagnostics import _residuals
 from nematicflow.physics import director_rhs, momentum_rhs
 from nematicflow.spectral import random_band_limited
 
-from conftest import _full_transform_reference, box_mask, smooth_state
+from conftest import _full_transform_reference, box_mask, smooth_state, traced_peak_fields
 
 
 # 3D non-Parodi Case 2 set
@@ -288,9 +287,9 @@ def test_run_evaluates_each_state_once(grid2d, alpha_one, monkeypatch, cadence):
     steps plus one for the final state, at any cadence."""
     calls = []
 
-    def counted(state):
+    def counted(state, *reg):
         calls.append(state.time)
-        return constitutive(state)
+        return constitutive(state, *reg)
 
     monkeypatch.setattr(nematicflow.solver, "constitutive", counted)
     monkeypatch.setattr(nematicflow.diagnostics, "constitutive", counted)
@@ -346,45 +345,35 @@ def test_case2_3d_run(grid3d, scheme):
     assert np.array_equal(cur.d, traj.final_state.d)
 
 
-def _traced_peak_in_bundles(call, state):
-    """The tracemalloc peak of call(), in array bytes of constitutive(state)."""
-    bundle_bytes = sum(v.nbytes for v in vars(constitutive(state)).values()
-                       if isinstance(v, np.ndarray))
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / bundle_bytes
-
-
 def test_run_holds_one_bundle_at_a_time(grid3d):
-    """3D Case 2 (mu1 != 0), 6 steps at cadence 3: the traced peak of run()
-    stays below 1.27 times the array bytes of one constitutive bundle, so no
-    step keeps a second bundle alive, nor the fields the forces do not read:
-    grad u and the step-0 full-layout spectra before director_rhs, the rest
-    of what momentum_rhs does not read before it builds the stress, and the
-    Leslie inputs and grad d before it transforms the stress (1.24; 1.31
-    with those last held through the transform, 1.37 with grad u and the
-    spectra also held through both forces, 1.64 with the sample taken after
-    the step, from the bundle it returned)."""
+    """3D Case 2 (mu1 != 0) at n=16, 6 steps at cadence 3, after a first run
+    has filled the grid's caches: the traced peak of run() stays below 52.5
+    scalar grid fields, so no step keeps a second bundle alive, nor the
+    fields the forces do not read: the step-0 full-layout spectra past
+    constitutive, grad u before director_rhs, the rest of what momentum_rhs
+    does not read before it builds the stress, and the Leslie inputs and
+    grad d before it transforms the stress (51.6; 53.4 with the 3D forward
+    transform holding numpy's full rfft, 54.1 with that, the full-layout
+    spectra held and the Leslie entries formed before the Ericksen ones)."""
     st = smooth_state(grid3d, CASE2, seed=53)
-    ratio = _traced_peak_in_bundles(
-        lambda: run(st, TimeStepperConfig(dt=1e-3, t_end=6e-3), cadence=3), st)
-    assert ratio < 1.27, ratio
+    cfg = TimeStepperConfig(dt=1e-3, t_end=6e-3)
+    run(st, cfg, cadence=3)
+    _, fields_at_peak = traced_peak_fields(lambda: run(st, cfg, cadence=3), grid3d)
+    assert fields_at_peak < 52.5, fields_at_peak
 
 
 def test_constitutive_drops_each_unstaged_product(grid3d):
-    """3D Case 2 from fields (full-layout spectra): the traced peak of
-    constitutive() stays below 1.16 bundles, so _stage_dd drops d(x)d and
-    dd : A once their forward transforms exist, before the inverses run,
-    and N is formed only after the mu1 block (1.13; 1.20 with N formed
-    before it, 1.26 with that and both products held through their
-    inverses)."""
+    """3D Case 2 from fields at n=16: the traced peak of constitutive()
+    stays below 46 scalar grid fields, so u_hat and d_hat are folded from
+    the full half spectrum into box(band) before the mu1 block, _stage_dd
+    drops d(x)d and dd : A once their forward transforms exist, before the
+    inverses run, and N is formed only after the mu1 block (45.1; 46.1 with
+    the 3D forward transform holding numpy's full rfft, 47.5 with the
+    spectra kept in full layout, 50.7 with both)."""
     st = smooth_state(grid3d, CASE2, seed=53)
-    ratio = _traced_peak_in_bundles(lambda: constitutive(st), st)
-    assert ratio < 1.16, ratio
+    constitutive(st)
+    _, fields_at_peak = traced_peak_fields(lambda: constitutive(st), grid3d)
+    assert fields_at_peak < 46.0, fields_at_peak
 
 
 def _sample_after_step(state, cfg, reg=None, cadence=1):

@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from nematicflow.spectral import (SNAPSHOT_MAGIC, _sum_squares, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
 
-from conftest import box_index, box_mask
+from conftest import box_index, box_mask, traced_peak_fields
 
 TWO_PI = 2.0 * np.pi
 
@@ -215,14 +214,9 @@ def test_sup_norm_matches_summed_squares_within_two_fields(lead, dim, n):
     g = SpectralGrid(dim, n)
     f = np.random.default_rng(n + dim).standard_normal(lead + g.shape)
     want = float(np.sqrt(np.sum(f * f, axis=tuple(range(len(lead)))).max()))
-    tracemalloc.start()
-    try:
-        got = g.sup_norm_unchecked(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, fields_at_peak = traced_peak_fields(lambda: g.sup_norm_unchecked(f), g)
     assert got == want
-    assert peak <= 2 * 8 * g.npoints, peak / (8 * g.npoints)
+    assert fields_at_peak <= 2.0, fields_at_peak
 
 
 @pytest.mark.parametrize("lead", [(3,), (2, 2), (2, 3), (3, 3)])
@@ -234,14 +228,9 @@ def test_sum_squares_matches_summed_products_bitwise(dim, n, lead):
     shape = (n,) * dim
     f = np.random.default_rng(n + len(lead)).standard_normal(lead + shape)
     want = np.sum(f * f, axis=tuple(range(len(lead))))
-    tracemalloc.start()
-    try:
-        got = _sum_squares(f, dim)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, fields_at_peak = traced_peak_fields(lambda: _sum_squares(f, dim), SpectralGrid(dim, n))
     assert got.shape == shape and got.tobytes() == want.tobytes()
-    assert peak <= 2 * got.nbytes, peak / got.nbytes
+    assert fields_at_peak <= 2.0, fields_at_peak
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -313,6 +302,33 @@ def test_transforms_match_numpy_and_the_masked_reference(dim, n, lead):
         assert g.ifft(fhat).tobytes() == np.fft.irfftn(padded, s=g.shape, axes=axes).tobytes(), M
         assert fhat.tobytes() == fhat_before.tobytes()
     assert f.tobytes() == f_before.tobytes()
+
+
+def test_forward_transform_onto_the_band_holds_no_full_half_spectrum():
+    """3D n=32, a 3x3 tensor onto box(band): the slabbed transform stays
+    below 8 scalar fields (2 MiB) above its input, output included (6.7;
+    13.6 with numpy's full rfft held through its gather)."""
+    g = SpectralGrid(3, 32)
+    f = np.random.default_rng(37).standard_normal((3, 3) + g.shape)
+    g.fft(f, M=g.band)
+    fhat, fields_at_peak = traced_peak_fields(lambda: g.fft(f, M=g.band), g)
+    assert fhat.shape == (3, 3) + g.box(g.band).shape
+    assert fields_at_peak < 8.0, fields_at_peak
+
+
+def test_sobolev_norm_sums_without_full_size_temporaries():
+    """sobolev_norm_hat of a full-layout 3-component spectrum at 3D n=32
+    gives the bits of the weighted sum of |fhat|^2 and holds at most 1.5
+    real arrays of the spectrum's size (1.34; 2.0 with the squares of the
+    real and imaginary parts held at once)."""
+    g = SpectralGrid(3, 32)
+    fhat = g.fft(np.random.default_rng(41).standard_normal((3,) + g.shape))
+    for grad in (False, True):
+        w = g.box_of(fhat).sobolev_weight(3.0, grad)
+        want = float(np.sqrt(float(np.sum(w * (fhat.real ** 2 + fhat.imag ** 2))))) / g.npoints
+        got, fields_at_peak = traced_peak_fields(lambda: g.sobolev_norm_hat(fhat, 3.0, grad=grad), g)
+        assert got == want
+        assert fields_at_peak <= 1.5 * fhat.real.nbytes / (8 * g.npoints), fields_at_peak
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 32), (3, 16)])
@@ -450,14 +466,26 @@ class TestSnapshots:
         f = np.random.default_rng(23).standard_normal((3,) + g.shape)
         p = tmp_path / "u.field"
         save_snapshot(p, f, 0.5, g)
-        tracemalloc.start()
-        try:
-            field, _, _ = load_snapshot(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (field, _, _), fields_at_peak = traced_peak_fields(lambda: load_snapshot(p), g)
         assert field.tobytes() == f.tobytes() and field.flags.writeable
-        assert peak <= 1.25 * f.nbytes, peak / f.nbytes
+        assert fields_at_peak <= 1.25 * 3, fields_at_peak
+
+    @pytest.mark.parametrize("view", ["contiguous", "strided", "float32"])
+    def test_save_writes_the_field_without_copies(self, tmp_path, view):
+        """The payload is written from the field itself, with the bytes of
+        its little-endian float64 copy: saving a contiguous 3D n=32 field
+        peaks at at most 1.25 times its bytes (the finiteness mask adds an
+        eighth).  A strided or float32 field is converted first."""
+        g = SpectralGrid(3, 32)
+        base = np.random.default_rng(29).standard_normal((3,) + g.shape)
+        f = {"contiguous": base, "strided": base[:, ::-1, :, ::-1],
+             "float32": base.astype(np.float32)}[view]
+        p = tmp_path / "d.field"
+        _, fields_at_peak = traced_peak_fields(lambda: save_snapshot(p, f, 0.25, g), g)
+        header = struct.pack("<8sIIIId", SNAPSHOT_MAGIC, 1, 3, 32, 3, 0.25)
+        assert p.read_bytes() == header + np.ascontiguousarray(f).astype("<f8").tobytes()
+        if view == "contiguous":
+            assert fields_at_peak <= 1.25 * 3, fields_at_peak
 
     def test_rejects_wrong_shape(self, tmp_path, grid2d):
         with pytest.raises(ParameterError):
