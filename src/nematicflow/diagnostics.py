@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig, constitutive,
-                      penalty)
+from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
+                      _check_match, constitutive)
 from .spectral import _sum_squares
 
 CSV_COLUMNS = (
@@ -69,25 +69,16 @@ class EnergyReport:
         return self.D_mu1 + self.D_visc + self.D_case1_director + self.D_case1_Ad + self.D_reg
 
 
-def _energies(g, u: np.ndarray, grad_d: np.ndarray,
-              ep: float) -> tuple[float, float, float, float]:
-    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature of finite
-    fields; ep is E_penalty = int W(d)."""
-    ek = 0.5 * g.l2_inner_unchecked(u, u)
-    ee = 0.5 * g.l2_inner_unchecked(grad_d, grad_d)
-    return ek, ee, ep, ek + ee + ep
+def _energies(state: FieldState, bundle: ConstitutiveBundle) -> tuple[float, float, float, float]:
+    """(E_kinetic, E_elastic, E_penalty, E_total) by quadrature; bundle = constitutive(state)."""
+    ek = 0.5 * state.grid.l2_inner_unchecked(state.u, state.u)
+    ee = 0.5 * state.grid.l2_inner_unchecked(bundle.grad_d, bundle.grad_d)
+    return ek, ee, bundle.E_penalty, ek + ee + bundle.E_penalty
 
 
-def energies(state: FieldState) -> tuple[float, float, float, float]:
-    """(E_kinetic, E_elastic, E_penalty, E_total) by grid quadrature."""
-    g = state.grid
-    W, _ = penalty(state.d, state.coeffs.epsilon)
-    return _energies(g, state.u, g.ifft(g.grad_hat(g.fft(state.d))), float(W.mean()))
-
-
-def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
+def channels(state: FieldState, bundle: ConstitutiveBundle,
              reg: RegularizationConfig | None = None) -> EnergyReport:
-    """Full instantaneous report: energies plus every dissipation channel.
+    """Energies and every dissipation channel, read from bundle = constitutive(state, reg).
 
     D_visc   = mu4 ||A||^2            (= (mu4/2)||grad u||^2 for div-free u)
     D_mu1    = mu1 ||dAd||^2
@@ -100,11 +91,9 @@ def channels(state: FieldState, bundle: ConstitutiveBundle | None = None,
     """
     g = state.grid
     c = state.coeffs
-    if bundle is None:
-        bundle = constitutive(state)
     inner = g.l2_inner_unchecked  # FieldState validates u and d; the bundle derives from them
 
-    ek, ee, ep, et = _energies(g, state.u, bundle.grad_d, bundle.E_penalty)
+    ek, ee, ep, et = _energies(state, bundle)
 
     n2_N = inner(bundle.N, bundle.N)
     n2_Ad = inner(bundle.Ad, bundle.Ad)
@@ -138,22 +127,22 @@ def _residuals(earlier: EnergyReport, e_later: float, gap: float) -> dict[str, f
 
 
 def energy_law_audit(prev: FieldState, next_state: FieldState,
-                     reg: RegularizationConfig | None = None,
-                     dt: float | None = None) -> EnergyReport:
+                     reg: RegularizationConfig | None = None) -> EnergyReport:
     """Audit one state pair: finite-difference dE/dt against channels at prev.
 
     residual_general = (E_next - E_prev)/dt + sum(general channels at prev)
     residual_case1   = (E_next - E_prev)/dt + sum(case-1 channels at prev)
 
-    Both vanish as O(dt) for the continuous-in-time system; for a scheme of
-    order p the per-step imbalance is O(dt^(p+1))/dt = O(dt^p).
+    dt is the time gap; both states are read through constitutive(., reg), as
+    run() reads its samples.  Both vanish as O(dt) for the continuous-in-time
+    system; for a scheme of order p the per-step imbalance is O(dt^p).
     """
-    if dt is None:
-        dt = next_state.time - prev.time
+    _check_match(next_state, prev.grid, prev.coeffs, "audit pair")
+    dt = next_state.time - prev.time
     if not dt > 0.0:
         raise ParameterError(f"audit requires a positive time gap, got {dt}")
-    rep = channels(prev, reg=reg)
-    _, _, _, e_next = energies(next_state)
+    rep = channels(prev, constitutive(prev, reg), reg)
+    _, _, _, e_next = _energies(next_state, constitutive(next_state, reg))
     return replace(rep, time=next_state.time, E_total=e_next, **_residuals(rep, e_next, dt))
 
 
@@ -209,13 +198,11 @@ class BlowupMonitorState:
         """B at the last sample, 0.0 before the first."""
         return self.B_history[-1] if self.B_history else 0.0
 
-    def update(self, state: FieldState,
-               bundle: ConstitutiveBundle | None = None) -> "BlowupMonitorState":
+    def update(self, state: FieldState, bundle: ConstitutiveBundle) -> "BlowupMonitorState":
         """Append the quantities of one sampled state.
 
-        bundle, when given, must be constitutive(state); grad u, grad d,
-        the tension and the two H^3 norms are read from it instead of being
-        recomputed.
+        bundle is constitutive(state, reg); grad u, grad d, the tension and
+        the two H^3 norms are read from it.
         """
         g = state.grid
         c = state.coeffs
@@ -224,8 +211,6 @@ class BlowupMonitorState:
             raise ParameterError(
                 f"monitor updates need strictly increasing times, got {t} after {self.times[-1]}"
             )
-        if bundle is None:
-            bundle = constitutive(state)
         curl = _curl(bundle.grad_u)
         a = g.sup_norm_unchecked(curl)
         # a numpy float: its powers overflow to inf where a Python float's raise

@@ -84,6 +84,15 @@ class FieldState:
         return FieldState(grid=self.grid, coeffs=self.coeffs, time=time, u=u, d=d)
 
 
+def _check_match(state: FieldState, grid: SpectralGrid, coeffs: LeslieCoefficients,
+                 what: str) -> None:
+    """Refuse, with ParameterError, a state off grid's (dim, n) or with other coefficients."""
+    g, c = state.grid, state.coeffs
+    if (g.dim, g.n) != (grid.dim, grid.n) or (c is not coeffs and c != coeffs):
+        raise ParameterError(f"{what}: a {g.dim}D n={g.n} state with {c} does not match "
+                             f"the {grid.dim}D n={grid.n} grid with {coeffs}")
+
+
 def penalty(d: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise W(d) = (|d|^2-1)^2/(4 eps^2) and grad_d W = (|d|^2-1) d / eps^2."""
     if epsilon <= 0.0:

@@ -41,7 +41,7 @@ import numpy as np
 from .diagnostics import BlowupMonitorState, EnergyReport, _curl, _residuals, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      constitutive, momentum_rhs, rhs_hat)
+                      _check_match, constitutive, momentum_rhs, rhs_hat)
 
 SCHEMES = ("semi-implicit-euler", "imex-bdf2")
 
@@ -114,8 +114,10 @@ class Stepper:
     def _visit(self, state: FieldState,
                sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
                ) -> ConstitutiveBundle:
-        """Build constitutive(state, reg), hand it to sample when given, then guard
-        sup|curl u| (the monitor's formula); a trip raises BlowUpError(state)."""
+        """Refuse a state off the stepper's grid or coefficients (ParameterError), build
+        constitutive(state, reg), hand it to sample when given, then guard sup|curl u|
+        (the monitor's formula); a trip raises BlowUpError(state)."""
+        _check_match(state, self.grid, self.coeffs, "stepper")
         bundle = constitutive(state, self.reg)
         if sample is not None:
             sample(state, bundle)
@@ -209,8 +211,8 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     whose check failed: the tripping state, or the last finite one.  run()
     holds no reference to `initial` past the first step.
     """
-    if cadence < 1:
-        raise ParameterError(f"cadence must be >= 1, got {cadence}")
+    if not isinstance(cadence, (int, np.integer)) or cadence < 1:
+        raise ParameterError(f"cadence must be an integer >= 1, got {cadence!r}")
     n_steps = cfg.n_steps()
 
     t0 = _time.perf_counter()

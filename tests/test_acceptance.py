@@ -320,7 +320,7 @@ def test_criterion_09_blowup_monitor(case1_runs):
     st = FieldState(grid=g, coeffs=from_alpha(1.0, 1.0), time=0.0,
                     u=taylor_green_velocity(g, amp), d=d_circle)
     mon = BlowupMonitorState()
-    mon.update(st)
+    mon.update(st, constitutive(st))
     err_curl = abs(mon.sup_curl_u[0] - 4.0 * np.pi * amp)
     err_gd = abs(mon.sup_grad_d[0] - TWO_PI)
 
@@ -329,7 +329,8 @@ def test_criterion_09_blowup_monitor(case1_runs):
     expect = 0.0
     exact = True
     for k in range(1, 4):
-        mon.update(st.with_fields(st.u, st.d, 0.05 * k))
+        later = st.with_fields(st.u, st.d, 0.05 * k)
+        mon.update(later, constitutive(later))
         expect += integrand * (0.05 * k - 0.05 * (k - 1))
         exact = exact and mon.B_integral == expect
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nematicflow import (BlowupMonitorState, FieldState, LeslieCoefficients,
-                         ParameterError, TimeStepperConfig,
+                         ParameterError, SpectralGrid, TimeStepperConfig,
                          case2_lower_bound_check, channels, constitutive,
                          energy_law_audit, eta_margin, from_alpha, run,
                          write_timeseries)
-from nematicflow.diagnostics import CSV_COLUMNS, _curl, energies
+from nematicflow.diagnostics import CSV_COLUMNS, _curl, _energies
 from nematicflow.config import taylor_green_velocity
 
 from conftest import smooth_state
@@ -35,7 +35,7 @@ def circle_director(grid):
 
 def test_energies_quiescent(grid2d, alpha_one):
     st = quiescent(grid2d, alpha_one)
-    ek, ee, ep, et = energies(st)
+    ek, ee, ep, et = _energies(st, constitutive(st))
     assert (ek, ee, ep, et) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -44,19 +44,20 @@ def test_energies_hand_values(grid2d, alpha_one):
     st = quiescent(grid2d, alpha_one)
     u = taylor_green_velocity(grid2d, 1.0)
     st = st.with_fields(u, st.d, 0.0)
-    ek, _, _, _ = energies(st)
+    ek, _, _, _ = _energies(st, constitutive(st))
     assert ek == pytest.approx(0.25, rel=1e-14)
 
     # elastic: |grad d| = 2pi for the unit circle director, penalty zero
     st = st.with_fields(np.zeros_like(u), circle_director(grid2d), 0.0)
-    ek, ee, ep, _ = energies(st)
+    ek, ee, ep, _ = _energies(st, constitutive(st))
     assert ek == 0.0
     assert ee == pytest.approx(2.0 * np.pi ** 2, rel=1e-13)
     assert ep == pytest.approx(0.0, abs=1e-25)
 
 
 def test_channels_quiescent_all_zero(grid2d, alpha_one):
-    rep = channels(quiescent(grid2d, alpha_one))
+    st = quiescent(grid2d, alpha_one)
+    rep = channels(st, constitutive(st))
     for name in ("D_mu1", "D_visc", "D_Ad", "D_N", "D_cross",
                  "D_case1_director", "D_case1_Ad", "D_reg"):
         assert getattr(rep, name) == 0.0
@@ -68,7 +69,7 @@ def test_channels_viscous_hand_value(grid2d):
     a = 0.4
     st = quiescent(grid2d, c).with_fields(
         taylor_green_velocity(grid2d, a), quiescent(grid2d, c).d, 0.0)
-    rep = channels(st)
+    rep = channels(st, constitutive(st))
     assert rep.D_visc == pytest.approx(c.mu4 * 2.0 * np.pi ** 2 * a ** 2, rel=1e-13)
     # uniform director, no flow coupling: every director channel vanishes
     assert abs(rep.D_N) < 1e-20
@@ -80,7 +81,7 @@ def test_channel_identities_on_random_states(grid2d, alpha_one):
     D_N + D_Ad + D_cross = D_case1_director + D_case1_Ad."""
     for seed in range(3):
         st = smooth_state(grid2d, alpha_one, seed=seed)
-        rep = channels(st)
+        rep = channels(st, constitutive(st))
         lhs = rep.D_N + rep.D_Ad + rep.D_cross
         rhs = rep.D_case1_director + rep.D_case1_Ad
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13)
@@ -90,7 +91,7 @@ def test_channel_identities_on_random_states(grid2d, alpha_one):
 
 def test_audit_residual_arithmetic(grid2d, alpha_one):
     st = smooth_state(grid2d, alpha_one, seed=1)
-    rep0 = channels(st)
+    rep0 = channels(st, constitutive(st))
     # identical pair: rate = 0, so residual = dissipation at prev
     later = st.with_fields(st.u, st.d, 0.5)
     audit = energy_law_audit(st, later)
@@ -100,16 +101,41 @@ def test_audit_residual_arithmetic(grid2d, alpha_one):
         energy_law_audit(st, st.with_fields(st.u, st.d, 0.0))
 
 
-def test_audit_explicit_dt_override(grid2d, alpha_one):
-    st = smooth_state(grid2d, alpha_one, seed=2)
-    later = st.with_fields(0.5 * st.u, st.d, 1.0)
-    a = energy_law_audit(st, later)
-    b = energy_law_audit(st, later, dt=2.0)
-    # halving the rate moves the residual by half the energy difference
-    e0 = channels(st).E_total
-    e1 = energies(later)[3]
-    assert a.residual_general - b.residual_general == pytest.approx(
-        (e1 - e0) * (1.0 - 0.5), rel=1e-12)
+# 3D non-Parodi Case 2 set
+CASE2_3D = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
+                              mu3=0.5, mu4=1.0, mu5=0.6, mu6=0.4)
+
+
+@pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
+@pytest.mark.parametrize("case", ["2d-case1", "3d-case2"])
+def test_audit_of_consecutive_states_is_the_run_row(grid2d, grid3d, alpha_one, case, scheme):
+    """energy_law_audit(s_k, s_k+1) on consecutive stepped states gives the
+    energy and the residuals of run()'s row k+1, bit for bit: both read E and
+    the channels from the states' own bundles."""
+    st = (smooth_state(grid2d, alpha_one, seed=5) if case == "2d-case1"
+          else smooth_state(grid3d, CASE2_3D, seed=5))
+    states = []
+    traj = run(st, TimeStepperConfig(dt=1e-3, t_end=4e-3, scheme=scheme),
+               hooks=(lambda s, i: states.append(s),))
+    assert len(states) == len(traj.reports) == 5
+    for k, row in enumerate(traj.reports[1:]):
+        audit = energy_law_audit(states[k], states[k + 1])
+        assert ((audit.time, audit.E_total, audit.residual_general, audit.residual_case1)
+                == (row.time, row.E_total, row.residual_general, row.residual_case1))
+
+
+def test_audit_refuses_a_pair_of_two_settings(grid2d, alpha_one):
+    """The two states of an audit share one grid (dim, n) and one set of
+    coefficients; a twin grid or equal coefficients are the same setting."""
+    st = smooth_state(grid2d, alpha_one, seed=1)
+    coarse = smooth_state(SpectralGrid(2, 16), alpha_one, seed=1)
+    for other in (FieldState(grid=grid2d, coeffs=from_alpha(0.5, 1.7), time=0.5, u=st.u, d=st.d),
+                  coarse.with_fields(coarse.u, coarse.d, 0.5)):
+        with pytest.raises(ParameterError, match="^audit pair: "):
+            energy_law_audit(st, other)
+    twin = FieldState(grid=SpectralGrid(2, 32), coeffs=from_alpha(1.0, 1.0), time=0.5,
+                      u=st.u, d=st.d)
+    assert energy_law_audit(st, twin) == energy_law_audit(st, st.with_fields(st.u, st.d, 0.5))
 
 
 CASE2_ONLY = LeslieCoefficients(lambda1=-1.0, lambda2=0.3, mu1=0.0, mu2=-0.5,
@@ -121,14 +147,14 @@ def test_case2_lower_bound_on_random_states(grid2d):
     assert eta > 0.0
     for seed in range(5):
         st = smooth_state(grid2d, CASE2_ONLY, seed=seed)
-        rep = channels(st)
+        rep = channels(st, constitutive(st))
         assert case2_lower_bound_check(rep, eta)
         assert rep.norm_N_sq > 0.0
     # an eta above the sharp margin must eventually fail
     st = smooth_state(grid2d, CASE2_ONLY, seed=0)
-    assert not case2_lower_bound_check(channels(st), 100.0)
+    assert not case2_lower_bound_check(channels(st, constitutive(st)), 100.0)
     with pytest.raises(ParameterError):
-        case2_lower_bound_check(channels(st), -1.0)
+        case2_lower_bound_check(channels(st, constitutive(st)), -1.0)
 
 
 def test_quantity_A_taylor_green(grid2d, alpha_one):
@@ -137,9 +163,10 @@ def test_quantity_A_taylor_green(grid2d, alpha_one):
     st = quiescent(grid2d, alpha_one)
     st = st.with_fields(taylor_green_velocity(grid2d, a), st.d, 0.0)
     # ||grad u||^2 = 4 pi^2 a^2, tension = 0 for the uniform director
-    assert BlowupMonitorState().update(st).A_history == [
+    assert BlowupMonitorState().update(st, constitutive(st)).A_history == [
         pytest.approx(4.0 * np.pi ** 2 * a ** 2, rel=1e-13)]
-    assert BlowupMonitorState().update(quiescent(grid2d, alpha_one)).A_history == [0.0]
+    st = quiescent(grid2d, alpha_one)
+    assert BlowupMonitorState().update(st, constitutive(st)).A_history == [0.0]
 
 
 def test_quantity_Ys_single_mode(grid2d, alpha_one):
@@ -155,7 +182,8 @@ def test_quantity_Ys_single_mode(grid2d, alpha_one):
         ys = (g.sobolev_norm_hat(g.fft(st.u), s) ** 2
               + g.sobolev_norm_hat(g.fft(st.d), s, grad=True) ** 2)
         assert ys == pytest.approx(expect, rel=1e-12)
-    assert BlowupMonitorState().update(st).Y3_history == [pytest.approx(expect, rel=1e-12)]
+    assert BlowupMonitorState().update(st, constitutive(st)).Y3_history == [
+        pytest.approx(expect, rel=1e-12)]
 
 
 @pytest.mark.parametrize("grid", ["grid2d", "grid3d"])
@@ -173,7 +201,7 @@ class TestBlowupMonitor:
         st = quiescent(grid2d, alpha_one).with_fields(
             taylor_green_velocity(grid2d, a), circle_director(grid2d), 0.0)
         mon = BlowupMonitorState()
-        mon.update(st)
+        mon.update(st, constitutive(st))
         assert mon.sup_curl_u[-1] == pytest.approx(4.0 * np.pi * a, abs=1e-10)
         assert mon.sup_grad_d[-1] == pytest.approx(TWO_PI, abs=1e-10)
 
@@ -181,11 +209,12 @@ class TestBlowupMonitor:
         st0 = quiescent(grid2d, alpha_one).with_fields(
             taylor_green_velocity(grid2d, 0.3), circle_director(grid2d), 0.0)
         mon = BlowupMonitorState()
-        mon.update(st0)
+        mon.update(st0, constitutive(st0))
         integrand = mon.sup_curl_u[0] + mon.sup_grad_d[0] ** 4
         expect = 0.0
         for k in range(1, 5):
-            mon.update(st0.with_fields(st0.u, st0.d, 0.1 * k))
+            later = st0.with_fields(st0.u, st0.d, 0.1 * k)
+            mon.update(later, constitutive(later))
             expect += integrand * (0.1 * k - 0.1 * (k - 1))
             assert mon.B_integral == expect  # trapezoid of a constant is exact
 
@@ -196,29 +225,18 @@ class TestBlowupMonitor:
         assert all(B[i] <= B[i + 1] for i in range(len(B) - 1))
         assert B[0] == 0.0
 
-    def test_update_with_bundle_is_bitwise_equal(self, grid2d, alpha_one):
-        st = smooth_state(grid2d, alpha_one, seed=6)
-        states = []
-        run(st, TimeStepperConfig(dt=1e-3, t_end=0.004),
-            hooks=(lambda s, i: states.append(s),))
-        fresh, handed = BlowupMonitorState(), BlowupMonitorState()
-        for s in states:
-            fresh.update(s)
-            handed.update(s, constitutive(s))
-        assert vars(handed) == vars(fresh)
-
     def test_pop_undoes_the_last_update(self, grid2d, alpha_one):
         """pop() removes the last sample, B_integral included: a monitor that
         took a sample and dropped it goes on as one that never took it."""
         st = smooth_state(grid2d, alpha_one, seed=6)
         states = [st.with_fields((1.0 + k) * st.u, st.d, 0.1 * k) for k in range(3)]
         kept, popped = BlowupMonitorState(), BlowupMonitorState()
-        popped.update(states[0]).pop()
+        popped.update(states[0], constitutive(states[0])).pop()
         assert vars(popped) == vars(BlowupMonitorState()) and popped.B_integral == 0.0
         for s in (states[0], states[2]):
-            kept.update(s)
+            kept.update(s, constitutive(s))
         for s in states:
-            popped.update(s)
+            popped.update(s, constitutive(s))
             if s is states[1]:
                 popped.pop()
         assert vars(popped) == vars(kept)
@@ -231,25 +249,27 @@ class TestBlowupMonitor:
         st = st.with_fields(st.u, 1e80 * st.d, 0.0)
         mon = BlowupMonitorState()
         with np.errstate(all="ignore"):
-            mon.update(st)
+            mon.update(st, constitutive(st))
         assert mon.sup_grad_d[0] > 1e77
         assert np.isinf(mon.row(0)).any()
 
     def test_quiescent_values(self, grid2d, alpha_one):
+        st = quiescent(grid2d, alpha_one)
         mon = BlowupMonitorState()
-        mon.update(quiescent(grid2d, alpha_one))
+        mon.update(st, constitutive(st))
         assert mon.G_history == [1.0]
         assert mon.logsob_history == [0.0]
         assert mon.Y3_history == [0.0]
 
     def test_rejects_nonmonotone_times(self, grid2d, alpha_one):
         st = quiescent(grid2d, alpha_one)
+        b = constitutive(st)
         mon = BlowupMonitorState()
-        mon.update(st.with_fields(st.u, st.d, 0.5))
+        mon.update(st.with_fields(st.u, st.d, 0.5), b)
         with pytest.raises(ParameterError):
-            mon.update(st.with_fields(st.u, st.d, 0.5))
+            mon.update(st.with_fields(st.u, st.d, 0.5), b)
         with pytest.raises(ParameterError):
-            mon.update(st.with_fields(st.u, st.d, 0.1))
+            mon.update(st.with_fields(st.u, st.d, 0.1), b)
 
 
 def test_write_timeseries_round_trip(tmp_path, grid2d, alpha_one):

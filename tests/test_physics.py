@@ -391,7 +391,7 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
     rate = (grid.l2_inner_unchecked(st.u, u_t)
             + grid.l2_inner_unchecked(grid.gradient(st.d), grid.gradient(d_t))
             + grid.l2_inner_unchecked(gradW, d_t))
-    dissipation = channels(st, reg=reg).dissipation_general
+    dissipation = channels(st, constitutive(st, reg), reg).dissipation_general
     assert dissipation > 0.0
     assert abs(rate + dissipation) <= 1e-12 * dissipation
 

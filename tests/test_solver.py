@@ -281,6 +281,32 @@ def test_run_sampling_times(grid2d, alpha_one):
         run(st, TimeStepperConfig(dt=1e-3, t_end=0.01), cadence=0)
 
 
+@pytest.mark.parametrize("cadence", [2.5, 2.0, "3"])
+def test_run_refuses_a_non_integer_cadence(grid2d, alpha_one, cadence):
+    """cadence is a step count: a float, even a whole one, is refused as
+    RegularizationConfig refuses a non-integer M."""
+    st = smooth_state(grid2d, alpha_one, seed=9)
+    with pytest.raises(ParameterError, match="^cadence must be an integer >= 1"):
+        run(st, TimeStepperConfig(dt=1e-3, t_end=0.01), cadence=cadence)
+
+
+def test_stepper_refuses_a_state_of_another_setting(grid2d, grid3d, alpha_one):
+    """A state on another grid (dim, n) or with other coefficients than the
+    stepper's is refused before any work; a twin grid and equal coefficients
+    step as the stepper's own do."""
+    stepper = Stepper(grid2d, alpha_one, TimeStepperConfig(dt=1e-3, t_end=0.01))
+    st = smooth_state(grid2d, alpha_one, seed=9)
+    for other in (FieldState(grid=grid2d, coeffs=from_alpha(0.5, 1.7), time=0.0, u=st.u, d=st.d),
+                  smooth_state(SpectralGrid(2, 16), alpha_one, seed=9),
+                  smooth_state(grid3d, alpha_one, seed=9)):
+        with pytest.raises(ParameterError, match="^stepper: "):
+            stepper.step_pair(other)
+    twin = FieldState(grid=SpectralGrid(2, 32), coeffs=from_alpha(1.0, 1.0), time=0.0,
+                      u=st.u, d=st.d)
+    a, b = stepper.step_pair(st), stepper.step_pair(twin)
+    assert a.u.tobytes() == b.u.tobytes() and a.d.tobytes() == b.d.tobytes()
+
+
 @pytest.mark.parametrize("cadence", [1, 7])
 def test_run_evaluates_each_state_once(grid2d, alpha_one, monkeypatch, cadence):
     """Steps hand their bundle to the sampler: n_steps calls inside the
