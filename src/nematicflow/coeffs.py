@@ -13,7 +13,7 @@ and the two lambda identities hold.  On top of that the solver distinguishes
     case 2:  |lambda2 - mu2 - mu3| < 2 sqrt(-lambda1) sqrt(mu5 + mu6)
              (strict dissipation without Parodi).
 
-Equalities are checked to an absolute tolerance, 1e-12 by default.
+Equalities are checked to the absolute tolerance EQUALITY_TOL = 1e-12.
 """
 
 from __future__ import annotations
@@ -125,11 +125,8 @@ class RegimeReport:
         return {**asdict(self), "violations": [list(v) for v in self.violations]}
 
 
-def validate(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> RegimeReport:
+def validate(c: LeslieCoefficients) -> RegimeReport:
     """Check the sign constraints, the lambda identities, Parodi, and classify."""
-    if tol < 0.0 or not math.isfinite(tol):
-        raise ParameterError(f"tol must be a finite nonnegative number, got {tol}")
-
     s56 = c.mu5 + c.mu6
     r_l1 = abs(c.lambda1 - (c.mu2 - c.mu3))
     r_l2 = abs(c.lambda2 - (c.mu5 - c.mu6))
@@ -140,9 +137,9 @@ def validate(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> RegimeReport:
         (c.mu1 >= 0.0, -c.mu1),
         (c.mu4 > 0.0, max(0.0, -c.mu4)),
         (s56 >= 0.0, -s56),
-        (r_l1 <= tol, r_l1),
-        (r_l2 <= tol, r_l2),
-        (r_parodi <= tol, r_parodi),
+        (r_l1 <= EQUALITY_TOL, r_l1),
+        (r_l2 <= EQUALITY_TOL, r_l2),
+        (r_parodi <= EQUALITY_TOL, r_parodi),
     )
     flags = {flag: ok for (flag, _, _), (ok, _) in zip(CONSTRAINTS, checks)}
     violations = tuple((name, r) for (_, name, _), (ok, r) in zip(CONSTRAINTS, checks) if not ok)
@@ -151,15 +148,15 @@ def validate(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> RegimeReport:
     case1 = False
     case2 = False
     if base:
-        # case 1 needs Parodi plus lambda2^2/(-lambda1) <= mu5+mu6 (tol slack on
-        # the inequality so exact-equality presets classify as case 1).
-        if flags["parodi_holds"] and c.lambda2 ** 2 / (-c.lambda1) <= s56 + tol:
+        # case 1 needs Parodi plus lambda2^2/(-lambda1) <= mu5+mu6 (tolerance
+        # slack on the inequality so exact-equality presets classify as case 1).
+        if flags["parodi_holds"] and c.lambda2 ** 2 / (-c.lambda1) <= s56 + EQUALITY_TOL:
             case1 = True
-        # case 2 is a strict inequality, demoted to a tol margin; mu5+mu6 = 0
+        # case 2 is a strict inequality, demoted to a tolerance margin; mu5+mu6 = 0
         # leaves nothing strict to satisfy, so it reports False there.
         if s56 > 0.0:
             gap = 2.0 * math.sqrt(-c.lambda1) * math.sqrt(s56)
-            if abs(c.lambda2 - c.mu2 - c.mu3) < gap - tol:
+            if abs(c.lambda2 - c.mu2 - c.mu3) < gap - EQUALITY_TOL:
                 case2 = True
 
     return RegimeReport(**flags, case1=case1, case2=case2, violations=violations)
@@ -190,13 +187,13 @@ class DissipationForm:
         return 0.5 * (tr - disc)
 
 
-def dissipation_form(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> DissipationForm:
+def dissipation_form(c: LeslieCoefficients) -> DissipationForm:
     """Coefficients of the cross-term dissipation form for an admissible base set.
 
     a_nn = -lambda1, a_na = -(lambda2 - mu2 - mu3), a_aa = mu5 + mu6.
     Raises RegimeError unless the base constraints hold.
     """
-    rep = validate(c, tol)
+    rep = validate(c)
     if not rep.base_constraints_hold:
         bad = ", ".join(name for name, _ in rep.violations)
         raise RegimeError(f"base coefficient constraints violated: {bad}")
@@ -207,7 +204,7 @@ def dissipation_form(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> Dissip
     )
 
 
-def eta_margin(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> float:
+def eta_margin(c: LeslieCoefficients) -> float:
     """Coercivity margin eta >= 0 of the dissipation form.
 
     Sharp value: the smaller eigenvalue of the symmetrized form matrix, so
@@ -215,7 +212,7 @@ def eta_margin(c: LeslieCoefficients, tol: float = EQUALITY_TOL) -> float:
     semidefinite-but-not-definite case.  Raises RegimeError if the form is
     not positive semidefinite.
     """
-    form = dissipation_form(c, tol)
+    form = dissipation_form(c)
     if not form.psd:
         raise RegimeError(
             "dissipation form is not positive semidefinite: "

@@ -302,13 +302,9 @@ def check_initial_condition(cfg: RunConfig, grid: SpectralGrid) -> float:
     return 0.0
 
 
-def build_initial_state(cfg: RunConfig, grid: SpectralGrid | None = None,
-                        coeffs: LeslieCoefficients | None = None) -> FieldState:
+def build_initial_state(cfg: RunConfig, grid: SpectralGrid,
+                        coeffs: LeslieCoefficients) -> FieldState:
     """Materialize the configured initial condition (band-limited by design)."""
-    if grid is None:
-        grid = build_grid(cfg)
-    if coeffs is None:
-        coeffs = build_coefficients(cfg)
     time = check_initial_condition(cfg, grid)
     ic = cfg.initial_condition
     e3 = np.reshape([0.0, 0.0, 1.0], (3,) + (1,) * grid.dim)  # broadcast over the grid

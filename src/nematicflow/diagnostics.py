@@ -36,6 +36,7 @@ CSV_COLUMNS = (
     "Y3", "A_qty", "logsob_ratio",
 )
 _REPORT_COLUMNS = CSV_COLUMNS[:15]  # EnergyReport fields; the rest is BlowupMonitorState.row
+CASE2_BOUND_TOL = 1e-10  # absolute slack of case2_lower_bound_check
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,14 @@ def energy_law_audit(prev: FieldState, next_state: FieldState,
     return replace(rep, time=next_state.time, E_total=e_next, **_residuals(rep, e_next, dt))
 
 
-def case2_lower_bound_check(report: EnergyReport, eta: float, tol: float = 1e-10) -> bool:
-    """Coercivity of the director channels: D_N + D_cross + D_Ad >= eta (||N||^2 + ||Ad||^2)."""
+def case2_lower_bound_check(report: EnergyReport, eta: float) -> bool:
+    """Coercivity of the director channels: D_N + D_cross + D_Ad >= eta (||N||^2 + ||Ad||^2),
+    up to an absolute slack of CASE2_BOUND_TOL."""
     if eta < 0.0 or not math.isfinite(eta):
         raise ParameterError(f"eta must be finite and nonnegative, got {eta}")
     lhs = report.D_N + report.D_cross + report.D_Ad
     rhs = eta * (report.norm_N_sq + report.norm_Ad_sq)
-    return lhs + tol >= rhs
+    return lhs + CASE2_BOUND_TOL >= rhs
 
 
 # -- blow-up criterion monitors -------------------------------------------------

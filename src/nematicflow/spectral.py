@@ -248,19 +248,6 @@ class SpectralGrid:
             out += np.multiply(ik[i], vhat[i], out=term)
         return out
 
-    def curl_hat(self, uhat: np.ndarray) -> np.ndarray:
-        """Scalar vorticity in 2D, the curl vector in 3D."""
-        ik = self.box_of(uhat).ikappa_d
-        if self.dim == 2:
-            return ik[0] * uhat[1] - ik[1] * uhat[0]
-        out = np.empty_like(uhat)
-        term = np.empty_like(uhat[0])
-        for c in range(3):
-            a, b = (c + 1) % 3, (c + 2) % 3
-            np.multiply(ik[a], uhat[b], out=out[c])
-            out[c] -= np.multiply(ik[b], uhat[a], out=term)
-        return out
-
     def potential_hat(self, vhat: np.ndarray) -> np.ndarray:
         """q = (kappa . vhat)/|kappa|^2, so vhat = leray_hat(vhat) + kappa q;
         the gradient part is grad p with p_hat = -i q."""
@@ -284,7 +271,11 @@ class SpectralGrid:
         x1 = np.arange(self.n) / self.n
         return np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
 
-    # -- validation ---------------------------------------------------------
+    # -- validating calculus on grid fields ------------------------------------
+    #
+    # No run calls these five: the solver works on spectra.  They stay because
+    # the benchmark's tracer binds them by name.  Each checks its input, then
+    # goes through fft and ifft, so it is exact on the retained modes.
 
     def _check(self, f: np.ndarray, what: str, lead: tuple | None = None):
         """f as an array whose trailing axes are the grid, whose leading
@@ -309,32 +300,17 @@ class SpectralGrid:
         fhat = self.fft(self._check(f, what, lead), M=M)
         return self.ifft(fhat if op is None else op(fhat))
 
-    # -- calculus (exact on the retained modes) ------------------------------
-
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """d/dx_i along a new leading axis: result[i, ...] = d f[...] / d x_i."""
         return self._via_fourier(f, "gradient", self.grad_hat)
-
-    def divergence(self, v: np.ndarray) -> np.ndarray:
-        """Scalar d_i v_i for a velocity-like field of shape (dim,) + grid."""
-        return self._via_fourier(v, "divergence", self.div_hat, (self.dim,))
 
     def div_tensor(self, T: np.ndarray) -> np.ndarray:
         """(div T)_j = d_i T_ij for T of shape (dim, dim) + grid."""
         return self._via_fourier(T, "div_tensor", self.div_hat, (self.dim, self.dim))
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self._via_fourier(f, "laplacian", lambda fhat: -self.box_of(fhat).ksq * fhat)
-
-    def curl(self, u: np.ndarray) -> np.ndarray:
-        """Scalar vorticity d_1 u_2 - d_2 u_1 in 2D, the full curl vector in 3D."""
-        return self._via_fourier(u, "curl", self.curl_hat, (self.dim,))
-
     def leray(self, v: np.ndarray) -> np.ndarray:
         """Project onto divergence-free fields; the mean mode passes through."""
         return self._via_fourier(v, "leray", self.leray_hat, (self.dim,))
-
-    # -- filters -------------------------------------------------------------
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Zero every mode with any |k_j| > floor(n/3)."""
@@ -346,13 +322,16 @@ class SpectralGrid:
             raise ParameterError(f"truncate_modes: M must be an integer in [1, {self.n // 2}], got {M}")
         return self._via_fourier(f, "truncate_modes", M=int(M))
 
-    def sobolev_norm(self, f: np.ndarray, s: float) -> float:
-        """|| (1+|kappa|^2)^(s/2) f ||_{L2}; s = 0 is the plain L2 norm."""
-        return self.sobolev_norm_hat(self.fft(self._check(f, "sobolev_norm")), s)
+    # -- norms and quadrature (collocation sums on the unit box) ----------------
+    #
+    # These kernels check nothing: their callers' fields are finite by
+    # construction.  The grid mean of a scalar field is its integral over the
+    # unit box.
 
     def sobolev_norm_hat(self, fhat: np.ndarray, s: float, *, grad: bool = False) -> float:
-        """sobolev_norm from coefficients on any box; with grad, the norm of
-        grad f (the Nyquist-free |kappa|^2 joins the weight)."""
+        """|| (1+|kappa|^2)^(s/2) f ||_{L2} from coefficients on any box, s = 0
+        the plain L2 norm; with grad, the norm of grad f (the Nyquist-free
+        |kappa|^2 joins the weight)."""
         w = self.box_of(fhat).sobolev_weight(s, grad)
         sq = np.square(fhat.real)  # one array of fhat's shape, plus one component
         imag = fhat.imag.reshape((-1,) + w.shape)
@@ -361,16 +340,6 @@ class SpectralGrid:
             sq_c += np.square(imag_c, out=tmp)
         sq *= w
         return float(np.sqrt(float(np.sum(sq)))) / self.npoints
-
-    # -- quadrature (collocation sums on the unit box) ------------------------
-    #
-    # sup_norm validates its input; the *_unchecked kernels hold the formulas
-    # and serve callers whose fields are finite by construction.  The grid
-    # mean of a scalar field is its integral over the unit box.
-
-    def sup_norm(self, f: np.ndarray) -> float:
-        """max over grid points of the pointwise Euclidean (Frobenius) magnitude."""
-        return self.sup_norm_unchecked(self._check(f, "sup_norm"))
 
     # einsum contracts without a temporary and without BLAS, whose threaded
     # dot would oversubscribe the cores a sweep's workers share.
@@ -406,7 +375,7 @@ def random_band_limited(grid: SpectralGrid, ncomp: int, kmax: int, rng: np.rando
     check_kmax(grid, kmax)
     f = rng.standard_normal((ncomp,) + grid.shape)
     f = grid.ifft(grid.fft(f, M=kmax))
-    peak = np.sqrt(_sum_squares(f, grid.dim).max())
+    peak = grid.sup_norm_unchecked(f)
     if peak == 0.0:
         raise ParameterError("degenerate random draw, zero field")
     f /= peak

@@ -71,6 +71,54 @@ def physical_rhs(state, reg=None):
                  for L, F in zip(lin, rhs_hat(state, b, reg)))
 
 
+# -- physical-space calculus oracles ---------------------------------------------
+# Each is ifft(op(fft(f))) through the full half spectrum, exact on the
+# retained modes.  No run calls them: the solver works on spectra, and its
+# one curl is diagnostics._curl of grad u.
+
+
+def curl_hat(grid, uhat):
+    """Scalar vorticity in 2D, the curl vector in 3D, on uhat's box."""
+    ik = grid.box_of(uhat).ikappa_d
+    if grid.dim == 2:
+        return ik[0] * uhat[1] - ik[1] * uhat[0]
+    out = np.empty_like(uhat)
+    term = np.empty_like(uhat[0])
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        np.multiply(ik[a], uhat[b], out=out[c])
+        out[c] -= np.multiply(ik[b], uhat[a], out=term)
+    return out
+
+
+def curl(grid, u):
+    """Scalar vorticity d_1 u_2 - d_2 u_1 in 2D, the full curl vector in 3D."""
+    return grid.ifft(curl_hat(grid, grid.fft(u)))
+
+
+def divergence(grid, v):
+    """Scalar d_i v_i for a velocity-like field of shape (dim,) + grid."""
+    return grid.ifft(grid.div_hat(grid.fft(v)))
+
+
+def laplacian(grid, f):
+    fhat = grid.fft(f)
+    return grid.ifft(-grid.box_of(fhat).ksq * fhat)
+
+
+def sobolev_norm(grid, f, s):
+    """|| (1+|kappa|^2)^(s/2) f ||_{L2}; s = 0 is the plain L2 norm."""
+    return grid.sobolev_norm_hat(grid.fft(f), s)
+
+
+def sup_norm(grid, f):
+    """max over grid points of the pointwise Euclidean (Frobenius) magnitude.
+    A non-finite field fails here, not in a comparison with NaN, which reads
+    False and which max() passes over."""
+    assert np.isfinite(f).all(), "sup_norm: non-finite values in field"
+    return grid.sup_norm_unchecked(f)
+
+
 def traced_peak_fields(call, grid):
     """(call(), the tracemalloc peak of the call in scalar fields of grid,
     float64 arrays of grid.shape).  A call that runs

@@ -16,12 +16,13 @@ from nematicflow import (FieldState, RegularizationConfig, SpectralGrid,
                          dissipation_form, energy_law_audit, from_alpha, run,
                          validate)
 from nematicflow.cli import main
-from nematicflow.config import (build_initial_state, build_stepper_config,
-                                parse_config_text, taylor_green_velocity)
+from nematicflow.config import (build_coefficients, build_grid, build_initial_state,
+                                build_stepper_config, parse_config_text,
+                                taylor_green_velocity)
 from nematicflow.diagnostics import BlowupMonitorState
 from nematicflow.spectral import random_band_limited
 
-from conftest import ACCEPTANCE_LINES, smooth_state
+from conftest import ACCEPTANCE_LINES, curl, divergence, laplacian, smooth_state, sup_norm
 from test_coeffs import _random_parodi_set
 
 TWO_PI = 2.0 * np.pi
@@ -105,26 +106,26 @@ def test_criterion_02_spectral_operator_oracles():
             u = np.stack([c[0] for c in comps])
             grads = [c[1] for c in comps]
 
-            worst = max(worst, grid.sup_norm(grid.gradient(comps[0][0]) - grads[0]))
-            worst = max(worst, grid.sup_norm(grid.laplacian(comps[0][0]) - comps[0][2]))
+            worst = max(worst, sup_norm(grid, grid.gradient(comps[0][0]) - grads[0]))
+            worst = max(worst, sup_norm(grid, laplacian(grid, comps[0][0]) - comps[0][2]))
             div = sum(grads[i][i] for i in range(grid.dim))
-            worst = max(worst, grid.sup_norm(grid.divergence(u) - div))
+            worst = max(worst, sup_norm(grid, divergence(grid, u) - div))
             if grid.dim == 2:
-                curl = grads[1][0] - grads[0][1]
+                curl_exact = grads[1][0] - grads[0][1]
             else:
-                curl = np.stack([grads[2][1] - grads[1][2],
-                                 grads[0][2] - grads[2][0],
-                                 grads[1][0] - grads[0][1]])
-            worst = max(worst, grid.sup_norm(grid.curl(u) - curl))
+                curl_exact = np.stack([grads[2][1] - grads[1][2],
+                                       grads[0][2] - grads[2][0],
+                                       grads[1][0] - grads[0][1]])
+            worst = max(worst, sup_norm(grid, curl(grid, u) - curl_exact))
 
     g = SpectralGrid(2, 32)
     worst_leray = 0.0
     for seed in range(5):
         w = np.random.default_rng(seed).standard_normal((2,) + g.shape)
         pw = g.leray(w)
-        worst_leray = max(worst_leray, g.sup_norm(g.leray(pw) - pw))
+        worst_leray = max(worst_leray, sup_norm(g, g.leray(pw) - pw))
         phi = _trig_scalar(g, rng)[0]
-        worst_leray = max(worst_leray, g.sup_norm(g.leray(g.gradient(phi))))
+        worst_leray = max(worst_leray, sup_norm(g, g.leray(g.gradient(phi))))
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-10 and worst_leray <= 1e-12 and elapsed < 10.0
@@ -145,7 +146,7 @@ def test_criterion_03_constitutive_identity():
         st = smooth_state(g, c, seed=seed)
         b = constitutive(st)
         resid = c.lambda1 * b.N + c.lambda2 * b.Ad + b.tension
-        worst_id = max(worst_id, g.sup_norm(resid))
+        worst_id = max(worst_id, sup_norm(g, resid))
         rep = channels(st, b)
         rel = abs(rep.dissipation_general - rep.dissipation_case1) \
             / abs(rep.dissipation_general)
@@ -164,8 +165,8 @@ def test_criterion_04_quiescent_fixed_point():
     st = FieldState(grid=g, coeffs=from_alpha(1.0, 1.0), time=0.0,
                     u=np.zeros((2,) + g.shape), d=uniform_e3(g))
     traj = run(st, TimeStepperConfig(dt=1e-3, t_end=1.0), cadence=1000)
-    drift_u = g.sup_norm(traj.final_state.u)
-    drift_d = g.sup_norm(traj.final_state.d - uniform_e3(g))
+    drift_u = sup_norm(g, traj.final_state.u)
+    drift_d = sup_norm(g, traj.final_state.d - uniform_e3(g))
 
     ok = traj.n_steps == 1000 and drift_u <= 1e-12 and drift_d <= 1e-12
     record(4, ok, f"1000 steps, sup drift u {drift_u:.2e}, d {drift_d:.2e} "
@@ -220,7 +221,8 @@ def case1_runs():
     for dt in (5e-4, 2.5e-4, 1.25e-4):
         cfg = parse_config_text(CASE1_CFG)
         cfg.stepper.dt = dt
-        traj = run(build_initial_state(cfg), build_stepper_config(cfg), cadence=1)
+        state = build_initial_state(cfg, build_grid(cfg), build_coefficients(cfg))
+        traj = run(state, build_stepper_config(cfg), cadence=1)
         assert not traj.blown_up
         runs[dt] = traj
     return runs

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nematicflow import (LeslieCoefficients, ParameterError, RegimeError,
                          RegimeReport, dissipation_form, eta_margin, from_alpha,
                          validate)
-from nematicflow.coeffs import CONSTRAINTS
+from nematicflow.coeffs import CONSTRAINTS, EQUALITY_TOL
 
 
 def test_from_alpha_endpoints():
@@ -96,6 +96,23 @@ def test_validate_identity_residual_values():
     assert not rep.lambda2_identity
     assert ("lambda2=mu5-mu6", 0.5) in rep.violations
     assert rep.parodi_holds
+
+
+@pytest.mark.parametrize("residual, holds", [(0.5 * EQUALITY_TOL, True),
+                                             (2.0 * EQUALITY_TOL, False)])
+def test_parodi_holds_to_the_equality_tolerance(residual, holds):
+    """A Parodi residual of half EQUALITY_TOL passes and the set stays Case 1;
+    twice it is the one named violation.  mu3 and lambda1 move together, so
+    only Parodi feels the shift."""
+    c = dataclasses.replace(from_alpha(1.0, 1.0), mu3=residual, lambda1=-1.0 - residual)
+    rep = validate(c)
+    assert rep.parodi_holds is holds and rep.case1 is holds
+    if holds:
+        assert rep.violations == ()
+    else:
+        (name, r), = rep.violations
+        assert name == "mu2+mu3=mu6-mu5"
+        assert r == pytest.approx(residual, rel=1e-3)
 
 
 CASE2_ONLY = LeslieCoefficients(lambda1=-1.0, lambda2=0.3, mu1=0.0, mu2=-0.5,

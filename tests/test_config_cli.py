@@ -21,7 +21,7 @@ import nematicflow
 from nematicflow import ConfigError, load_snapshot, save_snapshot
 from nematicflow import cli
 from nematicflow.cli import main, member_label
-from nematicflow.config import (_SECTIONS, RunConfig, build_coefficients,
+from nematicflow.config import (_SECTIONS, RunConfig, build_coefficients, build_grid,
                                 build_initial_state, build_sampling, config_sha256,
                                 parse_config_text, serialize_config)
 
@@ -213,18 +213,19 @@ class TestConfigParsing:
 
     def test_initial_state_presets(self):
         cfg = parse_config_text(ALPHA_CFG)
-        st = build_initial_state(cfg)
+        grid, coeffs = build_grid(cfg), build_coefficients(cfg)
+        st = build_initial_state(cfg, grid, coeffs)
         assert not st.u.any() and st.d[2].min() == 1.0
 
         cfg.initial_condition.preset = "perturbed-director"
         cfg.initial_condition.amplitude = 0.05
-        st = build_initial_state(cfg)
+        st = build_initial_state(cfg, grid, coeffs)
         assert not st.u.any()
         assert 0.0 < np.abs(st.d[0]).max() < 0.2
 
         cfg.initial_condition.preset = "spiral"
         with pytest.raises(ConfigError, match="unknown preset"):
-            build_initial_state(cfg)
+            build_initial_state(cfg, grid, coeffs)
 
 
 def parse_and_build(text):

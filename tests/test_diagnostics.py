@@ -10,10 +10,10 @@ from nematicflow import (BlowupMonitorState, FieldState, LeslieCoefficients,
                          case2_lower_bound_check, channels, constitutive,
                          energy_law_audit, eta_margin, from_alpha, run,
                          write_timeseries)
-from nematicflow.diagnostics import CSV_COLUMNS, _curl, _energies
+from nematicflow.diagnostics import CSV_COLUMNS, EnergyReport, _curl, _energies
 from nematicflow.config import taylor_green_velocity
 
-from conftest import smooth_state
+from conftest import curl, smooth_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,6 +157,15 @@ def test_case2_lower_bound_on_random_states(grid2d):
         case2_lower_bound_check(channels(st, constitutive(st)), -1.0)
 
 
+@pytest.mark.parametrize("deficit, holds", [(0.99e-10, True), (1.01e-10, False)])
+def test_case2_lower_bound_forgives_an_absolute_1e10(deficit, holds):
+    """The check holds while D_N + D_cross + D_Ad falls short of
+    eta (||N||^2 + ||Ad||^2) by less than 1e-10, and fails beyond."""
+    rep = EnergyReport(time=0.0, E_total=0.0, E_kinetic=0.0, E_elastic=0.0, E_penalty=0.0,
+                       D_N=1.0 - deficit, norm_N_sq=1.0)
+    assert case2_lower_bound_check(rep, 1.0) is holds
+
+
 def test_quantity_A_taylor_green(grid2d, alpha_one):
     """The monitor's A = ||grad u||^2 + ||Lap d - grad_d W||^2."""
     a = 0.4
@@ -192,7 +201,7 @@ def test_monitor_curl_from_grad_u(grid, alpha_one, request):
     curl of u, component by component."""
     g = request.getfixturevalue(grid)
     st = smooth_state(g, alpha_one, seed=4, u_amp=1.0)
-    np.testing.assert_allclose(_curl(constitutive(st).grad_u), g.curl(st.u), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_curl(constitutive(st).grad_u), curl(g, st.u), rtol=0, atol=1e-12)
 
 
 class TestBlowupMonitor:
