@@ -104,7 +104,7 @@ def channels(state: FieldState, bundle: ConstitutiveBundle,
     d_n = -c.lambda1 * n2_N
     d_ad = (c.mu5 + c.mu6) * n2_Ad
     d_cross = -(c.lambda2 - c.mu2 - c.mu3) * inner(bundle.N, bundle.Ad)
-    d_c1_dir = inner(bundle.tension, bundle.tension) / (-c.lambda1)
+    d_c1_dir = bundle.tension_sq / (-c.lambda1)
     d_c1_ad = (c.mu5 + c.mu6 + c.lambda2 ** 2 / c.lambda1) * n2_Ad
 
     d_reg = 0.0
@@ -203,8 +203,8 @@ class BlowupMonitorState:
     def update(self, state: FieldState, bundle: ConstitutiveBundle) -> "BlowupMonitorState":
         """Append the quantities of one sampled state.
 
-        bundle is constitutive(state, reg); grad u, grad d, the tension and
-        the two H^3 norms are read from it.
+        bundle is constitutive(state, reg); grad u, grad d, tension_sq and the
+        H^3 norms (of u_hat and d_hat, for a stepped state) are read from it.
         """
         g = state.grid
         c = state.coeffs
@@ -225,10 +225,12 @@ class BlowupMonitorState:
             B += 0.5 * (last + integrand) * (t - self.times[-1])
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        h3 = bundle.u_H3
-        y3 = h3 ** 2 + bundle.grad_d_H3 ** 2
-        a_qty = (g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u)
-                 + g.l2_inner_unchecked(bundle.tension, bundle.tension))
+        h3, gd_h3 = bundle.u_H3, bundle.grad_d_H3
+        if h3 is None:  # the carried spectra constitutive read
+            h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
+            gd_h3 = g.sobolev_norm_hat(bundle.d_hat, 3.0, grad=True)
+        y3 = h3 ** 2 + gd_h3 ** 2
+        a_qty = g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u) + bundle.tension_sq
         logsob = (g.sup_norm_unchecked(bundle.grad_u)
                   / (1.0 + g.l2_norm_unchecked(curl) + a * math.log(math.e + h3)))
 

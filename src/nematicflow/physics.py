@@ -27,11 +27,12 @@ never formed.  Every field lives in physical space once: each product is
 formed pointwise, transformed forward once onto the dealias box, box(band)
 of spectral.py, where divergence, Leray projection and time integration
 act.  A state the stepper built carries the box coefficients of u and d,
-so they are not transformed forward again.  A state built from fields has
-them on the full half spectrum; constitutive reads that layout only for
-grad u, grad d, the tension and the two H^3 norms, then folds both into
-box(band).  With collocation (grid-mean) quadrature the semi-discrete
-energy law then balances to rounding error; see tests.
+so they are not transformed forward again; their H^3 norms are taken only
+if it is sampled.  A state built from fields has them on the full half
+spectrum; constitutive reads that layout only for grad u, grad d, the
+tension (kept only as its squared norm) and the two H^3 norms, then folds
+both into box(band).  With collocation (grid-mean) quadrature the
+semi-discrete energy law then balances to rounding error; see tests.
 """
 
 from __future__ import annotations
@@ -156,20 +157,21 @@ class RegularizationConfig:
 class ConstitutiveBundle:
     """Every field the stepper and the energy audit share, computed once.
 
-    Staged (dealiased) quantities: Ad, tension, N, dAd, dd and gradW_hat.
-    tension = Lap d - stage(grad_d W) and N = -(lambda2 Ad + tension)/lambda1,
-    so lambda1 N + lambda2 Ad + tension = 0 holds to rounding by construction.
-    A and omega are not held: A d = (G d + G^T d)/2 and omega d = G d - A d
-    with G = grad_u.  dd holds d(x)d's distinct entries.  dd and dAd feed
-    only the mu1 terms, so they are None when mu1 = 0.  The stresses are not
-    fields: momentum_rhs builds them in one buffer.  rhs_hat consumes a bundle.
+    Staged (dealiased) quantities: Ad, N, dAd, dd and gradW_hat.  N =
+    -(lambda2 Ad + tension)/lambda1, formed in the buffer of the tension
+    Lap d - stage(grad_d W) once its squared norm, all the sample reads of
+    it, is taken.  A and omega are not held: A d = (G d + G^T d)/2 and omega
+    d = G d - A d with G = grad_u.  dd holds d(x)d's distinct entries.  dd
+    and dAd feed only the mu1 terms, so they are None when mu1 = 0.  The
+    stresses are not fields: momentum_rhs builds them in one buffer.  rhs_hat
+    consumes a bundle.
 
     Each array's last reader in a step, after the sample and the vorticity
     guard have read the bundle, and where it is set to None: u_hat and d_hat,
-    the step's gather into its boxes; grad_u, the guard; tension, the sample;
-    gradW_hat and omega_d, director_rhs; grad_d, momentum_rhs's Ericksen
-    entries; N, Ad, dd and dAd, its Leslie entries.  Under regularisation
-    u_hat and grad_u last feed momentum_rhs's [u]_M and monitor stress.
+    the step's gather into its boxes; grad_u, the guard; gradW_hat and
+    omega_d, director_rhs; grad_d, momentum_rhs's Ericksen entries; N, Ad, dd
+    and dAd, its Leslie entries.  Under regularisation u_hat and grad_u last
+    feed momentum_rhs's [u]_M and monitor stress.
     """
 
     u_hat: np.ndarray        # coefficients of u: carried box, else box(band) or [u]_M's box
@@ -177,12 +179,12 @@ class ConstitutiveBundle:
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
     E_penalty: float         # int W(d), the grid mean of the penalty density
-    u_H3: float              # ||u||_{H^3}, from u's coefficients before any fold
-    grad_d_H3: float         # ||grad d||_{H^3}, likewise
+    u_H3: float | None       # ||u||_{H^3} before the fold; None for a stepped state
+    grad_d_H3: float | None  # ||grad d||_{H^3}, likewise
     gradW_hat: np.ndarray    # stage(grad_d W), box(band)
     Ad: np.ndarray           # stage(A d), 3 components
     omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
-    tension: np.ndarray      # Lap d - stage(grad_d W)
+    tension_sq: float        # ||Lap d - stage(grad_d W)||^2, by grid quadrature
     N: np.ndarray            # co-rotational rate via the constitutive identity
     dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
     dd: np.ndarray | None    # stage(d(x)d), (npairs,) + grid, pairs i <= j; None when mu1 = 0
@@ -243,21 +245,23 @@ def constitutive(state: FieldState,
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
     d = state.d
 
-    if state.spectra is not None:
-        u_hat, d_hat = state.spectra
-    else:
+    built = state.spectra is None  # full-layout coefficients, folded below
+    if built:
         u_hat, d_hat = g.fft(state.u), g.fft(d)
+    else:
+        u_hat, d_hat = state.spectra
     grad_u = g.ifft(g.grad_hat(u_hat))
-    u_H3 = g.sobolev_norm_hat(u_hat, 3.0)
+    u_H3 = g.sobolev_norm_hat(u_hat, 3.0) if built else None  # else the monitor's to take
     grad_d = g.ifft(g.grad_hat(d_hat))
-    grad_d_H3 = g.sobolev_norm_hat(d_hat, 3.0, grad=True)
+    grad_d_H3 = g.sobolev_norm_hat(d_hat, 3.0, grad=True) if built else None
     W, gradW = penalty(d, c.epsilon)
     E_penalty = float(W.mean())
     gradW_hat = g.fft(gradW, M=g.band)
     del W, gradW
     d_box = g.box_of(d_hat)
     tension = g.ifft(-d_box.ksq * d_hat - g.to_box(gradW_hat, d_box.M))
-    if state.spectra is None:  # past their last full-layout reader
+    tension_sq = g.l2_inner_unchecked(tension, tension)
+    if built:  # past their last full-layout reader
         u_hat = g.to_box(u_hat, g.band if reg is None else max(g.band, min(reg.M, g.n // 2)))
         d_hat = g.to_box(d_hat, g.band)
 
@@ -270,14 +274,15 @@ def constitutive(state: FieldState,
     dd = dAd = None
     if c.mu1 != 0.0:
         dd, dAd = _stage_dd(g, d, grad_u)
-    N = np.multiply(Ad, c.lambda2)  # formed after the mu1 block: its first reader is the stress
-    N += tension
+    N, tmp = tension, np.empty(g.shape)  # N in the tension's buffer, after the mu1 block
+    for k in range(3):
+        N[k] += np.multiply(Ad[k], c.lambda2, out=tmp)
     N /= -c.lambda1
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
                               E_penalty=E_penalty, u_H3=u_H3, grad_d_H3=grad_d_H3,
                               gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
-                              tension=tension, N=N, dAd=dAd, dd=dd)
+                              tension_sq=tension_sq, N=N, dAd=dAd, dd=dd)
 
 
 def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.ndarray,
@@ -380,12 +385,12 @@ def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
     u and d the step integrates, on box(band).  Consumes the bundle: each
     array is set to None on it after its last reader, so no caller keeps it
     alive.  d_hat and, unless regularised, u_hat and grad_u go before
-    director_rhs; tension, omega_d and gradW_hat before momentum_rhs, which
-    frees the rest before it transforms the stress.  Only the numbers stay:
-    E_penalty and the two H^3 norms."""
+    director_rhs; omega_d and gradW_hat before momentum_rhs, which frees
+    the rest before it transforms the stress.  Only the numbers stay:
+    E_penalty, tension_sq and the two H^3 norms (None for a stepped state)."""
     bundle.d_hat = None
     if reg is None:
         bundle.u_hat = bundle.grad_u = None
     F_d = director_rhs(state, bundle)
-    bundle.tension = bundle.omega_d = bundle.gradW_hat = None
+    bundle.omega_d = bundle.gradW_hat = None
     return state.grid.leray_hat(momentum_rhs(state, bundle, reg)), F_d

@@ -25,8 +25,9 @@ fields transforms u and d forward.
 
 Every state a run holds is visited once (Stepper._visit): constitutive()
 builds its bundle, a due state is sampled from it, and the vorticity guard
-reads it.  A step starts with that visit; rhs_hat then consumes the bundle,
-freeing each field after its last reader.  The final state takes no step.
+reads it, or the sample's sup|curl u|.  A step starts with that visit;
+rhs_hat then consumes the bundle, freeing each field after its last
+reader.  The final state takes no step.
 """
 
 from __future__ import annotations
@@ -112,18 +113,17 @@ class Stepper:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _visit(self, state: FieldState,
-               sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
+               sample: Callable[[FieldState, ConstitutiveBundle], float | None] | None = None
                ) -> ConstitutiveBundle:
         """Refuse a state off the stepper's grid or coefficients (ParameterError), build
         constitutive(state, reg), hand it to sample when given, then guard sup|curl u|
-        (the monitor's formula); a trip raises BlowUpError(state)."""
+        (the monitor's, or what sample returns); a trip raises BlowUpError(state)."""
         _check_match(state, self.grid, self.coeffs, "stepper")
         bundle = constitutive(state, self.reg)
-        if sample is not None:
-            sample(state, bundle)
+        w = None if sample is None else sample(state, bundle)
         limit = self.cfg.max_vorticity_sup
         if limit is not None:
-            w = self.grid.sup_norm_unchecked(_curl(bundle.grad_u))
+            w = self.grid.sup_norm_unchecked(_curl(bundle.grad_u)) if w is None else w
             if w > limit:
                 raise BlowUpError(f"sup|curl u| = {w:.6g} exceeded threshold {limit:.6g} "
                                   f"at t={state.time}", state=state, time=state.time)
@@ -131,7 +131,7 @@ class Stepper:
 
     @np.errstate(over="ignore", invalid="ignore")
     def step_pair(self, state: FieldState,
-                  sample: Callable[[FieldState, ConstitutiveBundle], None] | None = None
+                  sample: Callable[[FieldState, ConstitutiveBundle], float | None] | None = None
                   ) -> FieldState:
         """Advance one dt and return the new state.
 
@@ -221,8 +221,9 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     reports: list[EnergyReport] = []
     sample_steps: list[int] = []
 
-    def sample(state: FieldState, bundle: ConstitutiveBundle) -> None:
-        """Append the report and the monitor row of one due state, if finite."""
+    def sample(state: FieldState, bundle: ConstitutiveBundle) -> float:
+        """Append the report and the monitor row of one due state, if finite;
+        return its sup|curl u| for the vorticity guard."""
         rep = channels(state, bundle, reg=reg)
         if reports:
             prev = reports[-1]
@@ -234,6 +235,7 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             raise BlowUpError(f"non-finite sample at t={state.time}",
                               state=state, time=state.time)
         reports.append(rep)
+        return monitor.sup_curl_u[-1]
 
     state = initial
     del initial

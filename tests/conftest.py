@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nematicflow import FieldState, SpectralGrid, constitutive, from_alpha, rhs_hat
+from nematicflow import FieldState, SpectralGrid, constitutive, from_alpha, penalty, rhs_hat
 from nematicflow.spectral import random_band_limited
 
 # test_acceptance appends one line per criterion; echoed after the run so the
@@ -104,6 +104,11 @@ def divergence(grid, v):
 def laplacian(grid, f):
     fhat = grid.fft(f)
     return grid.ifft(-grid.box_of(fhat).ksq * fhat)
+
+
+def tension(grid, d, epsilon):
+    """Lap d - stage(grad_d W), the tension the bundle keeps only as its squared norm."""
+    return laplacian(grid, d) - grid.dealias(penalty(d, epsilon)[1])
 
 
 def sobolev_norm(grid, f, s):

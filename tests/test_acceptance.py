@@ -22,7 +22,8 @@ from nematicflow.config import (build_coefficients, build_grid, build_initial_st
 from nematicflow.diagnostics import BlowupMonitorState
 from nematicflow.spectral import random_band_limited
 
-from conftest import ACCEPTANCE_LINES, curl, divergence, laplacian, smooth_state, sup_norm
+from conftest import (ACCEPTANCE_LINES, curl, divergence, laplacian, smooth_state, sup_norm,
+                      tension)
 from test_coeffs import _random_parodi_set
 
 TWO_PI = 2.0 * np.pi
@@ -145,7 +146,7 @@ def test_criterion_03_constitutive_identity():
     for seed in range(10):
         st = smooth_state(g, c, seed=seed)
         b = constitutive(st)
-        resid = c.lambda1 * b.N + c.lambda2 * b.Ad + b.tension
+        resid = c.lambda1 * b.N + c.lambda2 * b.Ad + tension(g, st.d, c.epsilon)
         worst_id = max(worst_id, sup_norm(g, resid))
         rep = channels(st, b)
         rel = abs(rep.dissipation_general - rep.dissipation_case1) \

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from nematicflow import (BlowupMonitorState, FieldState, LeslieCoefficients,
-                         ParameterError, SpectralGrid, TimeStepperConfig,
+                         ParameterError, SpectralGrid, Stepper, TimeStepperConfig,
                          case2_lower_bound_check, channels, constitutive,
                          energy_law_audit, eta_margin, from_alpha, run,
                          write_timeseries)
 from nematicflow.diagnostics import CSV_COLUMNS, EnergyReport, _curl, _energies
 from nematicflow.config import taylor_green_velocity
 
-from conftest import curl, smooth_state
+from conftest import curl, smooth_state, tension
+from test_physics import CASE2_SET
 
 TWO_PI = 2.0 * np.pi
 
@@ -176,6 +177,26 @@ def test_quantity_A_taylor_green(grid2d, alpha_one):
         pytest.approx(4.0 * np.pi ** 2 * a ** 2, rel=1e-13)]
     st = quiescent(grid2d, alpha_one)
     assert BlowupMonitorState().update(st, constitutive(st)).A_history == [0.0]
+
+
+@pytest.mark.parametrize("grid", ["grid2d", "grid3d"])
+def test_tension_norm_of_a_stepped_state_is_the_oracles(grid, request):
+    """On a stepped Case 2 state, D_case1_director (-lambda1) and the
+    monitor's A - ||grad u||^2 are ||Lap d - stage(grad_d W)||^2 of the
+    oracles, to rounding: the bundle keeps the tension only as that number."""
+    g = request.getfixturevalue(grid)
+    st = smooth_state(g, CASE2_SET, seed=29)
+    st = Stepper(g, CASE2_SET, TimeStepperConfig(dt=1e-3, t_end=0.01)).step_pair(st)
+    assert st.spectra is not None
+    t = tension(g, st.d, CASE2_SET.epsilon)
+    want = g.l2_inner_unchecked(t, t)
+    b = constitutive(st)
+    got_channel = channels(st, b).D_case1_director * (-CASE2_SET.lambda1)
+    got_monitor = (BlowupMonitorState().update(st, b).A_history[0]
+                   - g.l2_inner_unchecked(b.grad_u, b.grad_u))
+    assert want > 0.0
+    assert got_channel == pytest.approx(want, rel=1e-12)
+    assert got_monitor == pytest.approx(want, rel=1e-12)
 
 
 def test_quantity_Ys_single_mode(grid2d, alpha_one):

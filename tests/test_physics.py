@@ -11,10 +11,11 @@ from nematicflow import (ConstitutiveBundle, FieldState, LeslieCoefficients, Par
                          TimeStepperConfig, channels, constitutive, from_alpha,
                          penalty, rhs_hat)
 from nematicflow import physics
+from nematicflow.diagnostics import BlowupMonitorState
 from nematicflow.physics import director_rhs, mat_vec_director, momentum_rhs
 
 from conftest import (_full_transform_reference, divergence, laplacian, physical_rhs,
-                      smooth_state, sup_norm, traced_peak_fields)
+                      smooth_state, sup_norm, tension, traced_peak_fields)
 
 TWO_PI = 2.0 * np.pi
 CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
@@ -112,11 +113,13 @@ def test_contraction_kernels_match_loops_bitwise(dim, n):
 
 
 def test_constitutive_identity(grid2d, alpha_one):
-    """lambda1 N + lambda2 Ad + (Lap d - grad_d W) = 0 by construction."""
+    """lambda1 N + lambda2 Ad + (Lap d - stage(grad_d W)) = 0 to rounding,
+    with the tension built from the oracles."""
     for seed in range(3):
         st = smooth_state(grid2d, alpha_one, seed=seed)
         b = constitutive(st)
-        resid = alpha_one.lambda1 * b.N + alpha_one.lambda2 * b.Ad + b.tension
+        resid = (alpha_one.lambda1 * b.N + alpha_one.lambda2 * b.Ad
+                 + tension(grid2d, st.d, alpha_one.epsilon))
         assert sup_norm(grid2d, resid) < 1e-12
 
 
@@ -210,11 +213,11 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
     """rhs_hat gives the bytes of (leray_hat(momentum_rhs), director_rhs) on a
     fresh bundle, from a state built from fields (its coefficients folded
     into box(band)) and from a stepped one (carried box coefficients).  It
-    leaves every array of the bundle it consumed None: d_hat, tension,
-    omega_d and gradW_hat, N, Ad, grad_d and, when mu1 != 0, dd and dAd;
-    u_hat and grad_u too, by rhs_hat when unregularised and by momentum_rhs
-    when regularised.  Only the numbers stay: E_penalty and the two H^3
-    norms."""
+    leaves every array of the bundle it consumed None: d_hat, omega_d and
+    gradW_hat, N, Ad, grad_d and, when mu1 != 0, dd and dAd; u_hat and
+    grad_u too, by rhs_hat when unregularised and by momentum_rhs when
+    regularised.  Only the numbers stay: E_penalty, tension_sq and the two
+    H^3 norms (None for a stepped state)."""
     grid, coeffs, reg = {
         "2d-alpha": (grid2d, alpha_one, None),
         "2d-regularised": (grid2d, alpha_one, RegularizationConfig(M=4, r=4.0)),
@@ -235,7 +238,7 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
         assert g_hat.shape == w_hat.shape == (g_hat.shape[0],) + grid.box(grid.band).shape
         assert g_hat.tobytes() == w_hat.tobytes()
     for f in fields(ConstitutiveBundle):
-        if f.name in ("E_penalty", "u_H3", "grad_d_H3"):
+        if f.name in ("E_penalty", "tension_sq", "u_H3", "grad_d_H3"):
             assert getattr(consumed, f.name) == getattr(b, f.name), f.name
         else:
             assert getattr(consumed, f.name) is None, f.name
@@ -370,7 +373,7 @@ def test_constitutive_3d(grid3d):
     c = from_alpha(0.8, 1.0)
     st = smooth_state(grid3d, c, seed=9)
     b = constitutive(st)
-    resid = c.lambda1 * b.N + c.lambda2 * b.Ad + b.tension
+    resid = c.lambda1 * b.N + c.lambda2 * b.Ad + tension(grid3d, st.d, c.epsilon)
     assert sup_norm(grid3d, resid) < 1e-12
     rhs, _ = physical_rhs(st)
     assert sup_norm(grid3d, divergence(grid3d, rhs)) < 1e-9
@@ -428,21 +431,23 @@ def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
         assert channels(st, b).D_mu1 > 0.0
 
 
-@pytest.mark.parametrize("grid_name, fields", [("grid2d", 26), ("grid3d", 37)])
+@pytest.mark.parametrize("grid_name, fields", [("grid2d", 23), ("grid3d", 34)])
 def test_bundle_holds_each_field_once(request, grid_name, fields):
-    """A Case 2 bundle holds grad u, grad d, Ad, omega d, the tension, N, the
-    distinct entries of d(x)d and dAd as real grid fields, once each:
-    dim^2 + 3 dim + 4*3 + npairs + 1, with no A, omega or full dd block.
-    The penalty energy is a number, the mean of W(d), bit for bit."""
+    """A Case 2 bundle holds grad u, grad d, Ad, omega d, N, the distinct
+    entries of d(x)d and dAd as real grid fields, once each:
+    dim^2 + 3 dim + 3*3 + npairs + 1, with no A, omega, tension or full dd
+    block.  The penalty energy is a number, the mean of W(d), bit for bit,
+    and so is the tension's squared norm."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, CASE2_SET, seed=39)
     b = constitutive(st)
     npairs = grid.dim * (grid.dim + 1) // 2
-    assert grid.dim ** 2 + 3 * grid.dim + 4 * 3 + npairs + 1 == fields
+    assert grid.dim ** 2 + 3 * grid.dim + 3 * 3 + npairs + 1 == fields
     real = sum(v.size for v in _bundle_arrays(b).values() if not np.iscomplexobj(v))
     assert real == fields * grid.npoints
     assert type(b.E_penalty) is float
     assert b.E_penalty == float(penalty(st.d, CASE2_SET.epsilon)[0].mean())
+    assert type(b.tension_sq) is float
 
 
 def _bundle_arrays(b):
@@ -464,10 +469,12 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
                                                          grid_name, coeffs):
     """A stepped state's bundle, built from its carried box(band)
     coefficients, equals the bundle of the same fields (transformed on the
-    full half spectrum, then folded into box(band)) to rounding, H^3 norms
-    included, and the bundle built on numpy's full transforms, gathered
-    into and zero-padded from the boxes, byte for byte.  Both bundles hold
-    u_hat and d_hat on box(band)."""
+    full half spectrum, then folded into box(band)) to rounding, and the
+    bundle built on numpy's full transforms, gathered into and zero-padded
+    from the boxes, byte for byte.  Both bundles hold u_hat and d_hat on
+    box(band).  The stepped bundle leaves its H^3 norms to the monitor,
+    which takes them from the carried coefficients: they equal the norms
+    constitutive takes of the same fields before the fold, to rounding."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=43)
     carried, from_fields = constitutive(stepped), constitutive(derived)
@@ -477,8 +484,13 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
         got = getattr(carried, name)
         scale = np.abs(value).max()
         assert np.abs(got - value).max() <= 1e-12 * scale, name
-    for name in ("u_H3", "grad_d_H3"):
-        assert getattr(carried, name) == pytest.approx(getattr(from_fields, name), rel=1e-12)
+    assert carried.u_H3 is carried.grad_d_H3 is None
+    y3 = [BlowupMonitorState().update(st, b).Y3_history[0]
+          for st, b in ((stepped, carried), (derived, from_fields))]
+    assert y3[0] == pytest.approx(y3[1], rel=1e-12)
+    for got, want in ((grid.sobolev_norm_hat(carried.u_hat, 3.0), from_fields.u_H3),
+                      (grid.sobolev_norm_hat(carried.d_hat, 3.0, grad=True), from_fields.grad_d_H3)):
+        assert got == pytest.approx(want, rel=1e-12)
     seen = _full_transform_reference(monkeypatch)
     reference = _bundle_arrays(constitutive(stepped))
     assert seen == {grid.band}

@@ -374,19 +374,20 @@ def test_case2_3d_run(grid3d, scheme):
 
 def test_run_holds_one_bundle_at_a_time(grid3d):
     """3D Case 2 (mu1 != 0) at n=16, 6 steps at cadence 3, after a first run
-    has filled the grid's caches: the traced peak of run() stays below 52.5
+    has filled the grid's caches: the traced peak of run() stays below 51
     scalar grid fields, so no step keeps a second bundle alive, nor the
-    fields the forces do not read: the step-0 full-layout spectra past
-    constitutive, grad u before director_rhs, the rest of what momentum_rhs
-    does not read before it builds the stress, and the Leslie inputs and
-    grad d before it transforms the stress (51.6; 53.4 with the 3D forward
-    transform holding numpy's full rfft, 54.1 with that, the full-layout
-    spectra held and the Leslie entries formed before the Ericksen ones)."""
+    fields the forces do not read: the tension past its squared norm, the
+    step-0 full-layout spectra past constitutive, grad u before
+    director_rhs, the rest of what momentum_rhs does not read before it
+    builds the stress, and the Leslie inputs and grad d before it
+    transforms the stress (50.2; 51.6 with the tension held on the bundle
+    through the sample, 53.4 with that and the 3D forward transform holding
+    numpy's full rfft)."""
     st = smooth_state(grid3d, CASE2, seed=53)
     cfg = TimeStepperConfig(dt=1e-3, t_end=6e-3)
     run(st, cfg, cadence=3)
     _, fields_at_peak = traced_peak_fields(lambda: run(st, cfg, cadence=3), grid3d)
-    assert fields_at_peak < 52.5, fields_at_peak
+    assert fields_at_peak < 51.0, fields_at_peak
 
 
 def test_constitutive_drops_each_unstaged_product(grid3d):
@@ -518,6 +519,39 @@ def test_guard_takes_no_transform(grid2d, alpha_one, monkeypatch):
         assert not traj.blown_up
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_guard_reuses_the_samples_sup_curl(grid2d, alpha_one, monkeypatch):
+    """At cadence 1 a guarded run builds the curl once per state: the guard
+    reads the sup|curl u| the sample returns.  It trips on the state and at
+    the time it trips on at cadence 2, where an unsampled state's guard
+    builds its own curl, and its rows are those of the unguarded run."""
+    calls = []
+
+    def counted(grad_u, _curl=nematicflow.diagnostics._curl):
+        calls.append(grad_u.shape)
+        return _curl(grad_u)
+
+    for module in (nematicflow.diagnostics, nematicflow.solver):
+        monkeypatch.setattr(module, "_curl", counted)
+    st = smooth_state(grid2d, alpha_one, seed=11, u_amp=0.0)
+    cfg = TimeStepperConfig(dt=1e-4, t_end=2e-3)
+    ref = run(st, cfg)
+    w = ref.monitor.sup_curl_u
+    assert w[:10] == sorted(w[:10])  # vorticity grows
+    calls.clear()
+    quiet = run(st, replace(cfg, max_vorticity_sup=1e6))
+    assert len(calls) == quiet.n_steps + 1
+    assert _run_bytes(quiet) == _run_bytes(ref)
+
+    guarded = replace(cfg, max_vorticity_sup=0.5 * (w[8] + w[9]))
+    calls.clear()
+    traj = run(st, guarded)
+    assert len(calls) == 10
+    every_other = run(st, guarded, cadence=2)
+    for t in (traj, every_other):
+        assert t.blown_up and t.blowup_step == 9 and t.blowup_time == ref.reports[9].time
+    assert _run_bytes(traj)[2:] == tuple(rows[:10] for rows in _run_bytes(ref)[2:])
 
 
 @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
