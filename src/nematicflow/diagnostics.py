@@ -215,6 +215,8 @@ class BlowupMonitorState:
             )
         curl = _curl(bundle.grad_u)
         a = g.sup_norm_unchecked(curl)
+        curl_l2 = g.l2_norm_unchecked(curl)
+        del curl  # before the Sobolev norms and sup|grad u|
         # a numpy float: its powers overflow to inf where a Python float's raise
         b = np.float64(g.sup_norm_unchecked(bundle.grad_d))
 
@@ -232,7 +234,7 @@ class BlowupMonitorState:
         y3 = h3 ** 2 + gd_h3 ** 2
         a_qty = g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u) + bundle.tension_sq
         logsob = (g.sup_norm_unchecked(bundle.grad_u)
-                  / (1.0 + g.l2_norm_unchecked(curl) + a * math.log(math.e + h3)))
+                  / (1.0 + curl_l2 + a * math.log(math.e + h3)))
 
         self.times.append(t)
         self.sup_curl_u.append(a)

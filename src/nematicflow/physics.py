@@ -29,10 +29,12 @@ of spectral.py, where divergence, Leray projection and time integration
 act.  A state the stepper built carries the box coefficients of u and d,
 so they are not transformed forward again; their H^3 norms are taken only
 if it is sampled.  A state built from fields has them on the full half
-spectrum; constitutive reads that layout only for grad u, grad d, the
-tension (kept only as its squared norm) and the two H^3 norms, then folds
-both into box(band).  With collocation (grid-mean) quadrature the
-semi-discrete energy law then balances to rounding error; see tests.
+spectrum; constitutive reads that layout only for grad u, grad d (each
+inverted one direction at a time), the tension (kept only as its squared
+norm) and the two H^3 norms, then folds both into box(band) and evicts the
+full layout's multipliers from the grid.  With collocation (grid-mean)
+quadrature the semi-discrete energy law then balances to rounding error;
+see tests.
 """
 
 from __future__ import annotations
@@ -197,19 +199,35 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     return g.ifft(g.fft(f, M=g.band))
 
 
+def _gradient(g: SpectralGrid, fhat: np.ndarray) -> np.ndarray:
+    """grad f, (dim,) + f's shape, from coefficients on any box.  Full-layout
+    coefficients are differentiated one direction at a time into the result,
+    so one direction's spectrum is alive at a time."""
+    b = g.box_of(fhat)
+    if 2 * b.M < g.n:
+        return g.ifft(g.grad_hat(fhat))
+    out = np.empty((g.dim,) + fhat.shape[:-g.dim] + g.shape)
+    for i, ik in enumerate(b.ikappa_d):
+        g.ifft(ik * fhat, out=out[i])
+    return out
+
+
 def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """stage(d(x)d) as its entries i <= j, and stage(dd : A) for A the
     symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji).
 
-    Each unstaged product is dropped once its forward transform exists, so
-    only its box coefficients are alive while the inverse runs; for a
-    stepped state this is where constitutive peaks."""
+    Each unstaged product is overwritten by its staged value once the forward
+    transform exists, d(x)d entry by entry, so only box coefficients and one
+    entry's inverse are alive beside the products; for a stepped state this
+    is where constitutive peaks."""
     pairs = list(_pairs(g.dim))
     dd = np.empty((len(pairs),) + g.shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(d[i], d[j], out=dd[p])
-    dd = g.fft(dd, M=g.band)  # _stage, with the unstaged entries dropped
-    dd = g.ifft(dd)
+    dd_hat = g.fft(dd, M=g.band)  # _stage, into the products' buffer
+    for entry, entry_hat in zip(dd, dd_hat):
+        g.ifft(entry_hat, out=entry)
+    del dd_hat
     dAd = np.zeros(g.shape)
     tmp = np.empty(g.shape)
     for (i, j), staged in zip(pairs, dd):
@@ -220,8 +238,7 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray
             tmp *= staged
         dAd += tmp
     del tmp
-    dAd = g.fft(dAd, M=g.band)
-    return dd, g.ifft(dAd)
+    return dd, g.ifft(g.fft(dAd, M=g.band), out=dAd)
 
 
 def constitutive(state: FieldState,
@@ -235,7 +252,8 @@ def constitutive(state: FieldState,
 
     A state built from fields has full-layout coefficients.  They are read
     in that layout only by grad u, grad d, the tension and the two H^3
-    norms, then folded into box(band): the box the step gathers from.  reg
+    norms, then folded into box(band), the box the step gathers from, and
+    the grid's full-layout box is evicted with its multipliers.  reg
     names the regularisation of the forces the bundle will feed; when its M
     exceeds band, u_hat keeps its modes up to min(M, n/2), which [u]_M reads.
     """
@@ -250,20 +268,20 @@ def constitutive(state: FieldState,
         u_hat, d_hat = g.fft(state.u), g.fft(d)
     else:
         u_hat, d_hat = state.spectra
-    grad_u = g.ifft(g.grad_hat(u_hat))
+    grad_u = _gradient(g, u_hat)
     u_H3 = g.sobolev_norm_hat(u_hat, 3.0) if built else None  # else the monitor's to take
-    grad_d = g.ifft(g.grad_hat(d_hat))
+    grad_d = _gradient(g, d_hat)
     grad_d_H3 = g.sobolev_norm_hat(d_hat, 3.0, grad=True) if built else None
     W, gradW = penalty(d, c.epsilon)
     E_penalty = float(W.mean())
     gradW_hat = g.fft(gradW, M=g.band)
     del W, gradW
-    d_box = g.box_of(d_hat)
-    tension = g.ifft(-d_box.ksq * d_hat - g.to_box(gradW_hat, d_box.M))
+    tension = g.ifft(-g.box_of(d_hat).ksq * d_hat - g.to_box(gradW_hat, d_hat.shape[-1] - 1))
     tension_sq = g.l2_inner_unchecked(tension, tension)
     if built:  # past their last full-layout reader
         u_hat = g.to_box(u_hat, g.band if reg is None else max(g.band, min(reg.M, g.n // 2)))
         d_hat = g.to_box(d_hat, g.band)
+        g._boxes.pop(g.n // 2, None)  # no later state reads its multipliers
 
     omega_d = mat_vec_director(grad_u, d)  # G d
     Ad = mat_vec_director(grad_u.swapaxes(0, 1), d)  # G^T d

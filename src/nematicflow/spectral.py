@@ -21,13 +21,16 @@ Conventions, fixed for the whole package:
 
 fft(f, M=M) returns the box gather of numpy's rfftn and ifft the irfftn of
 the zero-padded box, both bit for bit; only lines that reach the box are
-transformed, and in 3D the forward transform gathers slab by slab.  box(M)
-holds the wavenumber multipliers of one layout, and to_box gathers or
-zero-pads an array into another box.  The solver keeps its forces, its
-update and the coefficients of every bundle in box(band).  Only the first
-readers of a state built from fields (the initial state, a snapshot) and
-the validating calculus use the full layout: there the operands are
-band-limited only up to rounding, so dropping modes would change bits.
+transformed, and in 3D the forward transform gathers slab by slab.  ifft
+takes numpy's out=, so a field can be filled chunk by chunk.  box(M) holds
+the wavenumber multipliers of one layout, cached on the grid, and to_box
+gathers or zero-pads an array into another box.  The solver keeps its
+forces, its update and the coefficients of every bundle in box(band).  Only
+the first readers of a state built from fields (the initial state, a
+snapshot) and the validating calculus use the full layout: there the
+operands are band-limited only up to rounding, so dropping modes would
+change bits.  constitutive evicts the full layout's box once it has folded
+such a state into box(band), so a run keeps only the dealias boxes cached.
 """
 
 from __future__ import annotations
@@ -142,7 +145,8 @@ class SpectralGrid:
 
     def box(self, M: int) -> _Box:
         """Layout and multipliers of box(M), 0 <= M <= n/2; M = n/2 is the
-        full half spectrum."""
+        full half spectrum.  Each box is cached on the grid until evicted
+        from _boxes, as constitutive does with the full layout's."""
         if not isinstance(M, (int, np.integer)) or not 0 <= M <= self.n // 2:
             raise ParameterError(f"box size M must be an integer in [0, {self.n // 2}], got {M!r}")
         b = self._boxes.get(M)
@@ -211,24 +215,26 @@ class SpectralGrid:
             y = np.concatenate([y[b] for b in _row_blocks(-3, M, n)], axis=-3)
         return y
 
-    def ifft(self, fhat: np.ndarray) -> np.ndarray:
+    def ifft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real field from coefficients on any box: the irfftn of the box
         zero-padded to the full half spectrum.  The box is zero-padded on the
         grid axes but the last, and each pass transforms only the lines whose
-        rows on the later of those axes lie in the box; irfft pads the last."""
+        rows on the later of those axes lie in the box; irfft pads the last.
+        As in numpy, out receives the field and is returned; filling a field
+        chunk by chunk, ifft(fhat[s], out=f[s]), gives the bits of one call."""
         n = self.n
         M = self.box_of(fhat).M
         if 2 * M >= n:
             y = np.fft.ifft(fhat, axis=-self.dim)  # out of place: fhat is not written
             for ax in range(1 - self.dim, -1):
                 np.fft.ifft(y, axis=ax, out=y)
-            return np.fft.irfft(y, n=n, axis=-1)
+            return np.fft.irfft(y, n=n, axis=-1, out=out)
         y = np.zeros(fhat.shape[:-self.dim] + (n,) * (self.dim - 1) + (M + 1,), dtype=complex)
         self._copy_box(y, fhat, M)
         for ax in range(-self.dim, -1):
             for lines in ((y,) if ax == -2 else (y[b] for b in _row_blocks(-2, M, n))):
                 np.fft.ifft(lines, axis=ax, out=lines)
-        return np.fft.irfft(y, n=n, axis=-1)
+        return np.fft.irfft(y, n=n, axis=-1, out=out)
 
     # -- spectral operators (on arrays in any box layout) ----------------------
 

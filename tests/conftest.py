@@ -165,14 +165,14 @@ def _full_transform_reference(monkeypatch):
         seen.add(M)
         return full[box_index(self, M)]
 
-    def ifft(self, fhat):
+    def ifft(self, fhat, out=None):
         M = fhat.shape[-1] - 1
         if 2 * M < self.n:
             seen.add(M)
             padded = np.zeros(fhat.shape[:-self.dim] + self.hshape, dtype=complex)
             padded[box_index(self, M)] = fhat
             fhat = padded
-        return np.fft.irfftn(fhat, s=self.shape, axes=tuple(range(-self.dim, 0)))
+        return np.fft.irfftn(fhat, s=self.shape, axes=tuple(range(-self.dim, 0)), out=out)
 
     monkeypatch.setattr(SpectralGrid, "fft", fft)
     monkeypatch.setattr(SpectralGrid, "ifft", ifft)

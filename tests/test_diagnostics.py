@@ -1,6 +1,7 @@
 """Energy reports, audit residual arithmetic, and the blow-up monitors."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,43 @@ class TestBlowupMonitor:
         assert mon.G_history == [1.0]
         assert mon.logsob_history == [0.0]
         assert mon.Y3_history == [0.0]
+
+    def test_update_frees_the_curl_after_its_norms(self, grid3d, monkeypatch):
+        """3D Case 2 at n=16, on a stepped state's bundle: update holds curl u
+        (3 scalar grid fields) only for its sup and L2 norms.  The Sobolev
+        norms, sup|grad d| and sup|grad u| start with less than one field
+        beyond the bundle, and the update's traced peak above the bundle
+        stays below 4.2 fields (4.06: curl u and its pointwise squared norm;
+        4.31 with the curl held through sup|grad u|)."""
+        st = Stepper(grid3d, CASE2_SET, TimeStepperConfig(dt=1e-3, t_end=0.01)).step_pair(
+            smooth_state(grid3d, CASE2_SET, seed=53))
+        held = []
+
+        def holding(orig, tensors_only):
+            def call(self, f, *args, **kwargs):
+                if not tensors_only or f.ndim == self.dim + 2:
+                    held.append(tracemalloc.get_traced_memory()[0])
+                return orig(self, f, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(SpectralGrid, "sobolev_norm_hat",
+                            holding(SpectralGrid.sobolev_norm_hat, False))
+        monkeypatch.setattr(SpectralGrid, "sup_norm_unchecked",
+                            holding(SpectralGrid.sup_norm_unchecked, True))
+        bundle = constitutive(st)
+        BlowupMonitorState().update(st, bundle)  # builds box(band)'s Sobolev weights
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            held.clear()
+            BlowupMonitorState().update(st, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 8 * grid3d.npoints
+        assert len(held) == 4  # the two Sobolev norms, sup|grad d| and sup|grad u|
+        assert max(held) - start < field, (max(held) - start) / field
+        assert (peak - start) / field < 4.2, (peak - start) / field
 
     def test_rejects_nonmonotone_times(self, grid2d, alpha_one):
         st = quiescent(grid2d, alpha_one)

@@ -305,6 +305,24 @@ def test_transforms_match_numpy_and_the_masked_reference(dim, n, lead):
     assert f.tobytes() == f_before.tobytes()
 
 
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_chunked_inverse_is_one_call(dim, n):
+    """ifft(fhat[s], out=f[s]) filled chunk by chunk, entry by entry or
+    component by component, on box(band) and on the full half spectrum,
+    gives the bytes of one ifft(fhat) call; each call returns its out."""
+    g = SpectralGrid(dim, n)
+    f = np.random.default_rng(dim + n).standard_normal((3, 2) + g.shape)
+    for M in (g.band, n // 2):
+        fhat = g.fft(f, M=M)
+        want = g.ifft(fhat).tobytes()
+        for chunks in (list(np.ndindex(3)), list(np.ndindex(3, 2)), [np.s_[:1], np.s_[1:]]):
+            out = np.empty(f.shape)
+            for s in chunks:
+                view = out[s]
+                assert g.ifft(fhat[s], out=view) is view
+            assert out.tobytes() == want, (M, chunks)
+
+
 def test_forward_transform_onto_the_band_holds_no_full_half_spectrum():
     """3D n=32, a 3x3 tensor onto box(band): the slabbed transform stays
     below 8 scalar fields (2 MiB) above its input, output included (6.7;
