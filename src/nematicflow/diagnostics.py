@@ -32,8 +32,7 @@ CSV_COLUMNS = (
     "D_mu1", "D_visc", "D_Ad", "D_N", "D_cross",
     "D_case1_director", "D_case1_Ad", "D_reg",
     "residual_general", "residual_case1",
-    "sup_curl_u", "sup_grad_d", "B_integral", "G_bracket",
-    "Y3", "A_qty", "logsob_ratio",
+    "sup_curl_u", "sup_grad_d", "B_integral", "G_bracket", "A_qty",
 )
 _REPORT_COLUMNS = CSV_COLUMNS[:15]  # EnergyReport fields; the rest is BlowupMonitorState.row
 CASE2_BOUND_TOL = 1e-10  # absolute slack of case2_lower_bound_check
@@ -160,14 +159,17 @@ def case2_lower_bound_check(report: EnergyReport, eta: float) -> bool:
 # -- blow-up criterion monitors -------------------------------------------------
 
 
-def _curl(grad_u: np.ndarray) -> np.ndarray:
-    """curl u from grad_u[i, j] = d_i u_j: the scalar vorticity in 2D, the vector in 3D."""
+def _sup_curl(grad_u: np.ndarray) -> float:
+    """sup|curl u| from grad_u[i, j] = d_i u_j.  In 3D the squared components
+    are summed in component order into one field, the bits of the sup norm of
+    the curl vector, without building it."""
     if grad_u.shape[0] == 2:
-        return grad_u[0, 1] - grad_u[1, 0]
-    out = np.empty((3,) + grad_u.shape[2:])
-    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.subtract(grad_u[a, b], grad_u[b, a], out=out[c])
-    return out
+        return float(np.abs(grad_u[0, 1] - grad_u[1, 0]).max())
+    sq, tmp = np.zeros(grad_u.shape[2:]), np.empty(grad_u.shape[2:])
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        np.subtract(grad_u[a, b], grad_u[b, a], out=tmp)
+        sq += np.multiply(tmp, tmp, out=tmp)
+    return float(np.sqrt(sq.max()))
 
 
 class BlowupMonitorState:
@@ -177,11 +179,8 @@ class BlowupMonitorState:
       sup_curl_u = sup |curl u|, sup_grad_d = sup |grad d| (Frobenius),
       B_integral = int_0^t (sup|curl u| + sup|grad d|^4)  (trapezoid),
       G_bracket  = 1 + sup|curl u| + sup|grad d|^2
-                     + (mu5+mu6)^2 sup|grad d|^(8/3) + mu1 sup|grad d|^4,
-      Y3         = ||L^3 u||^2 + ||grad (L^3 d)||^2 with L = (1 - Lap)^(1/2),
-      A_qty      = ||grad u||^2 + ||Lap d - grad_d W||^2, and
-      logsob_ratio = sup|grad u| /
-                     (1 + ||curl u||_L2 + sup|curl u| ln(e + ||u||_H3)).
+                     + (mu5+mu6)^2 sup|grad d|^(8/3) + mu1 sup|grad d|^4, and
+      A_qty      = ||grad u||^2 + ||Lap d - stage(grad_d W)||^2.
     """
 
     def __init__(self):
@@ -191,9 +190,7 @@ class BlowupMonitorState:
         self.sup_grad_d: list[float] = []
         self.B_history: list[float] = []
         self.G_history: list[float] = []
-        self.Y3_history: list[float] = []
         self.A_history: list[float] = []
-        self.logsob_history: list[float] = []
 
     @property
     def B_integral(self) -> float:
@@ -203,8 +200,8 @@ class BlowupMonitorState:
     def update(self, state: FieldState, bundle: ConstitutiveBundle) -> "BlowupMonitorState":
         """Append the quantities of one sampled state.
 
-        bundle is constitutive(state, reg); grad u, grad d, tension_sq and the
-        H^3 norms (of u_hat and d_hat, for a stepped state) are read from it.
+        bundle is constitutive(state, reg); grad u, grad d and tension_sq are
+        read from it.
         """
         g = state.grid
         c = state.coeffs
@@ -213,10 +210,7 @@ class BlowupMonitorState:
             raise ParameterError(
                 f"monitor updates need strictly increasing times, got {t} after {self.times[-1]}"
             )
-        curl = _curl(bundle.grad_u)
-        a = g.sup_norm_unchecked(curl)
-        curl_l2 = g.l2_norm_unchecked(curl)
-        del curl  # before the Sobolev norms and sup|grad u|
+        a = _sup_curl(bundle.grad_u)
         # a numpy float: its powers overflow to inf where a Python float's raise
         b = np.float64(g.sup_norm_unchecked(bundle.grad_d))
 
@@ -227,23 +221,14 @@ class BlowupMonitorState:
             B += 0.5 * (last + integrand) * (t - self.times[-1])
 
         G = 1.0 + a + b ** 2 + (c.mu5 + c.mu6) ** 2 * b ** (8.0 / 3.0) + c.mu1 * b ** 4
-        h3, gd_h3 = bundle.u_H3, bundle.grad_d_H3
-        if h3 is None:  # the carried spectra constitutive read
-            h3 = g.sobolev_norm_hat(bundle.u_hat, 3.0)
-            gd_h3 = g.sobolev_norm_hat(bundle.d_hat, 3.0, grad=True)
-        y3 = h3 ** 2 + gd_h3 ** 2
         a_qty = g.l2_inner_unchecked(bundle.grad_u, bundle.grad_u) + bundle.tension_sq
-        logsob = (g.sup_norm_unchecked(bundle.grad_u)
-                  / (1.0 + curl_l2 + a * math.log(math.e + h3)))
 
         self.times.append(t)
         self.sup_curl_u.append(a)
         self.sup_grad_d.append(b)
         self.B_history.append(B)
         self.G_history.append(G)
-        self.Y3_history.append(y3)
         self.A_history.append(a_qty)
-        self.logsob_history.append(logsob)
         return self
 
     def pop(self) -> None:
@@ -252,9 +237,9 @@ class BlowupMonitorState:
             column.pop()
 
     def row(self, i: int) -> tuple[float, ...]:
-        """Sample i's values in CSV column order, sup_curl_u .. logsob_ratio."""
+        """Sample i's values in CSV column order, sup_curl_u .. A_qty."""
         return (self.sup_curl_u[i], self.sup_grad_d[i], self.B_history[i], self.G_history[i],
-                self.Y3_history[i], self.A_history[i], self.logsob_history[i])
+                self.A_history[i])
 
 
 # -- CSV output -----------------------------------------------------------------

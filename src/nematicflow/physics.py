@@ -27,12 +27,11 @@ never formed.  Every field lives in physical space once: each product is
 formed pointwise, transformed forward once onto the dealias box, box(band)
 of spectral.py, where divergence, Leray projection and time integration
 act.  A state the stepper built carries the box coefficients of u and d,
-so they are not transformed forward again; their H^3 norms are taken only
-if it is sampled.  A state built from fields has them on the full half
-spectrum; constitutive reads that layout only for grad u, grad d (each
-inverted one direction at a time), the tension (kept only as its squared
-norm) and the two H^3 norms, then folds both into box(band) and evicts the
-full layout's multipliers from the grid.  With collocation (grid-mean)
+so they are not transformed forward again.  A state built from fields has
+them on the full half spectrum; constitutive reads that layout only for
+grad u, grad d (each inverted one direction at a time) and the tension
+(kept only as its squared norm), then folds both into box(band) and evicts
+the full layout's multipliers from the grid.  With collocation (grid-mean)
 quadrature the semi-discrete energy law then balances to rounding error;
 see tests.
 """
@@ -181,8 +180,6 @@ class ConstitutiveBundle:
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
     E_penalty: float         # int W(d), the grid mean of the penalty density
-    u_H3: float | None       # ||u||_{H^3} before the fold; None for a stepped state
-    grad_d_H3: float | None  # ||grad d||_{H^3}, likewise
     gradW_hat: np.ndarray    # stage(grad_d W), box(band)
     Ad: np.ndarray           # stage(A d), 3 components
     omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
@@ -251,9 +248,9 @@ def constitutive(state: FieldState,
     transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
 
     A state built from fields has full-layout coefficients.  They are read
-    in that layout only by grad u, grad d, the tension and the two H^3
-    norms, then folded into box(band), the box the step gathers from, and
-    the grid's full-layout box is evicted with its multipliers.  reg
+    in that layout only by grad u, grad d and the tension, then folded
+    into box(band), the box the step gathers from, and the grid's
+    full-layout box is evicted with its multipliers.  reg
     names the regularisation of the forces the bundle will feed; when its M
     exceeds band, u_hat keeps its modes up to min(M, n/2), which [u]_M reads.
     """
@@ -269,9 +266,7 @@ def constitutive(state: FieldState,
     else:
         u_hat, d_hat = state.spectra
     grad_u = _gradient(g, u_hat)
-    u_H3 = g.sobolev_norm_hat(u_hat, 3.0) if built else None  # else the monitor's to take
     grad_d = _gradient(g, d_hat)
-    grad_d_H3 = g.sobolev_norm_hat(d_hat, 3.0, grad=True) if built else None
     W, gradW = penalty(d, c.epsilon)
     E_penalty = float(W.mean())
     gradW_hat = g.fft(gradW, M=g.band)
@@ -298,8 +293,7 @@ def constitutive(state: FieldState,
     N /= -c.lambda1
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
-                              E_penalty=E_penalty, u_H3=u_H3, grad_d_H3=grad_d_H3,
-                              gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
+                              E_penalty=E_penalty, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
                               tension_sq=tension_sq, N=N, dAd=dAd, dd=dd)
 
 
@@ -405,7 +399,7 @@ def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
     alive.  d_hat and, unless regularised, u_hat and grad_u go before
     director_rhs; omega_d and gradW_hat before momentum_rhs, which frees
     the rest before it transforms the stress.  Only the numbers stay:
-    E_penalty, tension_sq and the two H^3 norms (None for a stepped state)."""
+    E_penalty and tension_sq."""
     bundle.d_hat = None
     if reg is None:
         bundle.u_hat = bundle.grad_u = None

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import BlowupMonitorState, EnergyReport, _curl, _residuals, channels
+from .diagnostics import BlowupMonitorState, EnergyReport, _residuals, _sup_curl, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       _check_match, constitutive, momentum_rhs, rhs_hat)
@@ -123,7 +123,7 @@ class Stepper:
         w = None if sample is None else sample(state, bundle)
         limit = self.cfg.max_vorticity_sup
         if limit is not None:
-            w = self.grid.sup_norm_unchecked(_curl(bundle.grad_u)) if w is None else w
+            w = _sup_curl(bundle.grad_u) if w is None else w
             if w > limit:
                 raise BlowUpError(f"sup|curl u| = {w:.6g} exceeded threshold {limit:.6g} "
                                   f"at t={state.time}", state=state, time=state.time)

@@ -74,7 +74,6 @@ class _Box:
         # integer wavenumbers per axis, broadcastable over shape
         self.k = tuple(a.reshape((-1,) + (1,) * (grid.dim - 1 - i)) for i, a in enumerate(axes))
         self._nyquist = n // 2
-        self._sobolev: dict[tuple[float, bool], np.ndarray] = {}
 
     @cached_property
     def kappa_d(self) -> tuple[np.ndarray, ...]:
@@ -100,23 +99,6 @@ class _Box:
     def inv_ksq_d(self) -> np.ndarray:
         ksq_d = self.ksq_d
         return np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
-
-    @cached_property
-    def hweight(self) -> np.ndarray:
-        # Half-spectrum multiplicity in a full-spectrum sum: interior last-axis
-        # modes stand for themselves and their conjugate partner.
-        kr = self.k[-1]
-        return np.where((kr == 0) | (kr == self._nyquist), 1.0, 2.0)
-
-    def sobolev_weight(self, s: float, grad: bool) -> np.ndarray:
-        """hweight (1+|kappa|^2)^s, times |kappa_d|^2 for the norm of a gradient."""
-        w = self._sobolev.get((s, grad))
-        if w is None:
-            w = self.hweight * (1.0 + self.ksq) ** s
-            if grad:
-                w = w * self.ksq_d
-            self._sobolev[(s, grad)] = w
-        return w
 
 
 class SpectralGrid:
@@ -333,19 +315,6 @@ class SpectralGrid:
     # These kernels check nothing: their callers' fields are finite by
     # construction.  The grid mean of a scalar field is its integral over the
     # unit box.
-
-    def sobolev_norm_hat(self, fhat: np.ndarray, s: float, *, grad: bool = False) -> float:
-        """|| (1+|kappa|^2)^(s/2) f ||_{L2} from coefficients on any box, s = 0
-        the plain L2 norm; with grad, the norm of grad f (the Nyquist-free
-        |kappa|^2 joins the weight)."""
-        w = self.box_of(fhat).sobolev_weight(s, grad)
-        sq = np.square(fhat.real)  # one array of fhat's shape, plus one component
-        imag = fhat.imag.reshape((-1,) + w.shape)
-        tmp = np.empty(w.shape)
-        for sq_c, imag_c in zip(sq.reshape(imag.shape), imag):
-            sq_c += np.square(imag_c, out=tmp)
-        sq *= w
-        return float(np.sqrt(float(np.sum(sq)))) / self.npoints
 
     # einsum contracts without a temporary and without BLAS, whose threaded
     # dot would oversubscribe the cores a sweep's workers share.

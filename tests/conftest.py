@@ -73,8 +73,8 @@ def physical_rhs(state, reg=None):
 
 # -- physical-space calculus oracles ---------------------------------------------
 # Each is ifft(op(fft(f))) through the full half spectrum, exact on the
-# retained modes.  No run calls them: the solver works on spectra, and its
-# one curl is diagnostics._curl of grad u.
+# retained modes.  No run calls them: the solver works on spectra, and
+# takes sup|curl u| from grad u (diagnostics._sup_curl).
 
 
 def curl_hat(grid, uhat):
@@ -109,11 +109,6 @@ def laplacian(grid, f):
 def tension(grid, d, epsilon):
     """Lap d - stage(grad_d W), the tension the bundle keeps only as its squared norm."""
     return laplacian(grid, d) - grid.dealias(penalty(d, epsilon)[1])
-
-
-def sobolev_norm(grid, f, s):
-    """|| (1+|kappa|^2)^(s/2) f ||_{L2}; s = 0 is the plain L2 norm."""
-    return grid.sobolev_norm_hat(grid.fft(f), s)
 
 
 def sup_norm(grid, f):

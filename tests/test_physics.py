@@ -11,7 +11,6 @@ from nematicflow import (ConstitutiveBundle, FieldState, LeslieCoefficients, Par
                          TimeStepperConfig, channels, constitutive, from_alpha,
                          penalty, rhs_hat)
 from nematicflow import physics
-from nematicflow.diagnostics import BlowupMonitorState
 from nematicflow.physics import director_rhs, mat_vec_director, momentum_rhs
 
 from conftest import (_full_transform_reference, divergence, laplacian, physical_rhs,
@@ -216,8 +215,7 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
     leaves every array of the bundle it consumed None: d_hat, omega_d and
     gradW_hat, N, Ad, grad_d and, when mu1 != 0, dd and dAd; u_hat and
     grad_u too, by rhs_hat when unregularised and by momentum_rhs when
-    regularised.  Only the numbers stay: E_penalty, tension_sq and the two
-    H^3 norms (None for a stepped state)."""
+    regularised.  Only the numbers stay: E_penalty and tension_sq."""
     grid, coeffs, reg = {
         "2d-alpha": (grid2d, alpha_one, None),
         "2d-regularised": (grid2d, alpha_one, RegularizationConfig(M=4, r=4.0)),
@@ -238,7 +236,7 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
         assert g_hat.shape == w_hat.shape == (g_hat.shape[0],) + grid.box(grid.band).shape
         assert g_hat.tobytes() == w_hat.tobytes()
     for f in fields(ConstitutiveBundle):
-        if f.name in ("E_penalty", "tension_sq", "u_H3", "grad_d_H3"):
+        if f.name in ("E_penalty", "tension_sq"):
             assert getattr(consumed, f.name) == getattr(b, f.name), f.name
         else:
             assert getattr(consumed, f.name) is None, f.name
@@ -475,9 +473,7 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
     full half spectrum, then folded into box(band)) to rounding, and the
     bundle built on numpy's full transforms, gathered into and zero-padded
     from the boxes, byte for byte.  Both bundles hold u_hat and d_hat on
-    box(band).  The stepped bundle leaves its H^3 norms to the monitor,
-    which takes them from the carried coefficients: they equal the norms
-    constitutive takes of the same fields before the fold, to rounding."""
+    box(band)."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=43)
     carried, from_fields = constitutive(stepped), constitutive(derived)
@@ -487,13 +483,6 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
         got = getattr(carried, name)
         scale = np.abs(value).max()
         assert np.abs(got - value).max() <= 1e-12 * scale, name
-    assert carried.u_H3 is carried.grad_d_H3 is None
-    y3 = [BlowupMonitorState().update(st, b).Y3_history[0]
-          for st, b in ((stepped, carried), (derived, from_fields))]
-    assert y3[0] == pytest.approx(y3[1], rel=1e-12)
-    for got, want in ((grid.sobolev_norm_hat(carried.u_hat, 3.0), from_fields.u_H3),
-                      (grid.sobolev_norm_hat(carried.d_hat, 3.0, grad=True), from_fields.grad_d_H3)):
-        assert got == pytest.approx(want, rel=1e-12)
     seen = _full_transform_reference(monkeypatch)
     reference = _bundle_arrays(constitutive(stepped))
     assert seen == {grid.band}

@@ -557,18 +557,18 @@ def test_guard_takes_no_transform(grid2d, alpha_one, monkeypatch):
 
 
 def test_guard_reuses_the_samples_sup_curl(grid2d, alpha_one, monkeypatch):
-    """At cadence 1 a guarded run builds the curl once per state: the guard
-    reads the sup|curl u| the sample returns.  It trips on the state and at
+    """At cadence 1 a guarded run takes sup|curl u| once per state: the
+    guard reads the one the sample returns.  It trips on the state and at
     the time it trips on at cadence 2, where an unsampled state's guard
-    builds its own curl, and its rows are those of the unguarded run."""
+    takes its own, and its rows are those of the unguarded run."""
     calls = []
 
-    def counted(grad_u, _curl=nematicflow.diagnostics._curl):
+    def counted(grad_u, _sup_curl=nematicflow.diagnostics._sup_curl):
         calls.append(grad_u.shape)
-        return _curl(grad_u)
+        return _sup_curl(grad_u)
 
     for module in (nematicflow.diagnostics, nematicflow.solver):
-        monkeypatch.setattr(module, "_curl", counted)
+        monkeypatch.setattr(module, "_sup_curl", counted)
     st = smooth_state(grid2d, alpha_one, seed=11, u_amp=0.0)
     cfg = TimeStepperConfig(dt=1e-4, t_end=2e-3)
     ref = run(st, cfg)

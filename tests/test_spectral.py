@@ -20,8 +20,8 @@ from nematicflow.spectral import (SNAPSHOT_MAGIC, _sum_squares, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
 
-from conftest import (box_index, box_mask, curl, curl_hat, divergence, laplacian, sobolev_norm,
-                      sup_norm, traced_peak_fields)
+from conftest import (box_index, box_mask, curl, curl_hat, divergence, laplacian, sup_norm,
+                      traced_peak_fields)
 
 TWO_PI = 2.0 * np.pi
 
@@ -162,17 +162,6 @@ def test_truncate_modes(grid2d):
         grid2d.truncate_modes(f, 0)
     with pytest.raises(ParameterError):
         grid2d.truncate_modes(f, grid2d.n)
-
-
-def test_sobolev_norm_single_mode(grid2d):
-    x = grid2d.coords()
-    f = np.sin(TWO_PI * x[0])
-    # ||f||_{H^s}^2 = (1 + 4 pi^2)^s * mean(sin^2) = (1 + 4 pi^2)^s / 2
-    for s in (0.0, 1.0, 3.0):
-        expect = np.sqrt((1.0 + 4.0 * np.pi ** 2) ** s / 2.0)
-        assert sobolev_norm(grid2d, f, s) == pytest.approx(expect, rel=1e-13)
-    # s = 0 coincides with the L2 norm
-    assert sobolev_norm(grid2d, f, 0.0) == pytest.approx(grid2d.l2_norm_unchecked(f), rel=1e-13)
 
 
 def test_quadrature_exact_for_band_limited_products(grid2d):
@@ -335,21 +324,6 @@ def test_forward_transform_onto_the_band_holds_no_full_half_spectrum():
     assert fields_at_peak < 8.0, fields_at_peak
 
 
-def test_sobolev_norm_sums_without_full_size_temporaries():
-    """sobolev_norm_hat of a full-layout 3-component spectrum at 3D n=32
-    gives the bits of the weighted sum of |fhat|^2 and holds at most 1.5
-    real arrays of the spectrum's size (1.34; 2.0 with the squares of the
-    real and imaginary parts held at once)."""
-    g = SpectralGrid(3, 32)
-    fhat = g.fft(np.random.default_rng(41).standard_normal((3,) + g.shape))
-    for grad in (False, True):
-        w = g.box_of(fhat).sobolev_weight(3.0, grad)
-        want = float(np.sqrt(float(np.sum(w * (fhat.real ** 2 + fhat.imag ** 2))))) / g.npoints
-        got, fields_at_peak = traced_peak_fields(lambda: g.sobolev_norm_hat(fhat, 3.0, grad=grad), g)
-        assert got == want
-        assert fields_at_peak <= 1.5 * fhat.real.nbytes / (8 * g.npoints), fields_at_peak
-
-
 @pytest.mark.parametrize("dim, n", [(2, 16), (2, 32), (3, 16)])
 def test_to_box_gathers_and_zero_pads(dim, n):
     """to_box gathers box(M) from a larger box and zero-pads into a larger
@@ -386,7 +360,7 @@ def test_spectral_arrays_outside_any_box_layout_raise(dim, shape):
     g = SpectralGrid(dim, 16)
     bad = np.zeros((dim,) + shape, dtype=complex)
     for op in (g.ifft, g.grad_hat, g.div_hat, g.leray_hat,
-               lambda x: g.to_box(x, g.band), lambda x: g.sobolev_norm_hat(x, 1.0)):
+               lambda x: g.to_box(x, g.band)):
         with pytest.raises(ParameterError, match=re.escape(str(bad.shape))):
             op(bad)
     for M in (-1, g.n // 2 + 1, 2.0):
@@ -396,10 +370,9 @@ def test_spectral_arrays_outside_any_box_layout_raise(dim, shape):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_per_axis_multipliers_match_dense_ones(dim):
-    """grad, div, curl, potential, Leray, ksq and the Sobolev weights on
-    box(M) give the bits of dense multipliers built from numpy's FFT
-    frequencies and gathered into box(M); M = n/2 = 8 is the full half
-    spectrum."""
+    """grad, div, curl, potential, Leray and ksq on box(M) give the bits of
+    dense multipliers built from numpy's FFT frequencies and gathered into
+    box(M); M = n/2 = 8 is the full half spectrum."""
     g = SpectralGrid(dim, 16)
     kf = [np.fft.fftfreq(g.n, 1.0 / g.n)] * (dim - 1) + [np.fft.rfftfreq(g.n, 1.0 / g.n)]
     rng = np.random.default_rng(dim)
@@ -423,11 +396,7 @@ def test_per_axis_multipliers_match_dense_ones(dim):
                                    - ikappa[(c + 2) % 3] * vhat[(c + 1) % 3] for c in range(3)])
             assert curl_hat(g, vhat).tobytes() == curl_dense.tobytes()
         assert g.box(M).ksq.tobytes() == ksq.tobytes()
-        hweight = np.where((k[-1] == 0) | (k[-1] == g.n // 2), 1.0, 2.0)
-        for s in (0.0, 3.0):
-            w = hweight * (1.0 + ksq) ** s
-            assert g.box(M).sobolev_weight(s, False).tobytes() == w.tobytes()
-            assert g.box(M).sobolev_weight(s, True).tobytes() == (w * ksq_d).tobytes()
+        assert g.box(M).ksq_d.tobytes() == ksq_d.tobytes()
 
 
 @pytest.mark.parametrize("seed", [5, 6])
