@@ -184,6 +184,7 @@ def _execute_run(cfg: RunConfig, outdir: str, cadence: int | None = None) -> dic
         "blown_up": traj.blown_up,
         "blowup_time": traj.blowup_time,
         "blowup_step": traj.blowup_step,
+        "blowup_reason": traj.blowup_reason,
         "wall_time_s": traj.wall_time,
         # the process's high-water mark so far; ru_maxrss counts KiB on Linux
         "peak_rss_mb": getrusage(RUSAGE_SELF).ru_maxrss / 1024.0 if getrusage else None,
@@ -210,6 +211,7 @@ def cmd_run(args) -> int:
                   f"max |residual_case1| = {summary['max_abs_residual_case1']:.3e}")
         if summary["blown_up"]:
             print(f"BLOW-UP at step {summary['blowup_step']}, t = {summary['blowup_time']}")
+            print(summary["blowup_reason"])
     return 2 if summary["blown_up"] else 0
 
 
@@ -232,6 +234,17 @@ def _member_config(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose dt, M, or n")
     return cfg
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ys against xs, from mean-centred sums.
+
+    Plain arithmetic: numpy's line fit would load and run BLAS/LAPACK in the
+    sweep's parent to fit a line through a few points.  xs must not all be equal.
+    """
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+            / sum((x - x_bar) ** 2 for x in xs))
 
 
 def cmd_sweep(args) -> int:
@@ -281,10 +294,8 @@ def cmd_sweep(args) -> int:
 
     if args.axis == "dt" and len(values) >= 2 \
             and all((s["max_abs_residual_case1"] or 0.0) > 0 for s in summaries):
-        logs = [(math.log(v), math.log(s["max_abs_residual_case1"]))
-                for v, s in zip(values, summaries)]
-        xs, ys = zip(*logs)
-        order = float(np.polyfit(xs, ys, 1)[0])
+        order = _slope([math.log(v) for v in values],
+                       [math.log(s["max_abs_residual_case1"]) for s in summaries])
         print(f"fitted residual_case1 order vs dt: {order:.3f}")
 
     return 2 if any(s["blown_up"] for s in summaries) else 0

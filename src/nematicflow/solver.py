@@ -189,6 +189,7 @@ class Trajectory:
     blown_up: bool = False
     blowup_time: float | None = None
     blowup_step: int | None = None
+    blowup_reason: str | None = None
     max_energy_increase: float = 0.0
     wall_time: float = 0.0
 
@@ -208,8 +209,9 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
     step.  A sample that is not finite is not kept and raises BlowUpError.
     A state is kept (its step recorded, then the hooks called) exactly when
     its sample was appended.  blowup_step and final_state name the state
-    whose check failed: the tripping state, or the last finite one.  run()
-    holds no reference to `initial` past the first step.
+    whose check failed: the tripping state, or the last finite one, and
+    blowup_reason is the BlowUpError's message.  run() holds no reference to
+    `initial` past the first step.
     """
     if not isinstance(cadence, (int, np.integer)) or cadence < 1:
         raise ParameterError(f"cadence must be an integer >= 1, got {cadence!r}")
@@ -239,20 +241,20 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
 
     state = initial
     del initial
-    blown_up = False
+    reason = None
     for i in range(n_steps + 1):
         try:
             if i < n_steps:
                 new_state = stepper.step_pair(state, sample if i % cadence == 0 else None)
             else:
                 stepper._visit(state, sample)
-        except BlowUpError:
-            blown_up = True
+        except BlowUpError as e:
+            reason = str(e)
         if len(reports) > len(sample_steps):  # state i's sample was appended
             sample_steps.append(i)
             for hook in hooks:
                 hook(state, i)
-        if blown_up or i == n_steps:
+        if reason is not None or i == n_steps:
             break
         # Under glibc's dynamic malloc thresholds the heap top a step frees
         # may be trimmed and faulted back each step; the CLI fixes those
@@ -265,9 +267,10 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
         monitor=monitor,
         sample_steps=sample_steps,
         n_steps=n_steps,
-        blown_up=blown_up,
-        blowup_time=state.time if blown_up else None,
-        blowup_step=i if blown_up else None,
+        blown_up=reason is not None,
+        blowup_time=None if reason is None else state.time,
+        blowup_step=None if reason is None else i,
+        blowup_reason=reason,
         max_energy_increase=max(
             [0.0] + [b.E_total - a.E_total for a, b in zip(reports, reports[1:])]),
         wall_time=_time.perf_counter() - t0,

@@ -57,6 +57,46 @@ def smooth_state(grid, coeffs, seed=0, u_amp=0.1, d_amp=0.1, kmax=None):
     return FieldState(grid=grid, coeffs=coeffs, time=0.0, u=u, d=d)
 
 
+def manufactured(grid, coeffs, seed=0):
+    """(y*, forcing) of a manufactured solution of the spatially discrete system.
+
+    y*(t) = (cos(3t) U, e3 + (1 + sin 2t) P), with U a divergence-free
+    random field of sup 0.2 and P one of sup 0.05, both with modes up to
+    band // 3; y*(t) returns (u, d) on the grid.  forcing(t) returns, on
+    box(band), the pair dt y*^ - L y*^ - rhs_hat(y*(t)), L the stepper's
+    linear symbols.  A step whose force adds forcing(state.time) to
+    rhs_hat's is then solved exactly by y*, so its error at a time T is the
+    time error alone.  The forcing does work on the fields, so the energy
+    law and the energy checks of the sample layer do not apply to a forced
+    run.  Unregularised runs only: u lives in box(band).
+    """
+    rng = np.random.default_rng(seed)
+    kmax = max(1, grid.band // 3)
+    U = grid.leray(random_band_limited(grid, grid.dim, kmax, rng))
+    U *= 0.2 / grid.sup_norm_unchecked(U)
+    P = 0.05 * random_band_limited(grid, 3, kmax, rng)
+    e3 = np.zeros((3,) + grid.shape)
+    e3[2] = 1.0
+    band = grid.band
+    U_hat, P_hat, e3_hat = (grid.fft(f, M=band) for f in (U, P, e3))
+    ksq = grid.box(band).ksq
+    L_u, L_d = -0.5 * coeffs.mu4 * ksq, ksq / coeffs.lambda1
+
+    def y_star(t):
+        return np.cos(3.0 * t) * U, e3 + (1.0 + np.sin(2.0 * t)) * P
+
+    def forcing(t):
+        u, d = y_star(t)
+        state = FieldState(grid=grid, coeffs=coeffs, time=t, u=u, d=d)
+        F_u, F_d = rhs_hat(state, constitutive(state))
+        u_hat = np.cos(3.0 * t) * U_hat
+        d_hat = e3_hat + (1.0 + np.sin(2.0 * t)) * P_hat
+        return (-3.0 * np.sin(3.0 * t) * U_hat - L_u * u_hat - F_u,
+                2.0 * np.cos(2.0 * t) * P_hat - L_d * d_hat - F_d)
+
+    return y_star, forcing
+
+
 def physical_rhs(state, reg=None):
     """(u_t, d_t) in physical space: each field's implicit diffusion plus the
     force rhs_hat gives the step, summed on the full half spectrum and

@@ -305,6 +305,7 @@ class TestRunCommand:
         manifest = json.loads((outdir / "run_manifest.json").read_text())
         assert manifest["n_steps"] == 5
         assert manifest["blown_up"] is False
+        assert manifest["blowup_reason"] is None
         assert manifest["final_E_total"] == 0.0
         assert manifest["config_sha256"] == config_sha256(parse_config_text(ALPHA_CFG))
         assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
@@ -476,6 +477,35 @@ class TestSweepCommand:
         rows = (outdir / "sweep_summary.csv").read_text().splitlines()
         assert rows[0].startswith("member,axis,value")
         assert len(rows) == 3
+
+    def test_dt_order_is_the_least_squares_slope_without_blas(self, cfg_file, tmp_path,
+                                                              capsys, monkeypatch):
+        """With numpy's line fit and least-squares solver made to raise, a dt
+        sweep still exits 0, and the order it prints is np.polyfit's slope of
+        log max|residual_case1| against log dt, to the printed 3 decimals;
+        unrounded, cli._slope agrees with it to 1e-12 relative."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep called BLAS/LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        cfg = cfg_file(ALPHA_CFG.replace("preset = quiescent",
+                                         "preset = perturbed-director\namplitude = 0.1")
+                       .replace("t_end = 0.005", "t_end = 0.01"))
+        outdir = tmp_path / "sweep"
+        rc = main(["sweep", "--config", cfg, "--axis", "dt", "--values", "0.002,0.001,0.0005",
+                   "--threads", "1", "--output-dir", str(outdir)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        monkeypatch.undo()  # np.polyfit solves by np.linalg.lstsq
+
+        rows = [row.split(",") for row in
+                (outdir / "sweep_summary.csv").read_text().splitlines()[1:]]
+        xs = [np.log(float(row[2])) for row in rows]
+        ys = [np.log(float(row[5])) for row in rows]
+        slope = float(np.polyfit(xs, ys, 1)[0])
+        assert out.splitlines()[-1] == f"fitted residual_case1 order vs dt: {slope:.3f}"
+        assert cli._slope(xs, ys) == pytest.approx(slope, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("axis, values, message", [
         ("n", "16,12", "[grid] n must be a power of two >= 8, got 12"),

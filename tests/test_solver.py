@@ -24,8 +24,8 @@ from nematicflow.diagnostics import _residuals
 from nematicflow.physics import director_rhs, momentum_rhs
 from nematicflow.spectral import random_band_limited
 
-from conftest import (_full_transform_reference, box_mask, curl, divergence, smooth_state,
-                      sup_norm, traced_peak_fields)
+from conftest import (_full_transform_reference, box_mask, curl, divergence, manufactured,
+                      smooth_state, sup_norm, traced_peak_fields)
 
 
 # 3D non-Parodi Case 2 set
@@ -108,6 +108,36 @@ def test_temporal_order(grid2d, scheme, lo, hi):
             + grid2d.l2_norm_unchecked(final(dt).d - ref.d) for dt in dts]
     order = np.polyfit([math.log(d) for d in dts], [math.log(e) for e in errs], 1)[0]
     assert lo < order < hi
+
+
+@pytest.mark.parametrize("scheme,lo", [("semi-implicit-euler", 0.95), ("imex-bdf2", 1.9)])
+def test_temporal_order_of_3d_case2_by_a_manufactured_solution(grid3d, scheme, lo,
+                                                               monkeypatch):
+    """With the manufactured forcing added to the force the step integrates,
+    the exact solution of the spatially discrete 3D Case 2 system (mu1 > 0)
+    is known, so the sup error at T = 0.1 is the time error alone, and each
+    halving of dt cuts it by the scheme's order, with no reference run."""
+    y_star, forcing = manufactured(grid3d, CASE2)
+    rhs_hat = nematicflow.solver.rhs_hat
+
+    def forced(state, bundle, reg=None):
+        F_u, F_d = rhs_hat(state, bundle, reg)
+        f_u, f_d = forcing(state.time)
+        return F_u + f_u, F_d + f_d
+
+    monkeypatch.setattr(nematicflow.solver, "rhs_hat", forced)
+    T = 0.1
+    u0, d0 = y_star(0.0)
+    u_T, d_T = y_star(T)
+    errs = []
+    for steps in (20, 40, 80):
+        state = FieldState(grid=grid3d, coeffs=CASE2, time=0.0, u=u0, d=d0)
+        stepper = Stepper(grid3d, CASE2, TimeStepperConfig(dt=T / steps, t_end=T, scheme=scheme))
+        for _ in range(steps):
+            state = stepper.step_pair(state)
+        errs.append(max(sup_norm(grid3d, state.u - u_T), sup_norm(grid3d, state.d - d_T)))
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert min(orders) >= lo, (errs, orders)
 
 
 def _phi1(z):
@@ -507,6 +537,7 @@ def test_guard_blowup_keeps_the_in_step_sample(grid2d, alpha_one):
     guarded = TimeStepperConfig(dt=1e-4, t_end=2e-3, max_vorticity_sup=0.5 * (w[8] + w[9]))
     traj = run(st, guarded)
     assert traj.blown_up and traj.blowup_step == 9
+    assert traj.blowup_reason.startswith("sup|curl u| = "), traj.blowup_reason
     assert traj.sample_steps == steps[:10]
     assert _sample_bytes(traj.reports, traj.monitor) == _sample_bytes(reports[:10], monitor)
     assert vars(traj.monitor) == {name: column[:10] for name, column in vars(monitor).items()}
@@ -740,10 +771,11 @@ cadence = 1
 """
 
 
-def test_overflowing_state_ends_as_blowup(tmp_path):
+def test_overflowing_state_ends_as_blowup(tmp_path, capsys):
     """The 3D regularised scheme at this dt grows u to ~1e171 in six steps:
     the state is still finite but its products overflow.  The run ends as a
-    flagged blow-up with a finite final state, and the command exits 2."""
+    flagged blow-up with a finite final state and a non-finite reason, and
+    the command exits 2, printing the reason after its BLOW-UP line."""
     cfg = parse_config_text(OVERFLOW_CFG)
     grid = build_grid(cfg)
     state0 = build_initial_state(cfg, grid, build_coefficients(cfg))
@@ -751,12 +783,16 @@ def test_overflowing_state_ends_as_blowup(tmp_path):
     assert traj.blown_up
     assert traj.blowup_step is not None and 0 < traj.blowup_step < traj.n_steps
     assert traj.blowup_time == traj.final_state.time
+    assert traj.blowup_reason.startswith("non-finite"), traj.blowup_reason
     assert np.isfinite(traj.final_state.u).all() and np.isfinite(traj.final_state.d).all()
 
     path = tmp_path / "overflow.ini"
     path.write_text(OVERFLOW_CFG)
     out = tmp_path / "out"
+    capsys.readouterr()
     assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"BLOW-UP at step {traj.blowup_step}, t = {traj.blowup_time}", traj.blowup_reason]
     # the overflowing state itself has no finite sample, so none is written
     rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
     assert len(rows) == traj.blowup_step == len(traj.reports)
@@ -766,6 +802,7 @@ def test_overflowing_state_ends_as_blowup(tmp_path):
         raise ValueError(f"non-finite {constant} in run_manifest.json")
     manifest = json.loads((out / "run_manifest.json").read_text(), parse_constant=reject)
     assert manifest["blown_up"] and manifest["samples"] == len(rows)
+    assert manifest["blowup_reason"] == traj.blowup_reason
 
 
 def test_overflowing_final_state_ends_as_blowup(tmp_path):
