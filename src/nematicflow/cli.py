@@ -55,12 +55,8 @@ def _fail(msg: str) -> int:
 
 
 def _resolve_output_dir(args, cfg: RunConfig) -> str:
-    if getattr(args, "output_dir", None):
-        return args.output_dir
-    env = os.environ.get("NEMATICFLOW_OUTPUT_DIR")
-    if env:
-        return env
-    return cfg.diagnostics.output_dir
+    return (getattr(args, "output_dir", None) or os.environ.get("NEMATICFLOW_OUTPUT_DIR")
+            or cfg.diagnostics.output_dir)
 
 
 def cmd_validate(args) -> int:
@@ -216,9 +212,8 @@ def cmd_run(args) -> int:
 
 
 def _sweep_member(payload):
-    """Worker for parallel sweep members (must be picklable)."""
-    cfg, outdir = payload
-    return _execute_run(cfg, outdir)
+    """Worker for parallel sweep members (must be picklable): payload is (cfg, outdir)."""
+    return _execute_run(*payload)
 
 
 def _member_config(cfg: RunConfig, axis: str, value: float) -> RunConfig:
@@ -362,13 +357,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParameterError, RegimeError) as e:
+    except (ConfigError, ParameterError, RegimeError, FileNotFoundError) as e:
         return _fail(str(e))
     except BlowUpError as e:
         print(f"blow-up: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        return _fail(str(e))
 
 
 if __name__ == "__main__":

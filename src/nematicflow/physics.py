@@ -354,7 +354,7 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     buffer and transformed as one tensor; each symmetric product is formed
     once per pair i <= j.  The regularised scheme advects with the
     truncated velocity, -[u]_M (x) u, and adds the monitor stress
-    (w grad u)/M, w = |grad u|^(r-2), one entry at a time.
+    (w grad u)/M, w = |grad u|^(r-2), both as whole tensors in one buffer.
 
     The Ericksen and convective entries e go into the buffer first, so grad_d
     is set to None on the bundle before the Leslie entries L are formed;
@@ -366,7 +366,7 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     g = state.grid
     u = state.u
     stress = np.empty((g.dim, g.dim) + g.shape)
-    tmp = np.empty(g.shape)
+    tmp = np.empty(g.shape) if reg is None else None
     for i, j in _pairs(g.dim):
         e = np.einsum("c...,c...->...", bundle.grad_d[i], bundle.grad_d[j], out=stress[i, j])
         if reg is None:
@@ -380,12 +380,11 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
         w = _sum_squares(bundle.grad_u, g.dim)
         np.power(w, 0.5 * (reg.r - 2.0), out=w)
         u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
-        for i, j in np.ndindex(g.dim, g.dim):
-            np.multiply(w, bundle.grad_u[i, j], out=tmp)
-            tmp /= reg.M
-            stress[i, j] += tmp
-            stress[i, j] -= np.multiply(u_M[i], u[j], out=tmp)
-        del w, u_M
+        T = np.multiply(w, bundle.grad_u)
+        T /= reg.M
+        stress += T
+        stress -= np.multiply(u_M[:, None], u[None, :], out=T)
+        del w, u_M, T
         bundle.u_hat = bundle.grad_u = None
     del tmp  # freed before the transform, where the force peaks
     return g.div_hat(g.fft(stress, M=g.band))

@@ -149,14 +149,23 @@ class Stepper:
         del bundle  # the fields no force reads, freed before the update
         F = (g.to_box(F_u, band_u), F_d)
 
+        new = []  # each update built in place, by its formula's operations in order
         if self.cfg.scheme == "imex-bdf2" and self._hist is not None and self._hist[0] is state:
             _, y_prev, F_prev = self._hist
-            u_new_hat, d_new_hat = [(4.0 * yn - yp + 2.0 * dt * (2.0 * fn - fp)) / den
-                                    for yn, yp, fn, fp, (_, _, den)
-                                    in zip(y, y_prev, F, F_prev, self._linear)]
+            for yn, yp, fn, fp, (_, _, den) in zip(y, y_prev, F, F_prev, self._linear):
+                t = 2.0 * fn
+                t -= fp
+                t *= 2.0 * dt
+                s = 4.0 * yn
+                s -= yp
+                s += t
+                new.append(np.divide(s, den, out=s))
         else:
-            u_new_hat, d_new_hat = [e * yn + phi * fn
-                                    for yn, fn, (e, phi, _) in zip(y, F, self._linear)]
+            for yn, fn, (e, phi, _) in zip(y, F, self._linear):
+                s = e * yn
+                s += phi * fn
+                new.append(s)
+        u_new_hat, d_new_hat = new
 
         u_new_hat = g.leray_hat(u_new_hat)
         u_new_hat.flags.writeable = d_new_hat.flags.writeable = False

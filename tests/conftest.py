@@ -151,6 +151,11 @@ def tension(grid, d, epsilon):
     return laplacian(grid, d) - grid.dealias(penalty(d, epsilon)[1])
 
 
+def l2_norm(grid, f):
+    """The collocation L2 norm over the unit box, sqrt of the grid mean of f.f."""
+    return float(np.sqrt(grid.l2_inner_unchecked(f, f)))
+
+
 def sup_norm(grid, f):
     """max over grid points of the pointwise Euclidean (Frobenius) magnitude.
     A non-finite field fails here, not in a comparison with NaN, which reads

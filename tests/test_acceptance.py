@@ -22,8 +22,8 @@ from nematicflow.config import (build_coefficients, build_grid, build_initial_st
 from nematicflow.diagnostics import BlowupMonitorState
 from nematicflow.spectral import random_band_limited
 
-from conftest import (ACCEPTANCE_LINES, curl, divergence, laplacian, smooth_state, sup_norm,
-                      tension)
+from conftest import (ACCEPTANCE_LINES, curl, divergence, l2_norm, laplacian, smooth_state,
+                      sup_norm, tension)
 from test_coeffs import _random_parodi_set
 
 TWO_PI = 2.0 * np.pi
@@ -301,7 +301,7 @@ def test_criterion_08_regularized_energy_identity():
         reg_m = RegularizationConfig(M=M, r=4.0)
         fin = run(st, TimeStepperConfig(dt=5e-4, t_end=0.05),
                   reg=reg_m, cadence=100).final_state
-        gaps.append(g.l2_norm_unchecked(fin.u - plain.u) + g.l2_norm_unchecked(fin.d - plain.d))
+        gaps.append(l2_norm(g, fin.u - plain.u) + l2_norm(g, fin.d - plain.d))
     monotone = all(gaps[i + 1] < gaps[i] for i in range(3))
 
     ok = order >= 1.8 and monotone

@@ -205,6 +205,22 @@ def test_tension_norm_of_a_stepped_state_is_the_oracles(grid, request):
 A_BOUND_SLACK = 1e-12  # relative slack of the A_qty bound
 
 
+def _A_qty_run(grid2d, grid3d, alpha_one, case, scheme):
+    """(trajectory of a 10-step run sampled every step, k, the case's
+    channel group): 2D Case 1 with k = min(mu4/2, -1/lambda1) and the case-1
+    group, or 3D Case 2 with k = min(mu4/2, eta/(2 max(lambda1^2,
+    lambda2^2))), eta = eta_margin, and the general group."""
+    if case == "2d-case1":
+        c, st, group = alpha_one, smooth_state(grid2d, alpha_one, seed=31), "case1"
+        k = min(c.mu4 / 2.0, -1.0 / c.lambda1)
+    else:
+        c, st, group = CASE2_3D, smooth_state(grid3d, CASE2_3D, seed=31), "general"
+        k = min(c.mu4 / 2.0, eta_margin(c) / (2.0 * max(c.lambda1 ** 2, c.lambda2 ** 2)))
+    traj = run(st, TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme))
+    assert len(traj.reports) == len(traj.monitor.A_history) == 11
+    return traj, k, group
+
+
 @pytest.mark.parametrize("case, scheme", [("2d-case1", "semi-implicit-euler"),
                                           ("2d-case1", "imex-bdf2"),
                                           ("3d-case2", "semi-implicit-euler")])
@@ -214,17 +230,31 @@ def test_A_qty_is_bounded_by_the_dissipation(grid2d, grid3d, alpha_one, case, sc
     in Case 1, k = min(mu4/2, -1/lambda1) against dissipation_case1; in Case
     2, k = min(mu4/2, eta/(2 max(lambda1^2, lambda2^2))) against
     dissipation_general, eta = eta_margin.  The ratio reads about 0.5."""
-    if case == "2d-case1":
-        c, st, total = alpha_one, smooth_state(grid2d, alpha_one, seed=31), "dissipation_case1"
-        k = min(c.mu4 / 2.0, -1.0 / c.lambda1)
-    else:
-        c, st, total = CASE2_3D, smooth_state(grid3d, CASE2_3D, seed=31), "dissipation_general"
-        k = min(c.mu4 / 2.0, eta_margin(c) / (2.0 * max(c.lambda1 ** 2, c.lambda2 ** 2)))
-    traj = run(st, TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme))
-    assert len(traj.reports) == len(traj.monitor.A_history) == 11
+    traj, k, group = _A_qty_run(grid2d, grid3d, alpha_one, case, scheme)
     for rep, a in zip(traj.reports, traj.monitor.A_history):
+        total = getattr(rep, "dissipation_" + group)
         assert a > 0.0
-        assert k * a <= (1.0 + A_BOUND_SLACK) * getattr(rep, total), k * a / getattr(rep, total)
+        assert k * a <= (1.0 + A_BOUND_SLACK) * total, k * a / total
+
+
+@pytest.mark.parametrize("case, scheme", [("2d-case1", "semi-implicit-euler"),
+                                          ("2d-case1", "imex-bdf2"),
+                                          ("3d-case2", "semi-implicit-euler"),
+                                          ("3d-case2", "imex-bdf2")])
+def test_A_qty_integral_is_bounded_by_the_energy_drop(grid2d, grid3d, alpha_one, case, scheme):
+    """The integral claim, k sum_{n<N} (t_{n+1} - t_n) A_n <= E_0 - E_N +
+    sum_{n>=1} (t_n - t_{n-1}) residual_n, k and the channel group as in the
+    per-row bound.  By the audit rule, residual_n = (E_n - E_{n-1})/(t_n -
+    t_{n-1}) + D_{n-1}, so the right side is sum_{n<N} (t_{n+1} - t_n) D_n and
+    the claim is the per-row bound k A_n <= D_n summed."""
+    traj, k, group = _A_qty_run(grid2d, grid3d, alpha_one, case, scheme)
+    t = [rep.time for rep in traj.reports]
+    A = traj.monitor.A_history
+    lhs = k * sum((t[i + 1] - t[i]) * A[i] for i in range(len(t) - 1))
+    rhs = traj.reports[0].E_total - traj.reports[-1].E_total + sum(
+        (t[i] - t[i - 1]) * getattr(traj.reports[i], "residual_" + group) for i in range(1, len(t)))
+    assert lhs > 0.0
+    assert lhs <= (1.0 + A_BOUND_SLACK) * rhs, lhs / rhs
 
 
 def _curl(grad_u):

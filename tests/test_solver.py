@@ -24,8 +24,8 @@ from nematicflow.diagnostics import _residuals
 from nematicflow.physics import director_rhs, momentum_rhs
 from nematicflow.spectral import random_band_limited
 
-from conftest import (_full_transform_reference, box_mask, curl, divergence, manufactured,
-                      smooth_state, sup_norm, traced_peak_fields)
+from conftest import (_full_transform_reference, box_mask, curl, divergence, l2_norm,
+                      manufactured, smooth_state, sup_norm, traced_peak_fields)
 
 
 # 3D non-Parodi Case 2 set
@@ -104,8 +104,8 @@ def test_temporal_order(grid2d, scheme, lo, hi):
 
     ref = final(T / 1024)
     dts = [T / 16, T / 32, T / 64]
-    errs = [grid2d.l2_norm_unchecked(final(dt).u - ref.u)
-            + grid2d.l2_norm_unchecked(final(dt).d - ref.d) for dt in dts]
+    errs = [l2_norm(grid2d, final(dt).u - ref.u)
+            + l2_norm(grid2d, final(dt).d - ref.d) for dt in dts]
     order = np.polyfit([math.log(d) for d in dts], [math.log(e) for e in errs], 1)[0]
     assert lo < order < hi
 

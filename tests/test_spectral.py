@@ -20,8 +20,8 @@ from nematicflow.spectral import (SNAPSHOT_MAGIC, _sum_squares, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
 
-from conftest import (box_index, box_mask, curl, curl_hat, divergence, laplacian, sup_norm,
-                      traced_peak_fields)
+from conftest import (box_index, box_mask, curl, curl_hat, divergence, l2_norm, laplacian,
+                      sup_norm, traced_peak_fields)
 
 TWO_PI = 2.0 * np.pi
 
@@ -188,7 +188,7 @@ def test_quadrature_exact_for_band_limited_products(grid2d):
 def test_l2_and_sup_norms(grid2d):
     x = grid2d.coords()
     f = 3.0 * np.sin(TWO_PI * x[0])
-    assert grid2d.l2_norm_unchecked(f) == pytest.approx(3.0 / np.sqrt(2.0), rel=1e-13)
+    assert l2_norm(grid2d, f) == pytest.approx(3.0 / np.sqrt(2.0), rel=1e-13)
     assert sup_norm(grid2d, f) == pytest.approx(3.0, rel=1e-12)
     # multi-component sup is the pointwise Frobenius magnitude
     v = np.stack([3.0 * np.ones(grid2d.shape), 4.0 * np.ones(grid2d.shape)])
@@ -310,6 +310,31 @@ def test_chunked_inverse_is_one_call(dim, n):
                 view = out[s]
                 assert g.ifft(fhat[s], out=view) is view
             assert out.tobytes() == want, (M, chunks)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_inverse_hands_irfft_the_full_half_spectrum(dim, n, monkeypatch):
+    """Every array ifft passes to numpy's irfft has the n/2 + 1 columns of
+    the full half spectrum, from any box and through chunked out= calls:
+    numpy's irfft runs slower on a box's M + 1 columns than on the same
+    values zero-padded, with equal output bytes."""
+    g = SpectralGrid(dim, n)
+    f = np.random.default_rng(dim + n).standard_normal((3,) + g.shape)
+    columns = []
+    irfft = np.fft.irfft
+
+    def spy(a, *args, **kwargs):
+        columns.append(a.shape[-1])
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    for M in (1, g.band, n // 2 - 1, n // 2):
+        fhat = g.fft(f, M=M)
+        g.ifft(fhat)
+        out = np.empty(f.shape)
+        for c in range(3):
+            g.ifft(fhat[c], out=out[c])
+    assert columns == [n // 2 + 1] * 16
 
 
 def test_forward_transform_onto_the_band_holds_no_full_half_spectrum():
