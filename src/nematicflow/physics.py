@@ -26,12 +26,10 @@ the state fields are kept band-limited by the solver.  Ad is staged from
 never formed.  Every field lives in physical space once: each product is
 formed pointwise, transformed forward once onto the dealias box, box(band)
 of spectral.py, where divergence, Leray projection and time integration
-act.  A state the stepper built carries the box coefficients of u and d,
-so they are not transformed forward again.  A state built from fields has
-them on the full half spectrum; constitutive reads that layout only for
-grad u, grad d (each inverted one direction at a time) and the tension
-(kept only as its squared norm), then folds both into box(band) and evicts
-the full layout's multipliers from the grid.  With collocation (grid-mean)
+act.  A state is read through its box(band) part, u through [u]_M's box
+when a regularised M exceeds band: grad u, grad d and the tension come from
+those coefficients, which a stepped state carries and a state built from
+fields gets by one forward transform each.  With collocation (grid-mean)
 quadrature the semi-discrete energy law then balances to rounding error;
 see tests.
 """
@@ -59,7 +57,11 @@ class FieldState:
     spectra, set only by the stepper, holds the read-only coefficients
     (u_hat, d_hat) the fields came from: u_hat on box(min(band, N_modes)),
     d_hat on box(band), and u and d are their inverses.  Every other
-    constructor, with_fields included, leaves it None.
+    constructor, with_fields included, leaves it None.  The solver reads a
+    state only through these coefficients or, when there are none, through
+    the transforms of d onto box(band) and of u onto box(band), or onto
+    [u]_M's box when a regularised M exceeds band; modes outside those
+    boxes are not read.
     """
 
     grid: SpectralGrid
@@ -175,7 +177,7 @@ class ConstitutiveBundle:
     feed momentum_rhs's [u]_M and monitor stress.
     """
 
-    u_hat: np.ndarray        # coefficients of u: carried box, else box(band) or [u]_M's box
+    u_hat: np.ndarray        # coefficients of u: carried, else on box(band) or [u]_M's box
     d_hat: np.ndarray        # coefficients of d on box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
@@ -194,19 +196,6 @@ def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     reject non-finite input: overflow in a huge state reaches the step's
     finiteness guard and ends as a BlowUpError."""
     return g.ifft(g.fft(f, M=g.band))
-
-
-def _gradient(g: SpectralGrid, fhat: np.ndarray) -> np.ndarray:
-    """grad f, (dim,) + f's shape, from coefficients on any box.  Full-layout
-    coefficients are differentiated one direction at a time into the result,
-    so one direction's spectrum is alive at a time."""
-    b = g.box_of(fhat)
-    if 2 * b.M < g.n:
-        return g.ifft(g.grad_hat(fhat))
-    out = np.empty((g.dim,) + fhat.shape[:-g.dim] + g.shape)
-    for i, ik in enumerate(b.ikappa_d):
-        g.ifft(ik * fhat, out=out[i])
-    return out
 
 
 def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +234,15 @@ def constitutive(state: FieldState,
     Requires lambda1 < 0 (the director relaxation rate); everything else is
     algebra.  u and d are transformed once, unless the state carries their
     coefficients; each staged field is one forward and one inverse
-    transform.  The mu1 block dd, dAd is staged only when mu1 != 0.
+    transform, and each gradient one inverse.  The mu1 block dd, dAd is
+    staged only when mu1 != 0.
 
-    A state built from fields has full-layout coefficients.  They are read
-    in that layout only by grad u, grad d and the tension, then folded
-    into box(band), the box the step gathers from, and the grid's
-    full-layout box is evicted with its multipliers.  reg
-    names the regularisation of the forces the bundle will feed; when its M
-    exceeds band, u_hat keeps its modes up to min(M, n/2), which [u]_M reads.
+    The state is read through its coefficients (see FieldState): d_hat on
+    box(band), and u_hat on box(band) or, from fields under a regularised
+    M above band, on box(min(M, n/2)), which [u]_M reads; a state built
+    from fields thus has the bundle of the same state carrying those
+    coefficients (test_field_built_state_reads_through_its_boxes).  reg
+    names the regularisation of the forces the bundle will feed.
     """
     g = state.grid
     c = state.coeffs
@@ -260,23 +250,19 @@ def constitutive(state: FieldState,
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
     d = state.d
 
-    built = state.spectra is None  # full-layout coefficients, folded below
-    if built:
-        u_hat, d_hat = g.fft(state.u), g.fft(d)
+    if state.spectra is None:
+        M_u = g.band if reg is None else max(g.band, min(reg.M, g.n // 2))
+        u_hat, d_hat = g.fft(state.u, M=M_u), g.fft(d, M=g.band)
     else:
         u_hat, d_hat = state.spectra
-    grad_u = _gradient(g, u_hat)
-    grad_d = _gradient(g, d_hat)
+    grad_u = g.ifft(g.grad_hat(u_hat))
+    grad_d = g.ifft(g.grad_hat(d_hat))
     W, gradW = penalty(d, c.epsilon)
     E_penalty = float(W.mean())
     gradW_hat = g.fft(gradW, M=g.band)
     del W, gradW
-    tension = g.ifft(-g.box_of(d_hat).ksq * d_hat - g.to_box(gradW_hat, d_hat.shape[-1] - 1))
+    tension = g.ifft(-g.box(g.band).ksq * d_hat - gradW_hat)
     tension_sq = g.l2_inner_unchecked(tension, tension)
-    if built:  # past their last full-layout reader
-        u_hat = g.to_box(u_hat, g.band if reg is None else max(g.band, min(reg.M, g.n // 2)))
-        d_hat = g.to_box(d_hat, g.band)
-        g._boxes.pop(g.n // 2, None)  # no later state reads its multipliers
 
     omega_d = mat_vec_director(grad_u, d)  # G d
     Ad = mat_vec_director(grad_u.swapaxes(0, 1), d)  # G^T d

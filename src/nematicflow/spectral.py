@@ -25,13 +25,11 @@ transformed, and in 3D the forward transform gathers slab by slab.  ifft
 pads the box to n/2 + 1 columns for irfft, which runs faster on them, and
 takes numpy's out=, so a field can be filled chunk by chunk.  box(M) holds
 the wavenumber multipliers of one layout, cached on the grid, and to_box
-gathers or zero-pads an array into another box.  The solver keeps its
-forces, its update and the coefficients of every bundle in box(band).  Only
-the first readers of a state built from fields (the initial state, a
-snapshot) and the validating calculus use the full layout: there the
-operands are band-limited only up to rounding, so dropping modes would
-change bits.  constitutive evicts the full layout's box once it has folded
-such a state into box(band), so a run keeps only the dealias boxes cached.
+gathers or zero-pads an array into another box.  The solver reads every
+state through box(band), u through [u]_M's box when a regularised M exceeds
+band, and keeps its forces and its update there too; only the validating
+calculus and a regularised M of n/2 or more use the full layout.  This
+module alone owns the box cache (tests/test_box_cache.py).
 """
 
 from __future__ import annotations
@@ -128,8 +126,7 @@ class SpectralGrid:
 
     def box(self, M: int) -> _Box:
         """Layout and multipliers of box(M), 0 <= M <= n/2; M = n/2 is the
-        full half spectrum.  Each box is cached on the grid until evicted
-        from _boxes, as constitutive does with the full layout's."""
+        full half spectrum.  Each box is cached on the grid for its life."""
         if not isinstance(M, (int, np.integer)) or not 0 <= M <= self.n // 2:
             raise ParameterError(f"box size M must be an integer in [0, {self.n // 2}], got {M!r}")
         b = self._boxes.get(M)

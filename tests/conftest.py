@@ -147,8 +147,10 @@ def laplacian(grid, f):
 
 
 def tension(grid, d, epsilon):
-    """Lap d - stage(grad_d W), the tension the bundle keeps only as its squared norm."""
-    return laplacian(grid, d) - grid.dealias(penalty(d, epsilon)[1])
+    """Lap d - stage(grad_d W), the tension the bundle keeps only as its squared
+    norm, with Lap d taken of d's box(band) part, the part the bundle reads."""
+    d_hat = grid.fft(d, M=grid.band)
+    return grid.ifft(-grid.box_of(d_hat).ksq * d_hat) - grid.dealias(penalty(d, epsilon)[1])
 
 
 def l2_norm(grid, f):

@@ -210,8 +210,8 @@ def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
 def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_one,
                                                           case, stepped):
     """rhs_hat gives the bytes of (leray_hat(momentum_rhs), director_rhs) on a
-    fresh bundle, from a state built from fields (its coefficients folded
-    into box(band)) and from a stepped one (carried box coefficients).  It
+    fresh bundle, from a state built from fields (its fields transformed
+    onto box(band)) and from a stepped one (carried box coefficients).  It
     leaves every array of the bundle it consumed None: d_hat, omega_d and
     gradW_hat, N, Ad, grad_d and, when mu1 != 0, dd and dAd; u_hat and
     grad_u too, by rhs_hat when unregularised and by momentum_rhs when
@@ -247,8 +247,8 @@ def test_regularised_m_above_band_reads_u_beyond_the_box(alpha_one, M):
     """A state built from fields at 2D n=64 (band 21) under a regularised M
     above band: constitutive(state, reg) keeps u_hat's modes up to
     min(M, n/2), so rhs_hat gives the bytes of an oracle that takes [u]_M
-    from the full transform of u.  A bundle folded into box(band) gives
-    other bits."""
+    from the full transform of u.  A bundle read with no regularisation,
+    u_hat on box(band), gives other bits."""
     g = SpectralGrid(2, 64)
     reg = RegularizationConfig(M=M, r=4.0)
     st = smooth_state(g, alpha_one, seed=31)
@@ -408,17 +408,16 @@ def _count_transforms(monkeypatch):
 
 
 @pytest.mark.parametrize("grid_name, coeffs, forward, inverse", [
-    ("grid2d", from_alpha(1.0, 1.0), 4, 6),
-    ("grid2d", CASE2_SET, 6, 10),
-    ("grid3d", CASE2_SET, 6, 15),
+    ("grid2d", from_alpha(1.0, 1.0), 4, 4),
+    ("grid2d", CASE2_SET, 6, 8),
+    ("grid3d", CASE2_SET, 6, 11),
 ], ids=["2d-alpha", "2d-case2", "3d-case2"])
 def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
                                                      grid_name, coeffs, forward, inverse):
     """A state built from fields: u, d, grad_d W and Ad take 4 forward
-    transforms, and grad u, grad d, the tension and Ad take 2 dim + 2
-    inverses, the full-layout gradients one per direction; d(x)d and dd : A
-    add one forward transform each, and only when mu1 != 0, and as many
-    inverses as dd has entries, plus one."""
+    transforms, and grad u, grad d, the tension and Ad one inverse each;
+    d(x)d and dd : A add one forward transform each, and only when
+    mu1 != 0, and as many inverses as dd has entries, plus one."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, coeffs, seed=37)
     counts = _count_transforms(monkeypatch)
@@ -469,11 +468,10 @@ def _stepped(grid, coeffs, seed):
 def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
                                                          grid_name, coeffs):
     """A stepped state's bundle, built from its carried box(band)
-    coefficients, equals the bundle of the same fields (transformed on the
-    full half spectrum, then folded into box(band)) to rounding, and the
-    bundle built on numpy's full transforms, gathered into and zero-padded
-    from the boxes, byte for byte.  Both bundles hold u_hat and d_hat on
-    box(band)."""
+    coefficients, equals the bundle of the same fields (transformed forward
+    onto box(band)) to rounding, and the bundle built on numpy's full
+    transforms, gathered into and zero-padded from the boxes, byte for
+    byte.  Both bundles hold u_hat and d_hat on box(band)."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=43)
     carried, from_fields = constitutive(stepped), constitutive(derived)
@@ -490,15 +488,46 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
            {k: getattr(carried, k).tobytes() for k in reference}
 
 
+@pytest.mark.parametrize("grid_name, coeffs, M", [
+    ("grid2d", from_alpha(1.0, 1.0), None),
+    ("grid2d", from_alpha(1.0, 1.0), 4),
+    ("grid2d", from_alpha(1.0, 1.0), 12),
+    ("grid2d", from_alpha(1.0, 1.0), 16),
+    ("grid3d", CASE2_SET, None),
+    ("grid3d", CASE2_SET, 7),
+], ids=["2d", "2d-reg-M4", "2d-reg-M12", "2d-reg-M16", "3d-case2", "3d-case2-reg-M7"])
+def test_field_built_state_reads_through_its_boxes(request, grid_name, coeffs, M):
+    """A state built from fields has the bundle, byte for byte in every
+    array and every number, of the same state carrying d's box(band)
+    coefficients and u's on box(band) or, when a regularised M exceeds
+    band, on box(min(M, n/2)): constitutive reads a state through those
+    boxes and nothing else of its fields."""
+    grid = request.getfixturevalue(grid_name)
+    reg = None if M is None else RegularizationConfig(M=M, r=4.0)
+    st = smooth_state(grid, coeffs, seed=41)
+    box_u = grid.band if M is None else max(grid.band, min(M, grid.n // 2))
+    carrying = FieldState(grid=grid, coeffs=coeffs, time=st.time, u=st.u, d=st.d,
+                          spectra=(grid.fft(st.u, M=box_u), grid.fft(st.d, M=grid.band)))
+    got, want = constitutive(st, reg), constitutive(carrying, reg)
+    assert grid.box_of(got.u_hat).M == box_u
+    for f in fields(ConstitutiveBundle):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:  # E_penalty and tension_sq, or the None of the mu1 block when mu1 = 0
+            assert a == b, f.name
+
+
 @pytest.mark.parametrize("grid_name, coeffs, forward", [
     ("grid2d", from_alpha(1.0, 1.0), 6),
     ("grid3d", CASE2_SET, 8),
 ], ids=["2d-alpha", "3d-case2"])
 def test_step_from_carried_spectra_skips_two_forward_transforms(request, monkeypatch,
                                                                grid_name, coeffs, forward):
-    """A step from a stepped state makes 2 fewer forward transforms than a
-    step from the same fields, and 2 (dim - 1) fewer inverses: the box
-    gradients take one inverse each, the full-layout ones one per direction."""
+    """A step from the same fields as a stepped state makes 2 more forward
+    transforms, those of u and d, and the same number of inverses: every
+    gradient takes one inverse, from either state's box coefficients."""
     grid = request.getfixturevalue(grid_name)
     stepped, derived = _stepped(grid, coeffs, seed=47)
     stepper = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01))
@@ -508,4 +537,4 @@ def test_step_from_carried_spectra_skips_two_forward_transforms(request, monkeyp
     counts.update(fft=0, ifft=0)
     stepper.step_pair(stepped)
     assert from_fields["fft"] == forward
-    assert counts == {"fft": forward - 2, "ifft": from_fields["ifft"] - 2 * (grid.dim - 1)}
+    assert counts == {"fft": forward - 2, "ifft": from_fields["ifft"]}

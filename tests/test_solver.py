@@ -407,12 +407,11 @@ def test_run_holds_one_bundle_at_a_time(grid3d):
     """3D Case 2 (mu1 != 0) at n=16, 6 steps at cadence 3, after a first run
     has filled the grid's caches: the traced peak of run() stays below 49.3
     scalar grid fields, so no step keeps a second bundle alive, nor the
-    fields the forces do not read: the tension past its squared norm, the
-    step-0 full-layout spectra past constitutive, grad u before
-    director_rhs, the rest of what momentum_rhs does not read before it
-    builds the stress, and the Leslie inputs and grad d before it
+    fields the forces do not read: the tension past its squared norm, grad
+    u before director_rhs, the rest of what momentum_rhs does not read
+    before it builds the stress, and the Leslie inputs and grad d before it
     transforms the stress; and stage(d(x)d) is inverted entry by entry
-    into the products' buffer (48.8; 50.2 with its inverse in one call)."""
+    into the products' buffer (48.7; 52.4 with its inverse in one call)."""
     st = smooth_state(grid3d, CASE2, seed=53)
     cfg = TimeStepperConfig(dt=1e-3, t_end=6e-3)
     run(st, cfg, cadence=3)
@@ -420,13 +419,12 @@ def test_run_holds_one_bundle_at_a_time(grid3d):
     assert fields_at_peak < 49.3, fields_at_peak
 
 
-def test_run_from_fields_drops_the_full_layout_at_the_fold(monkeypatch):
+def test_run_from_fields_builds_no_full_layout(monkeypatch):
     """3D Case 2 at n=16 from fields, on a grid whose caches hold nothing:
-    every full-layout box the run builds is dead once step 0's constitutive
-    has folded its spectra into box(band), and the traced peak of run()
-    stays below 50.5 scalar grid fields (49.9; 51.4 with stage(d(x)d)
-    inverted in one call, 52.3 with the full layout's multipliers cached
-    for the whole run)."""
+    constitutive transforms the fields straight onto box(band), so neither
+    it nor the run builds a full-layout box, and the traced peak of run()
+    stays below 50.5 scalar grid fields (49.6; 53.3 with stage(d(x)d)
+    inverted in one call)."""
     src = smooth_state(SpectralGrid(3, 16), CASE2, seed=53)
     full_boxes = []
 
@@ -434,7 +432,7 @@ def test_run_from_fields_drops_the_full_layout_at_the_fold(monkeypatch):
         def __init__(self, grid, M):
             super().__init__(grid, M)
             if 2 * M >= grid.n:
-                full_boxes.append(weakref.ref(self))
+                full_boxes.append(M)
 
     monkeypatch.setattr(nematicflow.spectral, "_Box", Recorded)
     cfg = TimeStepperConfig(dt=1e-3, t_end=6e-3)
@@ -445,24 +443,21 @@ def test_run_from_fields_drops_the_full_layout_at_the_fold(monkeypatch):
 
     g, st = fresh()
     bundle = constitutive(st)
-    assert full_boxes and all(ref() is None for ref in full_boxes)
-    assert g.box_of(bundle.d_hat).M == g.band
+    assert g.box_of(bundle.u_hat).M == g.box_of(bundle.d_hat).M == g.band
     del bundle
     g, st = fresh()
     _, fields_at_peak = traced_peak_fields(lambda: run(st, cfg, cadence=3), g)
-    assert all(ref() is None for ref in full_boxes)
+    assert full_boxes == []
     assert fields_at_peak < 50.5, fields_at_peak
 
 
 def test_constitutive_drops_each_unstaged_product(grid3d):
     """3D Case 2 from fields at n=16: the traced peak of constitutive()
-    stays below 42 scalar grid fields, so grad u and grad d are inverted
-    from the full half spectrum one direction at a time, u_hat and d_hat
-    are folded into box(band) before the mu1 block, _stage_dd overwrites
-    d(x)d entry by entry and dd : A with their staged values once their
-    forward transforms exist, and N is formed only after the mu1 block
-    (41.5; 43.0 with stage(d(x)d) inverted in one call, 46.3 with each
-    gradient inverted in one call)."""
+    stays below 42 scalar grid fields, so u and d are transformed straight
+    onto box(band), _stage_dd overwrites d(x)d entry by entry and dd : A
+    with their staged values once their forward transforms exist, and N is
+    formed only after the mu1 block (41.5; 45.2 with stage(d(x)d) inverted
+    in one call)."""
     st = smooth_state(grid3d, CASE2, seed=53)
     constitutive(st)
     _, fields_at_peak = traced_peak_fields(lambda: constitutive(st), grid3d)
