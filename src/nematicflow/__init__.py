@@ -10,8 +10,7 @@ from .diagnostics import (BlowupMonitorState, EnergyReport,
 from .errors import BlowUpError, ConfigError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
                       constitutive, penalty, rhs_hat)
-from .solver import (Stepper, TimeStepperConfig, Trajectory,
-                     reconstruct_pressure, run)
+from .solver import Stepper, TimeStepperConfig, Trajectory, run
 from .spectral import (SpectralGrid, load_snapshot, random_band_limited,
                        save_snapshot)
 
@@ -23,6 +22,5 @@ __all__ = [
     "case2_lower_bound_check", "channels", "constitutive",
     "dissipation_form", "energy_law_audit", "eta_margin",
     "from_alpha", "load_snapshot", "penalty", "random_band_limited",
-    "reconstruct_pressure", "rhs_hat", "run", "save_snapshot",
-    "validate", "write_timeseries",
+    "rhs_hat", "run", "save_snapshot", "validate", "write_timeseries",
 ]

@@ -78,7 +78,8 @@ def _energies(state: FieldState, bundle: ConstitutiveBundle) -> tuple[float, flo
 
 def channels(state: FieldState, bundle: ConstitutiveBundle,
              reg: RegularizationConfig | None = None) -> EnergyReport:
-    """Energies and every dissipation channel, read from bundle = constitutive(state, reg).
+    """Energies and every dissipation channel, read from bundle = constitutive(state);
+    reg, the run's regularisation, adds D_reg.
 
     D_visc   = mu4 ||A||^2            (= (mu4/2)||grad u||^2 for div-free u)
     D_mu1    = mu1 ||dAd||^2
@@ -133,16 +134,17 @@ def energy_law_audit(prev: FieldState, next_state: FieldState,
     residual_general = (E_next - E_prev)/dt + sum(general channels at prev)
     residual_case1   = (E_next - E_prev)/dt + sum(case-1 channels at prev)
 
-    dt is the time gap; both states are read through constitutive(., reg), as
-    run() reads its samples.  Both vanish as O(dt) for the continuous-in-time
-    system; for a scheme of order p the per-step imbalance is O(dt^p).
+    dt is the time gap; both states are read through constitutive(.), as
+    run() reads its samples, and reg gives prev's D_reg.  Both vanish as
+    O(dt) for the continuous-in-time system; for a scheme of order p the
+    per-step imbalance is O(dt^p).
     """
     _check_match(next_state, prev.grid, prev.coeffs, "audit pair")
     dt = next_state.time - prev.time
     if not dt > 0.0:
         raise ParameterError(f"audit requires a positive time gap, got {dt}")
-    rep = channels(prev, constitutive(prev, reg), reg)
-    _, _, _, e_next = _energies(next_state, constitutive(next_state, reg))
+    rep = channels(prev, constitutive(prev), reg)
+    _, _, _, e_next = _energies(next_state, constitutive(next_state))
     return replace(rep, time=next_state.time, E_total=e_next, **_residuals(rep, e_next, dt))
 
 
@@ -200,7 +202,7 @@ class BlowupMonitorState:
     def update(self, state: FieldState, bundle: ConstitutiveBundle) -> "BlowupMonitorState":
         """Append the quantities of one sampled state.
 
-        bundle is constitutive(state, reg); grad u, grad d and tension_sq are
+        bundle is constitutive(state); grad u, grad d and tension_sq are
         read from it.
         """
         g = state.grid

@@ -26,12 +26,11 @@ the state fields are kept band-limited by the solver.  Ad is staged from
 never formed.  Every field lives in physical space once: each product is
 formed pointwise, transformed forward once onto the dealias box, box(band)
 of spectral.py, where divergence, Leray projection and time integration
-act.  A state is read through its box(band) part, u through [u]_M's box
-when a regularised M exceeds band: grad u, grad d and the tension come from
-those coefficients, which a stepped state carries and a state built from
-fields gets by one forward transform each.  With collocation (grid-mean)
-quadrature the semi-discrete energy law then balances to rounding error;
-see tests.
+act.  Every state is read through its box(band) part: grad u, grad d and
+the tension come from those coefficients, which a stepped state carries and
+a state built from fields gets by one forward transform each.  With
+collocation (grid-mean) quadrature the semi-discrete energy law then
+balances to rounding error; see tests.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ class FieldState:
 
     spectra, set only by the stepper, holds the read-only coefficients
     (u_hat, d_hat) the fields came from: u_hat on box(min(band, N_modes)),
-    d_hat on box(band), and u and d are their inverses.  Every other
-    constructor, with_fields included, leaves it None.  The solver reads a
-    state only through these coefficients or, when there are none, through
-    the transforms of d onto box(band) and of u onto box(band), or onto
-    [u]_M's box when a regularised M exceeds band; modes outside those
-    boxes are not read.
+    d_hat on box(band), and u and d are their inverses; step_pair requires
+    those boxes.  Every other constructor, with_fields included, leaves it
+    None.  The solver reads a state only through these coefficients or, when
+    there are none, through the transforms of u and d onto box(band); modes
+    outside box(band) are not read.
     """
 
     grid: SpectralGrid
@@ -132,8 +130,9 @@ class RegularizationConfig:
 
     Adds (1/M) div(|grad u|^(r-2) grad u) to the momentum RHS and advects
     with the truncated velocity [u]_M (modes up to M) in divergence form
-    div([u]_M (x) u).  N_modes, when set, additionally truncates the evolved
-    velocity to |k_j| <= N_modes each step (the director is untouched).
+    div([u]_M (x) u); [u]_M is u when M reaches u's box.  N_modes, when set,
+    additionally truncates the evolved velocity to |k_j| <= N_modes each
+    step (the director is untouched).
     """
 
     M: int = 8
@@ -171,13 +170,14 @@ class ConstitutiveBundle:
 
     Each array's last reader in a step, after the sample and the vorticity
     guard have read the bundle, and where it is set to None: u_hat and d_hat,
-    the step's gather into its boxes; grad_u, the guard; gradW_hat and
-    omega_d, director_rhs; grad_d, momentum_rhs's Ericksen entries; N, Ad, dd
-    and dAd, its Leslie entries.  Under regularisation u_hat and grad_u last
-    feed momentum_rhs's [u]_M and monitor stress.
+    the step, which gathers u_hat into u's box and takes d_hat as it is;
+    grad_u, the guard; gradW_hat and omega_d, director_rhs; grad_d,
+    momentum_rhs's Ericksen entries; N, Ad, dd and dAd, its Leslie entries.
+    Under regularisation u_hat and grad_u last feed momentum_rhs's [u]_M and
+    monitor stress.
     """
 
-    u_hat: np.ndarray        # coefficients of u: carried, else on box(band) or [u]_M's box
+    u_hat: np.ndarray        # coefficients of u: carried, else on box(band)
     d_hat: np.ndarray        # coefficients of d on box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
@@ -227,8 +227,7 @@ def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray
     return dd, g.ifft(g.fft(dAd, M=g.band), out=dAd)
 
 
-def constitutive(state: FieldState,
-                 reg: RegularizationConfig | None = None) -> ConstitutiveBundle:
+def constitutive(state: FieldState) -> ConstitutiveBundle:
     """Assemble all constitutive fields for one state.
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
@@ -237,12 +236,12 @@ def constitutive(state: FieldState,
     transform, and each gradient one inverse.  The mu1 block dd, dAd is
     staged only when mu1 != 0.
 
-    The state is read through its coefficients (see FieldState): d_hat on
-    box(band), and u_hat on box(band) or, from fields under a regularised
-    M above band, on box(min(M, n/2)), which [u]_M reads; a state built
-    from fields thus has the bundle of the same state carrying those
-    coefficients (test_field_built_state_reads_through_its_boxes).  reg
-    names the regularisation of the forces the bundle will feed.
+    The state is read through its coefficients (see FieldState), u_hat and
+    d_hat on box(band) unless carried; a state built from fields thus has
+    the bundle of the same state carrying its box(band) coefficients
+    (test_field_built_state_reads_through_its_boxes).  The bundle depends
+    on the state alone: only the forces and channels' D_reg read a
+    regularisation.
     """
     g = state.grid
     c = state.coeffs
@@ -251,8 +250,7 @@ def constitutive(state: FieldState,
     d = state.d
 
     if state.spectra is None:
-        M_u = g.band if reg is None else max(g.band, min(reg.M, g.n // 2))
-        u_hat, d_hat = g.fft(state.u, M=M_u), g.fft(d, M=g.band)
+        u_hat, d_hat = g.fft(state.u, M=g.band), g.fft(d, M=g.band)
     else:
         u_hat, d_hat = state.spectra
     grad_u = g.ifft(g.grad_hat(u_hat))
@@ -339,8 +337,9 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     (u.grad)u for the divergence-free u, is built entry by entry in one
     buffer and transformed as one tensor; each symmetric product is formed
     once per pair i <= j.  The regularised scheme advects with the
-    truncated velocity, -[u]_M (x) u, and adds the monitor stress
-    (w grad u)/M, w = |grad u|^(r-2), both as whole tensors in one buffer.
+    truncated velocity, -[u]_M (x) u, [u]_M gathered from u_hat into
+    box(min(M, band)), and adds the monitor stress (w grad u)/M,
+    w = |grad u|^(r-2), both as whole tensors in one buffer.
 
     The Ericksen and convective entries e go into the buffer first, so grad_d
     is set to None on the bundle before the Leslie entries L are formed;
@@ -365,7 +364,7 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     if reg is not None:
         w = _sum_squares(bundle.grad_u, g.dim)
         np.power(w, 0.5 * (reg.r - 2.0), out=w)
-        u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.n // 2)))
+        u_M = g.ifft(g.to_box(bundle.u_hat, min(reg.M, g.band)))
         T = np.multiply(w, bundle.grad_u)
         T /= reg.M
         stress += T

@@ -16,18 +16,19 @@ One rule updates both fields, with z = dt L:
 
 Stepper builds the three diagonal factors of each field once.  y, F, the
 factors, the BDF2 history and both updates live in the dealias box: d in
-box(band), u in box(min(band, N_modes)).  The coefficients of a state built
-from fields are gathered into those boxes.  After each step u is re-projected
+box(band), u in box(min(band, N_modes)).  Every state is read through
+box(band), so d's coefficients are in d's box already and u's are gathered
+into u's box when N_modes < band.  After each step u is re-projected
 divergence-free and both are read back from their boxes, so a quiescent
 state is a bitwise fixed point and pure Stokes decay integrates exactly.  The
 new state carries those coefficients, so only a step from a state built from
 fields transforms u and d forward.
 
-Every state a run holds is visited once (Stepper._visit): constitutive()
-builds its bundle, a due state is sampled from it, and the vorticity guard
-reads it, or the sample's sup|curl u|.  A step starts with that visit;
-rhs_hat then consumes the bundle, freeing each field after its last
-reader.  The final state takes no step.
+Every state a run holds is visited once (Stepper._visit): constitutive(state)
+builds its bundle, which depends on the state alone, a due state is sampled
+from it, and the vorticity guard reads it, or the sample's sup|curl u|.  A
+step starts with that visit; rhs_hat then consumes the bundle, freeing each
+field after its last reader.  The final state takes no step.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .diagnostics import BlowupMonitorState, EnergyReport, _residuals, _sup_curl, channels
 from .errors import BlowUpError, ParameterError, RegimeError
 from .physics import (ConstitutiveBundle, FieldState, RegularizationConfig,
-                      _check_match, constitutive, momentum_rhs, rhs_hat)
+                      _check_match, constitutive, rhs_hat)
 
 SCHEMES = ("semi-implicit-euler", "imex-bdf2")
 
@@ -103,9 +104,9 @@ class Stepper:
         dt = cfg.dt
         # u lives in box(band) & box(N_modes) == box(min(band, N_modes)), d in box(band)
         n_modes = grid.band if reg is None or reg.N_modes is None else reg.N_modes
-        self._bands = (min(grid.band, n_modes), grid.band)
-        symbols = (-0.5 * coeffs.mu4 * grid.box(self._bands[0]).ksq,
-                   grid.box(self._bands[1]).ksq / coeffs.lambda1)
+        self._band_u = min(grid.band, n_modes)
+        symbols = (-0.5 * coeffs.mu4 * grid.box(self._band_u).ksq,
+                   grid.box(grid.band).ksq / coeffs.lambda1)
         # the linear part of (u, d): e^{dt L} and dt phi1(dt L) for euler, 3 - 2 dt L for SBDF2
         self._linear = [(np.exp(dt * L), dt * _phi1(dt * L), 3.0 - 2.0 * dt * L)
                         for L in symbols]
@@ -116,10 +117,10 @@ class Stepper:
                sample: Callable[[FieldState, ConstitutiveBundle], float | None] | None = None
                ) -> ConstitutiveBundle:
         """Refuse a state off the stepper's grid or coefficients (ParameterError), build
-        constitutive(state, reg), hand it to sample when given, then guard sup|curl u|
+        constitutive(state), hand it to sample when given, then guard sup|curl u|
         (the monitor's, or what sample returns); a trip raises BlowUpError(state)."""
         _check_match(state, self.grid, self.coeffs, "stepper")
-        bundle = constitutive(state, self.reg)
+        bundle = constitutive(state)
         w = None if sample is None else sample(state, bundle)
         limit = self.cfg.max_vorticity_sup
         if limit is not None:
@@ -143,11 +144,10 @@ class Stepper:
         g = self.grid
         dt = self.cfg.dt
         bundle = self._visit(state, sample)
-        band_u, band_d = self._bands
-        y = (g.to_box(bundle.u_hat, band_u), g.to_box(bundle.d_hat, band_d))
+        y = (g.to_box(bundle.u_hat, self._band_u), bundle.d_hat)  # d_hat is on box(band)
         F_u, F_d = rhs_hat(state, bundle, self.reg)
         del bundle  # the fields no force reads, freed before the update
-        F = (g.to_box(F_u, band_u), F_d)
+        F = (g.to_box(F_u, self._band_u), F_d)
 
         new = []  # each update built in place, by its formula's operations in order
         if self.cfg.scheme == "imex-bdf2" and self._hist is not None and self._hist[0] is state:
@@ -284,11 +284,3 @@ def run(initial: FieldState, cfg: TimeStepperConfig,
             [0.0] + [b.E_total - a.E_total for a, b in zip(reports, reports[1:])]),
         wall_time=_time.perf_counter() - t0,
     )
-
-
-def reconstruct_pressure(state: FieldState,
-                         reg: RegularizationConfig | None = None) -> np.ndarray:
-    """Solve Lap P = div F for the zero-mean pressure, F the unprojected force."""
-    g = state.grid
-    force_hat = momentum_rhs(state, constitutive(state, reg), reg)
-    return g.ifft(-1j * g.potential_hat(force_hat))

@@ -26,10 +26,9 @@ pads the box to n/2 + 1 columns for irfft, which runs faster on them, and
 takes numpy's out=, so a field can be filled chunk by chunk.  box(M) holds
 the wavenumber multipliers of one layout, cached on the grid, and to_box
 gathers or zero-pads an array into another box.  The solver reads every
-state through box(band), u through [u]_M's box when a regularised M exceeds
-band, and keeps its forces and its update there too; only the validating
-calculus and a regularised M of n/2 or more use the full layout.  This
-module alone owns the box cache (tests/test_box_cache.py).
+state through box(band) and keeps its forces and its update there too; only
+the validating calculus uses the full layout.  This module alone owns the
+box cache (tests/test_box_cache.py).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nematicflow import FieldState, SpectralGrid, constitutive, from_alpha, penalty, rhs_hat
+from nematicflow.physics import momentum_rhs
 from nematicflow.spectral import random_band_limited
 
 # test_acceptance appends one line per criterion; echoed after the run so the
@@ -103,12 +104,19 @@ def physical_rhs(state, reg=None):
     transformed back.  Precondition: u divergence-free and band-limited, so
     the diffusion needs no projection."""
     g, c = state.grid, state.coeffs
-    b = constitutive(state, reg)
+    b = constitutive(state)
     full = g.n // 2
     lin = (b.u_hat * (-0.5 * c.mu4 * g.box_of(b.u_hat).ksq),
            b.d_hat * (g.box_of(b.d_hat).ksq / c.lambda1))  # before rhs_hat consumes b
     return tuple(g.ifft(g.to_box(L, full) + g.to_box(F, full))
                  for L, F in zip(lin, rhs_hat(state, b, reg)))
+
+
+def reconstruct_pressure(state, reg=None):
+    """Solve Lap P = div F for the zero-mean pressure, F the unprojected force."""
+    g = state.grid
+    force_hat = momentum_rhs(state, constitutive(state), reg)
+    return g.ifft(-1j * g.potential_hat(force_hat))
 
 
 # -- physical-space calculus oracles ---------------------------------------------

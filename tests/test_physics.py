@@ -1,5 +1,6 @@
 """Constitutive assembly: penalty, Leslie stress, and the right-hand sides."""
 
+import inspect
 import tracemalloc
 from dataclasses import fields
 
@@ -242,27 +243,6 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
             assert getattr(consumed, f.name) is None, f.name
 
 
-@pytest.mark.parametrize("M", [27, 32])
-def test_regularised_m_above_band_reads_u_beyond_the_box(alpha_one, M):
-    """A state built from fields at 2D n=64 (band 21) under a regularised M
-    above band: constitutive(state, reg) keeps u_hat's modes up to
-    min(M, n/2), so rhs_hat gives the bytes of an oracle that takes [u]_M
-    from the full transform of u.  A bundle read with no regularisation,
-    u_hat on box(band), gives other bits."""
-    g = SpectralGrid(2, 64)
-    reg = RegularizationConfig(M=M, r=4.0)
-    st = smooth_state(g, alpha_one, seed=31)
-    b = constitutive(st, reg)
-    assert g.box_of(b.u_hat).M == M and g.box_of(b.d_hat).M == g.band
-    got = rhs_hat(st, b, reg)
-    oracle = constitutive(st, reg)
-    oracle.u_hat = g.fft(st.u)
-    want = rhs_hat(st, oracle, reg)
-    folded = rhs_hat(st, constitutive(st), reg)
-    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
-    assert got[0].tobytes() != folded[0].tobytes()
-
-
 def test_rhs_hat_frees_the_leslie_inputs_before_the_stress_transform():
     """3D Case 2 at n=32 from a stepped state, its bundle built under
     tracemalloc, after a first call has filled the grid's caches: the
@@ -392,7 +372,7 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
     rate = (grid.l2_inner_unchecked(st.u, u_t)
             + grid.l2_inner_unchecked(grid.gradient(st.d), grid.gradient(d_t))
             + grid.l2_inner_unchecked(gradW, d_t))
-    dissipation = channels(st, constitutive(st, reg), reg).dissipation_general
+    dissipation = channels(st, constitutive(st), reg).dissipation_general
     assert dissipation > 0.0
     assert abs(rate + dissipation) <= 1e-12 * dissipation
 
@@ -498,18 +478,17 @@ def test_constitutive_of_carried_spectra_matches_derived(request, monkeypatch,
 ], ids=["2d", "2d-reg-M4", "2d-reg-M12", "2d-reg-M16", "3d-case2", "3d-case2-reg-M7"])
 def test_field_built_state_reads_through_its_boxes(request, grid_name, coeffs, M):
     """A state built from fields has the bundle, byte for byte in every
-    array and every number, of the same state carrying d's box(band)
-    coefficients and u's on box(band) or, when a regularised M exceeds
-    band, on box(min(M, n/2)): constitutive reads a state through those
-    boxes and nothing else of its fields."""
+    array and every number, of the same state carrying u's and d's box(band)
+    coefficients: constitutive reads a state through box(band) and nothing
+    else of its fields.  Under a regularised M the forces rhs_hat(., ., reg)
+    of the two states agree byte for byte too, with [u]_M below band (M = 4)
+    and above it (M = 12 and 16 at band 10, M = 7 at band 5)."""
     grid = request.getfixturevalue(grid_name)
-    reg = None if M is None else RegularizationConfig(M=M, r=4.0)
     st = smooth_state(grid, coeffs, seed=41)
-    box_u = grid.band if M is None else max(grid.band, min(M, grid.n // 2))
     carrying = FieldState(grid=grid, coeffs=coeffs, time=st.time, u=st.u, d=st.d,
-                          spectra=(grid.fft(st.u, M=box_u), grid.fft(st.d, M=grid.band)))
-    got, want = constitutive(st, reg), constitutive(carrying, reg)
-    assert grid.box_of(got.u_hat).M == box_u
+                          spectra=(grid.fft(st.u, M=grid.band), grid.fft(st.d, M=grid.band)))
+    got, want = constitutive(st), constitutive(carrying)
+    assert grid.box_of(got.u_hat).M == grid.box_of(got.d_hat).M == grid.band
     for f in fields(ConstitutiveBundle):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
@@ -517,6 +496,17 @@ def test_field_built_state_reads_through_its_boxes(request, grid_name, coeffs, M
             assert a.tobytes() == b.tobytes(), f.name
         else:  # E_penalty and tension_sq, or the None of the mu1 block when mu1 = 0
             assert a == b, f.name
+    if M is not None:
+        reg = RegularizationConfig(M=M, r=4.0)
+        forces = [[(f.shape, f.tobytes()) for f in rhs_hat(s, constitutive(s), reg)]
+                  for s in (st, carrying)]
+        assert forces[0] == forces[1]
+
+
+def test_constitutive_reads_the_state_alone():
+    """The bundle depends on the state alone: constitutive takes no
+    regularisation, which only the forces and D_reg read."""
+    assert list(inspect.signature(constitutive).parameters) == ["state"]
 
 
 @pytest.mark.parametrize("grid_name, coeffs, forward", [

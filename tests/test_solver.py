@@ -14,7 +14,7 @@ import nematicflow.spectral
 from nematicflow import (BlowUpError, BlowupMonitorState, FieldState, LeslieCoefficients,
                          ParameterError, RegularizationConfig, RegimeError, SpectralGrid,
                          Stepper, TimeStepperConfig, case2_lower_bound_check, channels,
-                         constitutive, eta_margin, from_alpha, reconstruct_pressure, run)
+                         constitutive, eta_margin, from_alpha, run)
 from nematicflow.cli import main
 from nematicflow.config import (build_coefficients, build_grid,
                                 build_initial_state, build_regularization,
@@ -25,7 +25,8 @@ from nematicflow.physics import director_rhs, momentum_rhs
 from nematicflow.spectral import random_band_limited
 
 from conftest import (_full_transform_reference, box_mask, curl, divergence, l2_norm,
-                      manufactured, smooth_state, sup_norm, traced_peak_fields)
+                      manufactured, reconstruct_pressure, smooth_state, sup_norm,
+                      traced_peak_fields)
 
 
 # 3D non-Parodi Case 2 set
@@ -345,9 +346,9 @@ def test_run_evaluates_each_state_once(grid2d, alpha_one, monkeypatch, cadence):
     steps plus one for the final state, at any cadence."""
     calls = []
 
-    def counted(state, *reg):
+    def counted(state):
         calls.append(state.time)
-        return constitutive(state, *reg)
+        return constitutive(state)
 
     monkeypatch.setattr(nematicflow.solver, "constitutive", counted)
     monkeypatch.setattr(nematicflow.diagnostics, "constitutive", counted)
@@ -424,7 +425,8 @@ def test_run_from_fields_builds_no_full_layout(monkeypatch):
     constitutive transforms the fields straight onto box(band), so neither
     it nor the run builds a full-layout box, and the traced peak of run()
     stays below 50.5 scalar grid fields (49.6; 53.3 with stage(d(x)d)
-    inverted in one call)."""
+    inverted in one call).  A regularised run at M = n/2 builds none either:
+    [u]_M is gathered from u's box(band) coefficients, never padded."""
     src = smooth_state(SpectralGrid(3, 16), CASE2, seed=53)
     full_boxes = []
 
@@ -449,6 +451,10 @@ def test_run_from_fields_builds_no_full_layout(monkeypatch):
     _, fields_at_peak = traced_peak_fields(lambda: run(st, cfg, cadence=3), g)
     assert full_boxes == []
     assert fields_at_peak < 50.5, fields_at_peak
+    g, st = fresh()
+    traj = run(st, cfg, RegularizationConfig(M=g.n // 2, r=4.0), cadence=3)
+    assert not traj.blown_up and traj.reports[-1].D_reg > 0.0
+    assert full_boxes == []
 
 
 def test_constitutive_drops_each_unstaged_product(grid3d):
