@@ -183,6 +183,11 @@ class BlowupMonitorState:
       G_bracket  = 1 + sup|curl u| + sup|grad d|^2
                      + (mu5+mu6)^2 sup|grad d|^(8/3) + mu1 sup|grad d|^4, and
       A_qty      = ||grad u||^2 + ||Lap d - stage(grad_d W)||^2.
+
+    The paper's abstract puts its blow-up criterion in terms of the time
+    integral of sup|curl u| and sup|grad d| without giving their powers,
+    and the repository holds only that abstract: the 4 on sup|grad d| in
+    B_integral is this code's choice, backed by no source here.
     """
 
     def __init__(self):

@@ -19,18 +19,25 @@ where N = d_t + (u.grad)d - omega d is the co-rotational rate, recovered
 here through its constitutive form N = -(lambda2 A d + (Lap d - grad_d W))
 / lambda1.
 
-Discrete staging rule (load-bearing for the energy identities): N, Ad,
-d(x)d, d.Ad and grad_d W are dealiased BEFORE entering outer products, and
-the state fields are kept band-limited by the solver.  Ad is staged from
-(G d + G^T d)/2 with G = grad u, and d.Ad from the entries of G, so A is
-never formed.  Every field lives in physical space once: each product is
-formed pointwise, transformed forward once onto the dealias box, box(band)
-of spectral.py, where divergence, Leray projection and time integration
-act.  Every state is read through its box(band) part: grad u, grad d and
-the tension come from those coefficients, which a stepped state carries and
-a state built from fields gets by one forward transform each.  With
-collocation (grid-mean) quadrature the semi-discrete energy law then
-balances to rounding error; see tests.
+Discrete staging rule: stage exactly what the director equation or a
+dissipation channel reads, N, Ad, d.Ad and grad_d W, and keep the state
+fields band-limited; every stress product is formed pointwise and truncated
+once, by the stress's forward transform.  To stage is to mask to the dealias
+box, box(band) of spectral.py, where divergence, Leray projection and time
+integration act.  Ad is staged from (G d + G^T d)/2 with G = grad u, and
+d.Ad from that unstaged A d, so neither A nor d(x)d is formed as a field.
+Every state is read through its box(band) part: grad u, grad d and the
+tension come from those coefficients, which a stepped state carries and a
+state built from fields gets by one forward transform each.
+
+With collocation (grid-mean) quadrature, staging and the stress truncation
+are grid projections, so the mu1 stress mu1 (d.Ad) d(x)d does on grad u
+exactly the work D_mu1 = mu1 ||d.Ad||^2 of its channel
+(test_mu1_block_stages_d_Ad_and_pays_its_channel).  The semi-discrete
+energy law balances to rounding on states with modes up to band/3
+(test_semi_discrete_energy_law); on states whose modes reach band the
+cubic products alias, and the penalty's aliasing leaves a defect that
+scales as 1/eps^2 (test_semi_discrete_energy_law_beyond_band_over_3).
 """
 
 from __future__ import annotations
@@ -159,20 +166,20 @@ class RegularizationConfig:
 class ConstitutiveBundle:
     """Every field the stepper and the energy audit share, computed once.
 
-    Staged (dealiased) quantities: Ad, N, dAd, dd and gradW_hat.  N =
+    Staged (dealiased) quantities: Ad, N, dAd and gradW_hat.  N =
     -(lambda2 Ad + tension)/lambda1, formed in the buffer of the tension
     Lap d - stage(grad_d W) once its squared norm, all the sample reads of
     it, is taken.  A and omega are not held: A d = (G d + G^T d)/2 and omega
-    d = G d - A d with G = grad_u.  dd holds d(x)d's distinct entries.  dd
-    and dAd feed only the mu1 terms, so they are None when mu1 = 0.  The
-    stresses are not fields: momentum_rhs builds them in one buffer.  rhs_hat
-    consumes a bundle.
+    d = G d - A d with G = grad_u.  dAd = stage(d.Ad) feeds only the mu1
+    stress and D_mu1, so it is None when mu1 = 0.  The stresses are not
+    fields: momentum_rhs builds them in one buffer.  rhs_hat consumes a
+    bundle.
 
     Each array's last reader in a step, after the sample and the vorticity
     guard have read the bundle, and where it is set to None: u_hat and d_hat,
     the step, which gathers u_hat into u's box and takes d_hat as it is;
     grad_u, the guard; gradW_hat and omega_d, director_rhs; grad_d,
-    momentum_rhs's Ericksen entries; N, Ad, dd and dAd, its Leslie entries.
+    momentum_rhs's Ericksen entries; N, Ad and dAd, its Leslie entries.
     Under regularisation u_hat and grad_u last feed momentum_rhs's [u]_M and
     monitor stress.
     """
@@ -187,44 +194,15 @@ class ConstitutiveBundle:
     omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
     tension_sq: float        # ||Lap d - stage(grad_d W)||^2, by grid quadrature
     N: np.ndarray            # co-rotational rate via the constitutive identity
-    dAd: np.ndarray | None   # scalar stage(dd : A); None when mu1 = 0
-    dd: np.ndarray | None    # stage(d(x)d), (npairs,) + grid, pairs i <= j; None when mu1 = 0
+    dAd: np.ndarray | None   # stage(d.Ad), d.Ad from the unstaged A d; None when mu1 = 0
 
 
 def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    """Mask f to the dealias band.  Unlike SpectralGrid.dealias it does not
-    reject non-finite input: overflow in a huge state reaches the step's
-    finiteness guard and ends as a BlowUpError."""
-    return g.ifft(g.fft(f, M=g.band))
-
-
-def _stage_dd(g: SpectralGrid, d: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """stage(d(x)d) as its entries i <= j, and stage(dd : A) for A the
-    symmetric part of G, as sum_i dd_ii G_ii + sum_{i<j} dd_ij (G_ij + G_ji).
-
-    Each unstaged product is overwritten by its staged value once the forward
-    transform exists, d(x)d entry by entry, so only box coefficients and one
-    entry's inverse are alive beside the products; for a stepped state this
-    is where constitutive peaks."""
-    pairs = list(_pairs(g.dim))
-    dd = np.empty((len(pairs),) + g.shape)
-    for p, (i, j) in enumerate(pairs):
-        np.multiply(d[i], d[j], out=dd[p])
-    dd_hat = g.fft(dd, M=g.band)  # _stage, into the products' buffer
-    for entry, entry_hat in zip(dd, dd_hat):
-        g.ifft(entry_hat, out=entry)
-    del dd_hat
-    dAd = np.zeros(g.shape)
-    tmp = np.empty(g.shape)
-    for (i, j), staged in zip(pairs, dd):
-        if i == j:
-            np.multiply(staged, G[i, i], out=tmp)
-        else:
-            np.add(G[i, j], G[j, i], out=tmp)
-            tmp *= staged
-        dAd += tmp
-    del tmp
-    return dd, g.ifft(g.fft(dAd, M=g.band), out=dAd)
+    """Mask f to the dealias band, in place, and return it.  Unlike
+    SpectralGrid.dealias it does not reject non-finite input: overflow in a
+    huge state reaches the step's finiteness guard and ends as a
+    BlowUpError."""
+    return g.ifft(g.fft(f, M=g.band), out=f)
 
 
 def constitutive(state: FieldState) -> ConstitutiveBundle:
@@ -233,8 +211,9 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     Requires lambda1 < 0 (the director relaxation rate); everything else is
     algebra.  u and d are transformed once, unless the state carries their
     coefficients; each staged field is one forward and one inverse
-    transform, and each gradient one inverse.  The mu1 block dd, dAd is
-    staged only when mu1 != 0.
+    transform, in place, and each gradient one inverse.  dAd, the mu1
+    block, is staged only when mu1 != 0, from the unstaged A d just before
+    Ad itself is staged.
 
     The state is read through its coefficients (see FieldState), u_hat and
     d_hat on box(band) unless carried; a state built from fields thus has
@@ -267,40 +246,38 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     Ad += omega_d
     Ad *= 0.5  # A d = (G d + G^T d)/2
     omega_d -= Ad  # omega d = G d - A d
-    Ad[: g.dim] = _stage(g, Ad[: g.dim])  # in 2D the third component is zero
-    dd = dAd = None
-    if c.mu1 != 0.0:
-        dd, dAd = _stage_dd(g, d, grad_u)
-    N, tmp = tension, np.empty(g.shape)  # N in the tension's buffer, after the mu1 block
+    dAd = None
+    if c.mu1 != 0.0:  # d.Ad from the unstaged A d
+        dAd = _stage(g, np.einsum("i...,i...->...", d[: g.dim], Ad[: g.dim]))
+    _stage(g, Ad[: g.dim])  # in 2D the third component is zero
+    N, tmp = tension, np.empty(g.shape)  # N in the tension's buffer
     for k in range(3):
         N[k] += np.multiply(Ad[k], c.lambda2, out=tmp)
     N /= -c.lambda1
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
                               E_penalty=E_penalty, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
-                              tension_sq=tension_sq, N=N, dAd=dAd, dd=dd)
+                              tension_sq=tension_sq, N=N, dAd=dAd)
 
 
 def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.ndarray,
-                    dd: np.ndarray | None, dAd: np.ndarray | None,
-                    out: np.ndarray) -> np.ndarray:
-    """Replace each entry e of out by L - e, for L[i, j] = (mu2 N + mu5 Ad)_i
-    d_j + d_i (mu3 N + mu6 Ad)_j + mu1 dAd dd_ij, the Leslie stress without
-    its mu4 A part; the mu1 term only when mu1 != 0, from dd's entry of the
-    pair i <= j.  L is summed in that order before e is subtracted."""
+                    dAd: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Replace each entry e of out by L - e, for L[i, j] = (mu2 N + mu5 Ad
+    + mu1 dAd d)_i d_j + d_i (mu3 N + mu6 Ad)_j, the Leslie stress without
+    its mu4 A part; the mu1 term only when mu1 != 0.  Every product is
+    pointwise: the stress's forward transform truncates it.  L is summed in
+    that order before e is subtracted."""
     dim = out.shape[0]
     left = c.mu2 * N[:dim]     # (.)(x)d terms
     left += c.mu5 * Ad[:dim]
+    if dAd is not None:
+        left += (c.mu1 * dAd) * d[:dim]
     right = c.mu3 * N[:dim]    # d(x)(.) terms
     right += c.mu6 * Ad[:dim]
-    w = c.mu1 * dAd if c.mu1 != 0.0 else None
-    pair = {ij: p for p, ij in enumerate(_pairs(dim))}
     entry, tmp = np.empty(out.shape[2:]), np.empty(out.shape[2:])
     for i, j in np.ndindex(dim, dim):
         np.multiply(left[i], d[j], out=entry)
         entry += np.multiply(d[i], right[j], out=tmp)
-        if w is not None:
-            entry += np.multiply(w, dd[pair[min(i, j), max(i, j)]], out=tmp)
         np.subtract(entry, out[i, j], out=out[i, j])
     return out
 
@@ -336,17 +313,19 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     the Ericksen stress and the convective flux u (x) u, whose divergence is
     (u.grad)u for the divergence-free u, is built entry by entry in one
     buffer and transformed as one tensor; each symmetric product is formed
-    once per pair i <= j.  The regularised scheme advects with the
-    truncated velocity, -[u]_M (x) u, [u]_M gathered from u_hat into
-    box(min(M, band)), and adds the monitor stress (w grad u)/M,
-    w = |grad u|^(r-2), both as whole tensors in one buffer.
+    once per pair i <= j.  Every entry is a pointwise product of staged or
+    band-limited fields, truncated only by that one transform.  The
+    regularised scheme advects with the truncated velocity, -[u]_M (x) u,
+    [u]_M gathered from u_hat into box(min(M, band)), and adds the monitor
+    stress (w grad u)/M, w = |grad u|^(r-2), both as whole tensors in one
+    buffer.
 
     The Ericksen and convective entries e go into the buffer first, so grad_d
     is set to None on the bundle before the Leslie entries L are formed;
-    each entry then becomes L - e, and N, Ad, dd and dAd are set to None
-    too.  When regularised, u_hat and grad_u go after the monitor stress.
-    All of them are freed before the stress transform.  A caller that also
-    wants director_rhs calls it first.
+    each entry then becomes L - e, and N, Ad and dAd are set to None too.
+    When regularised, u_hat and grad_u go after the monitor stress.  All of
+    them are freed before the stress transform.  A caller that also wants
+    director_rhs calls it first.
     """
     g = state.grid
     u = state.u
@@ -359,8 +338,8 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
         if i != j:
             stress[j, i] = e
     bundle.grad_d = None
-    _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dd, bundle.dAd, stress)
-    bundle.N = bundle.Ad = bundle.dd = bundle.dAd = None
+    _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dAd, stress)
+    bundle.N = bundle.Ad = bundle.dAd = None
     if reg is not None:
         w = _sum_squares(bundle.grad_u, g.dim)
         np.power(w, 0.5 * (reg.r - 2.0), out=w)
@@ -382,8 +361,8 @@ def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
     array is set to None on it after its last reader, so no caller keeps it
     alive.  d_hat and, unless regularised, u_hat and grad_u go before
     director_rhs; omega_d and gradW_hat before momentum_rhs, which frees
-    the rest before it transforms the stress.  Only the numbers stay:
-    E_penalty and tension_sq."""
+    the rest (grad_d, N, Ad and, when mu1 != 0, dAd) before it transforms
+    the stress.  Only the numbers stay: E_penalty and tension_sq."""
     bundle.d_hat = None
     if reg is None:
         bundle.u_hat = bundle.grad_u = None

@@ -406,26 +406,26 @@ def test_case2_3d_run(grid3d, scheme):
 
 def test_run_holds_one_bundle_at_a_time(grid3d):
     """3D Case 2 (mu1 != 0) at n=16, 6 steps at cadence 3, after a first run
-    has filled the grid's caches: the traced peak of run() stays below 49.3
+    has filled the grid's caches: the traced peak of run() stays below 43.6
     scalar grid fields, so no step keeps a second bundle alive, nor the
     fields the forces do not read: the tension past its squared norm, grad
     u before director_rhs, the rest of what momentum_rhs does not read
     before it builds the stress, and the Leslie inputs and grad d before it
-    transforms the stress; and stage(d(x)d) is inverted entry by entry
-    into the products' buffer (48.7; 52.4 with its inverse in one call)."""
+    transforms the stress; and Ad is staged in place (43.0; 46.0 with Ad
+    staged into a new array)."""
     st = smooth_state(grid3d, CASE2, seed=53)
     cfg = TimeStepperConfig(dt=1e-3, t_end=6e-3)
     run(st, cfg, cadence=3)
     _, fields_at_peak = traced_peak_fields(lambda: run(st, cfg, cadence=3), grid3d)
-    assert fields_at_peak < 49.3, fields_at_peak
+    assert fields_at_peak < 43.6, fields_at_peak
 
 
 def test_run_from_fields_builds_no_full_layout(monkeypatch):
     """3D Case 2 at n=16 from fields, on a grid whose caches hold nothing:
     constitutive transforms the fields straight onto box(band), so neither
     it nor the run builds a full-layout box, and the traced peak of run()
-    stays below 50.5 scalar grid fields (49.6; 53.3 with stage(d(x)d)
-    inverted in one call).  A regularised run at M = n/2 builds none either:
+    stays below 44.5 scalar grid fields (43.6; 46.6 with Ad staged into a
+    new array).  A regularised run at M = n/2 builds none either:
     [u]_M is gathered from u's box(band) coefficients, never padded."""
     src = smooth_state(SpectralGrid(3, 16), CASE2, seed=53)
     full_boxes = []
@@ -450,7 +450,7 @@ def test_run_from_fields_builds_no_full_layout(monkeypatch):
     g, st = fresh()
     _, fields_at_peak = traced_peak_fields(lambda: run(st, cfg, cadence=3), g)
     assert full_boxes == []
-    assert fields_at_peak < 50.5, fields_at_peak
+    assert fields_at_peak < 44.5, fields_at_peak
     g, st = fresh()
     traj = run(st, cfg, RegularizationConfig(M=g.n // 2, r=4.0), cadence=3)
     assert not traj.blown_up and traj.reports[-1].D_reg > 0.0
@@ -459,15 +459,14 @@ def test_run_from_fields_builds_no_full_layout(monkeypatch):
 
 def test_constitutive_drops_each_unstaged_product(grid3d):
     """3D Case 2 from fields at n=16: the traced peak of constitutive()
-    stays below 42 scalar grid fields, so u and d are transformed straight
-    onto box(band), _stage_dd overwrites d(x)d entry by entry and dd : A
-    with their staged values once their forward transforms exist, and N is
-    formed only after the mu1 block (41.5; 45.2 with stage(d(x)d) inverted
-    in one call)."""
+    stays below 36.3 scalar grid fields, so u and d are transformed
+    straight onto box(band), and Ad is overwritten by its staged value,
+    where constitutive peaks (35.8; 38.7 with Ad staged into a new
+    array)."""
     st = smooth_state(grid3d, CASE2, seed=53)
     constitutive(st)
     _, fields_at_peak = traced_peak_fields(lambda: constitutive(st), grid3d)
-    assert fields_at_peak < 42.0, fields_at_peak
+    assert fields_at_peak < 36.3, fields_at_peak
 
 
 def _sample_after_step(state, cfg, reg=None, cadence=1):
