@@ -1,7 +1,7 @@
 """Energy bookkeeping, dissipation channels, and blow-up criterion monitors.
 
-All quadrature is the collocation grid mean on the unit box.  The total
-energy is
+Quadrature is the collocation grid mean on the unit box, or its Parseval
+equal on box(band) for N, Ad and the tension.  The total energy is
 
     E = 1/2 ||u||^2 + 1/2 ||grad d||^2 + int W(d),
 
@@ -90,22 +90,19 @@ def channels(state: FieldState, bundle: ConstitutiveBundle,
     D_case1_Ad       = (mu5+mu6+lambda2^2/lambda1) ||Ad||^2
     D_reg    = (1/M) mean |grad u|^r   (0 when regularization is off)
     """
-    g = state.grid
-    c = state.coeffs
+    g, c = state.grid, state.coeffs
     inner = g.l2_inner_unchecked  # FieldState validates u and d; the bundle derives from them
 
     ek, ee, ep, et = _energies(state, bundle)
 
-    n2_N = inner(bundle.N, bundle.N)
-    n2_Ad = inner(bundle.Ad, bundle.Ad)
     G = bundle.grad_u.reshape(g.dim, g.dim, -1)  # ||A||^2 = (<G, G> + <G, G^T>)/2
     d_visc = c.mu4 * 0.5 * (inner(G, G) + float(np.einsum("ijk,jik->", G, G)) / g.npoints)
     d_mu1 = c.mu1 * inner(bundle.dAd, bundle.dAd) if c.mu1 != 0.0 else 0.0
-    d_n = -c.lambda1 * n2_N
-    d_ad = (c.mu5 + c.mu6) * n2_Ad
-    d_cross = -(c.lambda2 - c.mu2 - c.mu3) * inner(bundle.N, bundle.Ad)
+    d_n = -c.lambda1 * bundle.N_sq
+    d_ad = (c.mu5 + c.mu6) * bundle.Ad_sq
+    d_cross = -(c.lambda2 - c.mu2 - c.mu3) * bundle.N_Ad
     d_c1_dir = bundle.tension_sq / (-c.lambda1)
-    d_c1_ad = (c.mu5 + c.mu6 + c.lambda2 ** 2 / c.lambda1) * n2_Ad
+    d_c1_ad = (c.mu5 + c.mu6 + c.lambda2 ** 2 / c.lambda1) * bundle.Ad_sq
 
     d_reg = 0.0
     if reg is not None:
@@ -115,7 +112,7 @@ def channels(state: FieldState, bundle: ConstitutiveBundle,
         time=state.time, E_total=et, E_kinetic=ek, E_elastic=ee,
         E_penalty=ep, D_mu1=d_mu1, D_visc=d_visc, D_Ad=d_ad, D_N=d_n,
         D_cross=d_cross, D_case1_director=d_c1_dir, D_case1_Ad=d_c1_ad,
-        D_reg=d_reg, norm_N_sq=n2_N, norm_Ad_sq=n2_Ad,
+        D_reg=d_reg, norm_N_sq=bundle.N_sq, norm_Ad_sq=bundle.Ad_sq,
     )
 
 

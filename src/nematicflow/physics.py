@@ -24,11 +24,11 @@ dissipation channel reads, N, Ad, d.Ad and grad_d W, and keep the state
 fields band-limited; every stress product is formed pointwise and truncated
 once, by the stress's forward transform.  To stage is to mask to the dealias
 box, box(band) of spectral.py, where divergence, Leray projection and time
-integration act.  Ad is staged from (G d + G^T d)/2 with G = grad u, and
-d.Ad from that unstaged A d, so neither A nor d(x)d is formed as a field.
-Every state is read through its box(band) part: grad u, grad d and the
-tension come from those coefficients, which a stepped state carries and a
-state built from fields gets by one forward transform each.
+integration act.  The tension, Ad (from A d = (G d + G^T d)/2, G = grad u)
+and N stay there: the channels take their norms by Parseval, and only the
+Leslie vectors mu2 N + mu5 Ad and mu3 N + mu6 Ad reach the grid.  d.Ad is
+staged from the unstaged A d, so neither A nor d(x)d is formed as a field.
+Every state is read through its box(band) part, carried or transformed once.
 
 With collocation (grid-mean) quadrature, staging and the stress truncation
 are grid projections, so the mu1 stress mu1 (d.Ad) d(x)d does on grad u
@@ -166,22 +166,17 @@ class RegularizationConfig:
 class ConstitutiveBundle:
     """Every field the stepper and the energy audit share, computed once.
 
-    Staged (dealiased) quantities: Ad, N, dAd and gradW_hat.  N =
-    -(lambda2 Ad + tension)/lambda1, formed in the buffer of the tension
-    Lap d - stage(grad_d W) once its squared norm, all the sample reads of
-    it, is taken.  A and omega are not held: A d = (G d + G^T d)/2 and omega
-    d = G d - A d with G = grad_u.  dAd = stage(d.Ad) feeds only the mu1
-    stress and D_mu1, so it is None when mu1 = 0.  The stresses are not
-    fields: momentum_rhs builds them in one buffer.  rhs_hat consumes a
-    bundle.
+    The tension Lap d - stage(grad_d W), Ad = stage(A d) and N = -(lambda2
+    Ad + tension)/lambda1 live on box(band) and leave it only as their box
+    quadratures and the Leslie vectors, left and right.  A and omega are not
+    held: A d = (G d + G^T d)/2 and omega d = G d - A d with G = grad_u.
+    The stresses are not fields: momentum_rhs builds them in one buffer.
 
-    Each array's last reader in a step, after the sample and the vorticity
-    guard have read the bundle, and where it is set to None: u_hat and d_hat,
-    the step, which gathers u_hat into u's box and takes d_hat as it is;
-    grad_u, the guard; gradW_hat and omega_d, director_rhs; grad_d,
-    momentum_rhs's Ericksen entries; N, Ad and dAd, its Leslie entries.
-    Under regularisation u_hat and grad_u last feed momentum_rhs's [u]_M and
-    monitor stress.
+    rhs_hat consumes a bundle after the sample and the vorticity guard have
+    read it, setting each array to None after its last reader: u_hat and
+    d_hat, the step (u_hat gathered into u's box); grad_u, the guard;
+    box_force and omega_d, director_rhs; grad_d, left, right and dAd,
+    momentum_rhs, where a regularised step's u_hat and grad_u go last.
     """
 
     u_hat: np.ndarray        # coefficients of u: carried, else on box(band)
@@ -189,20 +184,15 @@ class ConstitutiveBundle:
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
     E_penalty: float         # int W(d), the grid mean of the penalty density
-    gradW_hat: np.ndarray    # stage(grad_d W), box(band)
-    Ad: np.ndarray           # stage(A d), 3 components
+    box_force: np.ndarray    # stage(grad_d W)/lambda1 - (lambda2/lambda1) Ad, box(band)
     omega_d: np.ndarray      # omega d, 3 components (the third zero in 2D)
-    tension_sq: float        # ||Lap d - stage(grad_d W)||^2, by grid quadrature
-    N: np.ndarray            # co-rotational rate via the constitutive identity
+    tension_sq: float        # ||Lap d - stage(grad_d W)||^2, by box quadrature
+    N_sq: float              # ||N||^2, N the co-rotational rate by the constitutive identity
+    Ad_sq: float             # ||Ad||^2
+    N_Ad: float              # <N, Ad>
+    left: np.ndarray         # mu2 N + mu5 Ad, dim components
+    right: np.ndarray | None  # mu3 N + mu6 Ad; None when mu3 = mu6 = 0
     dAd: np.ndarray | None   # stage(d.Ad), d.Ad from the unstaged A d; None when mu1 = 0
-
-
-def _stage(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    """Mask f to the dealias band, in place, and return it.  Unlike
-    SpectralGrid.dealias it does not reject non-finite input: overflow in a
-    huge state reaches the step's finiteness guard and ends as a
-    BlowUpError."""
-    return g.ifft(g.fft(f, M=g.band), out=f)
 
 
 def constitutive(state: FieldState) -> ConstitutiveBundle:
@@ -210,10 +200,9 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
 
     Requires lambda1 < 0 (the director relaxation rate); everything else is
     algebra.  u and d are transformed once, unless the state carries their
-    coefficients; each staged field is one forward and one inverse
-    transform, in place, and each gradient one inverse.  dAd, the mu1
-    block, is staged only when mu1 != 0, from the unstaged A d just before
-    Ad itself is staged.
+    coefficients; grad_d W and A d take one forward transform each, every
+    gradient and Leslie vector one inverse.  dAd is staged in place, only
+    when mu1 != 0, from the unstaged A d, whose buffer then receives left.
 
     The state is read through its coefficients (see FieldState), u_hat and
     d_hat on box(band) unless carried; a state built from fields thus has
@@ -222,11 +211,10 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     on the state alone: only the forces and channels' D_reg read a
     regularisation.
     """
-    g = state.grid
-    c = state.coeffs
+    g, c = state.grid, state.coeffs
     if c.lambda1 >= 0.0:
         raise RegimeError(f"constitutive assembly requires lambda1 < 0, got {c.lambda1}")
-    d = state.d
+    d, dim, inner = state.d, g.dim, g.box_inner_unchecked
 
     if state.spectra is None:
         u_hat, d_hat = g.fft(state.u, M=g.band), g.fft(d, M=g.band)
@@ -236,48 +224,56 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     grad_d = g.ifft(g.grad_hat(d_hat))
     W, gradW = penalty(d, c.epsilon)
     E_penalty = float(W.mean())
-    gradW_hat = g.fft(gradW, M=g.band)
+    box_force = g.fft(gradW, M=g.band)
     del W, gradW
-    tension = g.ifft(-g.box(g.band).ksq * d_hat - gradW_hat)
-    tension_sq = g.l2_inner_unchecked(tension, tension)
+    N_hat = -g.box(g.band).ksq * d_hat
+    N_hat -= box_force  # the tension, then N in its buffer
+    tension_sq = inner(N_hat, N_hat)
 
     omega_d = mat_vec_director(grad_u, d)  # G d
-    Ad = mat_vec_director(grad_u.swapaxes(0, 1), d)  # G^T d
-    Ad += omega_d
+    Ad = np.einsum("ji...,j...->i...", grad_u, d[:dim])  # G^T d
+    Ad += omega_d[:dim]
     Ad *= 0.5  # A d = (G d + G^T d)/2
-    omega_d -= Ad  # omega d = G d - A d
+    omega_d[:dim] -= Ad  # omega d = G d - A d
     dAd = None
-    if c.mu1 != 0.0:  # d.Ad from the unstaged A d
-        dAd = _stage(g, np.einsum("i...,i...->...", d[: g.dim], Ad[: g.dim]))
-    _stage(g, Ad[: g.dim])  # in 2D the third component is zero
-    N, tmp = tension, np.empty(g.shape)  # N in the tension's buffer
-    for k in range(3):
-        N[k] += np.multiply(Ad[k], c.lambda2, out=tmp)
-    N /= -c.lambda1
+    if c.mu1 != 0.0:  # d.Ad from the unstaged A d, staged in place
+        dAd = np.einsum("i...,i...->...", d[:dim], Ad)
+        g.ifft(g.fft(dAd, M=g.band), out=dAd)
+    Ad_hat = g.fft(Ad, M=g.band)  # in 2D A d's third component is zero, not formed
+    N_hat[:dim] += c.lambda2 * Ad_hat
+    N_hat /= -c.lambda1
+    box_force /= c.lambda1
+    box_force[:dim] -= (c.lambda2 / c.lambda1) * Ad_hat
+    vectors = [c.mu2 * N_hat[:dim] + c.mu5 * Ad_hat]  # left, then right unless mu3 = mu6 = 0
+    if c.mu3 != 0.0 or c.mu6 != 0.0:
+        vectors.append(c.mu3 * N_hat[:dim] + c.mu6 * Ad_hat)
+    N_sq, Ad_sq, N_Ad = inner(N_hat, N_hat), inner(Ad_hat, Ad_hat), inner(N_hat[:dim], Ad_hat)
+    del N_hat, Ad_hat
+    left = g.ifft(vectors.pop(0), out=Ad)  # into the unstaged A d's buffer
+    right = g.ifft(vectors.pop()) if vectors else None
 
     return ConstitutiveBundle(u_hat=u_hat, d_hat=d_hat, grad_u=grad_u, grad_d=grad_d,
-                              E_penalty=E_penalty, gradW_hat=gradW_hat, Ad=Ad, omega_d=omega_d,
-                              tension_sq=tension_sq, N=N, dAd=dAd)
+                              E_penalty=E_penalty, box_force=box_force, omega_d=omega_d,
+                              tension_sq=tension_sq, N_sq=N_sq, Ad_sq=Ad_sq, N_Ad=N_Ad,
+                              left=left, right=right, dAd=dAd)
 
 
-def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, N: np.ndarray, Ad: np.ndarray,
-                    dAd: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """Replace each entry e of out by L - e, for L[i, j] = (mu2 N + mu5 Ad
-    + mu1 dAd d)_i d_j + d_i (mu3 N + mu6 Ad)_j, the Leslie stress without
-    its mu4 A part; the mu1 term only when mu1 != 0.  Every product is
-    pointwise: the stress's forward transform truncates it.  L is summed in
-    that order before e is subtracted."""
-    dim = out.shape[0]
-    left = c.mu2 * N[:dim]     # (.)(x)d terms
-    left += c.mu5 * Ad[:dim]
-    if dAd is not None:
-        left += (c.mu1 * dAd) * d[:dim]
-    right = c.mu3 * N[:dim]    # d(x)(.) terms
-    right += c.mu6 * Ad[:dim]
+def _leslie_entries(c: LeslieCoefficients, d: np.ndarray, b: ConstitutiveBundle,
+                    out: np.ndarray) -> np.ndarray:
+    """Replace each entry e of out by L - e, for L[i, j] = (left + mu1 dAd
+    d)_i d_j + d_i right_j from b's Leslie vectors, the Leslie stress
+    without its mu4 A part; the mu1 term, added to left in place, only when
+    mu1 != 0, and the right one only when there is a right.  Every product
+    is pointwise: the stress's forward transform truncates it.  L is summed
+    in that order before e is subtracted."""
+    dim, left, right = out.shape[0], b.left, b.right
+    if b.dAd is not None:
+        left += (c.mu1 * b.dAd) * d[:dim]
     entry, tmp = np.empty(out.shape[2:]), np.empty(out.shape[2:])
     for i, j in np.ndindex(dim, dim):
         np.multiply(left[i], d[j], out=entry)
-        entry += np.multiply(d[i], right[j], out=tmp)
+        if right is not None:
+            entry += np.multiply(d[i], right[j], out=tmp)
         np.subtract(entry, out[i, j], out=out[i, j])
     return out
 
@@ -288,18 +284,18 @@ def director_rhs(state: FieldState, bundle: ConstitutiveBundle) -> np.ndarray:
         -(u.grad)d + omega d - (lambda2/lambda1) Ad + stage(grad_d W)/lambda1,
 
     d_t without the diffusion -(1/lambda1) Lap d, which the step takes
-    implicitly.
+    implicitly.  The last two terms are the bundle's box_force; only
+    omega d - (u.grad)d is formed on the grid, in omega_d's buffer, and
+    omega_d is set to None.
     """
     g = state.grid
-    c = state.coeffs
-    f = np.multiply(bundle.Ad, c.lambda2 / c.lambda1)
-    np.subtract(bundle.omega_d, f, out=f)
+    f, bundle.omega_d = bundle.omega_d, None
     tmp = np.empty(g.shape)
     for k in range(3):
         for i in range(g.dim):
             f[k] -= np.multiply(state.u[i], bundle.grad_d[i, k], out=tmp)
     f_hat = g.fft(f, M=g.band)
-    f_hat += bundle.gradW_hat / c.lambda1
+    f_hat += bundle.box_force
     return f_hat
 
 
@@ -309,23 +305,20 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
     Leray projection: u_t without the pressure gradient and the mu4
     diffusion (mu4/2) Lap u, which the step takes implicitly.
 
-    The Leslie stress without its mu4 A part (integrated implicitly) minus
-    the Ericksen stress and the convective flux u (x) u, whose divergence is
-    (u.grad)u for the divergence-free u, is built entry by entry in one
-    buffer and transformed as one tensor; each symmetric product is formed
-    once per pair i <= j.  Every entry is a pointwise product of staged or
-    band-limited fields, truncated only by that one transform.  The
-    regularised scheme advects with the truncated velocity, -[u]_M (x) u,
-    [u]_M gathered from u_hat into box(min(M, band)), and adds the monitor
-    stress (w grad u)/M, w = |grad u|^(r-2), both as whole tensors in one
-    buffer.
+    The Leslie stress without its mu4 A part, minus the Ericksen stress and
+    the convective flux u (x) u (whose divergence is (u.grad)u for the
+    divergence-free u), is built entry by entry in one buffer, each
+    symmetric product once per pair i <= j, from pointwise products of
+    staged or band-limited fields, and truncated only by its one transform.
+    The regularised scheme advects with [u]_M, gathered from u_hat into
+    box(min(M, band)), and adds the monitor stress (w grad u)/M, w =
+    |grad u|^(r-2).
 
-    The Ericksen and convective entries e go into the buffer first, so grad_d
-    is set to None on the bundle before the Leslie entries L are formed;
-    each entry then becomes L - e, and N, Ad and dAd are set to None too.
-    When regularised, u_hat and grad_u go after the monitor stress.  All of
-    them are freed before the stress transform.  A caller that also wants
-    director_rhs calls it first.
+    The Ericksen and convective entries e go in first, and grad_d is set to
+    None; then each entry becomes L - e, L the Leslie entries, and left,
+    right and dAd are set to None; a regularised step's u_hat and grad_u go
+    after the monitor stress, all before the stress transform.  A caller
+    that also wants director_rhs calls it first.
     """
     g = state.grid
     u = state.u
@@ -338,8 +331,8 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
         if i != j:
             stress[j, i] = e
     bundle.grad_d = None
-    _leslie_entries(state.coeffs, state.d, bundle.N, bundle.Ad, bundle.dAd, stress)
-    bundle.N = bundle.Ad = bundle.dAd = None
+    _leslie_entries(state.coeffs, state.d, bundle, stress)
+    bundle.left = bundle.right = bundle.dAd = None
     if reg is not None:
         w = _sum_squares(bundle.grad_u, g.dim)
         np.power(w, 0.5 * (reg.r - 2.0), out=w)
@@ -356,16 +349,16 @@ def momentum_rhs(state: FieldState, bundle: ConstitutiveBundle,
 
 def rhs_hat(state: FieldState, bundle: ConstitutiveBundle,
             reg: RegularizationConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(P momentum_rhs, director_rhs), P the Leray projection: the forces of
-    u and d the step integrates, on box(band).  Consumes the bundle: each
-    array is set to None on it after its last reader, so no caller keeps it
-    alive.  d_hat and, unless regularised, u_hat and grad_u go before
-    director_rhs; omega_d and gradW_hat before momentum_rhs, which frees
-    the rest (grad_d, N, Ad and, when mu1 != 0, dAd) before it transforms
-    the stress.  Only the numbers stay: E_penalty and tension_sq."""
+    """(momentum_rhs, director_rhs): the forces of u and d the step
+    integrates, on box(band); the momentum force is not Leray-projected, as
+    the step projects its update.  Consumes the bundle: each array is set to
+    None on it after its last reader, so no caller keeps it alive.  d_hat
+    and, unless regularised, u_hat and grad_u go before director_rhs;
+    omega_d and box_force before momentum_rhs, which frees the rest before
+    it transforms the stress.  Only the numbers stay."""
     bundle.d_hat = None
     if reg is None:
         bundle.u_hat = bundle.grad_u = None
     F_d = director_rhs(state, bundle)
-    bundle.omega_d = bundle.gradW_hat = None
-    return state.grid.leray_hat(momentum_rhs(state, bundle, reg)), F_d
+    bundle.box_force = None
+    return momentum_rhs(state, bundle, reg), F_d

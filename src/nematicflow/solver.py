@@ -4,7 +4,7 @@ The unknowns are the pair y = (u, d), each with a stiff Fourier-diagonal
 linear part L taken exactly and a force F(y) taken explicitly:
 
     L = -(mu4/2)|kappa|^2 for u,   L = |kappa|^2/lambda1 for d   (both <= 0),
-    F = physics.rhs_hat, the Leray-projected momentum force and the director force.
+    F = physics.rhs_hat, the momentum force and the director force.
 
 One rule updates both fields, with z = dt L:
 
@@ -16,13 +16,13 @@ One rule updates both fields, with z = dt L:
 
 Stepper builds the three diagonal factors of each field once.  y, F, the
 factors, the BDF2 history and both updates live in the dealias box: d in
-box(band), u in box(min(band, N_modes)).  Every state is read through
-box(band), so d's coefficients are in d's box already and u's are gathered
-into u's box when N_modes < band.  After each step u is re-projected
-divergence-free and both are read back from their boxes, so a quiescent
-state is a bitwise fixed point and pure Stokes decay integrates exactly.  The
-new state carries those coefficients, so only a step from a state built from
-fields transforms u and d forward.
+box(band), u in box(min(band, N_modes)), gathered there from box(band) when
+N_modes < band.  The update of u is Leray-projected, the step's one
+projection (it commutes with the factors, so F_u needs none), and both are
+read back from their boxes, so a quiescent state is a bitwise fixed point
+and pure Stokes decay integrates exactly.  The new state carries those
+coefficients, so only a step from a state built from fields transforms u
+and d forward.
 
 Every state a run holds is visited once (Stepper._visit): constitutive(state)
 builds its bundle, which depends on the state alone, a due state is sampled

@@ -319,6 +319,16 @@ class SpectralGrid:
     def l2_inner_unchecked(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1))) / self.npoints
 
+    def box_inner_unchecked(self, ahat: np.ndarray, bhat: np.ndarray) -> float:
+        """l2_inner_unchecked of ifft(ahat) and ifft(bhat), on one box, by
+        Parseval: a column k_last stands for itself and its conjugate, weight
+        2, but k_last = 0 and n/2 only for themselves."""
+        a, b = (np.ascontiguousarray(f).view(np.float64).reshape(-1, 2 * f.shape[-1])
+                for f in (ahat, bhat))  # rows of (re, im) pairs
+        m = 2 * min(ahat.shape[-1], self.n // 2)  # the pairs before column n/2
+        s = [float(np.einsum("ij,ij->", a[:, c], b[:, c])) for c in (np.s_[:2], np.s_[2:m], np.s_[m:])]
+        return (s[0] + 2.0 * s[1] + s[2]) / self.npoints ** 2
+
     def sup_norm_unchecked(self, f: np.ndarray) -> float:
         if f.ndim == self.dim:
             return float(np.abs(f).max())

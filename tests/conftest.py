@@ -100,7 +100,8 @@ def manufactured(grid, coeffs, seed=0):
 
 def physical_rhs(state, reg=None):
     """(u_t, d_t) in physical space: each field's implicit diffusion plus the
-    force rhs_hat gives the step, summed on the full half spectrum and
+    force rhs_hat gives the step, the momentum force Leray-projected as the
+    step projects its update, summed on the full half spectrum and
     transformed back.  Precondition: u divergence-free and band-limited, so
     the diffusion needs no projection."""
     g, c = state.grid, state.coeffs
@@ -108,8 +109,9 @@ def physical_rhs(state, reg=None):
     full = g.n // 2
     lin = (b.u_hat * (-0.5 * c.mu4 * g.box_of(b.u_hat).ksq),
            b.d_hat * (g.box_of(b.d_hat).ksq / c.lambda1))  # before rhs_hat consumes b
+    F_u, F_d = rhs_hat(state, b, reg)
     return tuple(g.ifft(g.to_box(L, full) + g.to_box(F, full))
-                 for L, F in zip(lin, rhs_hat(state, b, reg)))
+                 for L, F in zip(lin, (g.leray_hat(F_u), F_d)))
 
 
 def reconstruct_pressure(state, reg=None):
@@ -159,6 +161,39 @@ def tension(grid, d, epsilon):
     norm, with Lap d taken of d's box(band) part, the part the bundle reads."""
     d_hat = grid.fft(d, M=grid.band)
     return grid.ifft(-grid.box_of(d_hat).ksq * d_hat) - grid.dealias(penalty(d, epsilon)[1])
+
+
+def director_oracle(grid, state):
+    """(N*, Ad*), both with 3 components: Ad* = stage(A d), A the symmetric
+    part of the gradient of u's box(band) part, and N* = -(lambda2 Ad* +
+    tension)/lambda1, the co-rotational rate by the constitutive identity."""
+    c, dim = state.coeffs, grid.dim
+    G = grid.ifft(grid.grad_hat(grid.fft(state.u, M=grid.band)))
+    Ad = np.zeros((3,) + grid.shape)
+    Ad[:dim] = grid.dealias(np.einsum("ij...,j...->i...", 0.5 * (G + G.swapaxes(0, 1)),
+                                      state.d[:dim]))
+    return -(c.lambda2 * Ad + tension(grid, state.d, c.epsilon)) / c.lambda1, Ad
+
+
+def constitutive_identity_gaps(grid, state, bundle):
+    """How far the bundle is from lambda1 N + lambda2 Ad + tension = 0, read
+    through what it holds, against director_oracle's N* and Ad*: the sup of
+    left - (mu2 N* + mu5 Ad*) and of right - (mu3 N* + mu6 Ad*), and the
+    largest relative gap of tension_sq, N_sq, Ad_sq and N_Ad from the grid
+    quadratures of the oracle fields."""
+    c, dim = state.coeffs, grid.dim
+    N, Ad = director_oracle(grid, state)
+    sup = sup_norm(grid, bundle.left - (c.mu2 * N + c.mu5 * Ad)[:dim])
+    if bundle.right is not None:
+        sup = max(sup, sup_norm(grid, bundle.right - (c.mu3 * N + c.mu6 * Ad)[:dim]))
+    T = -(c.lambda1 * N + c.lambda2 * Ad)
+    inner = grid.l2_inner_unchecked
+    quads = [(bundle.tension_sq, inner(T, T)), (bundle.N_sq, inner(N, N)),
+             (bundle.Ad_sq, inner(Ad, Ad))]
+    gaps = [abs(got - want) / want for got, want in quads]
+    # <N, Ad> may be near 0; Cauchy-Schwarz bounds it by ||N|| ||Ad||
+    gaps.append(abs(bundle.N_Ad - inner(N, Ad)) / np.sqrt(quads[1][1] * quads[2][1]))
+    return sup, max(gaps)
 
 
 def l2_norm(grid, f):

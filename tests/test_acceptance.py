@@ -22,8 +22,8 @@ from nematicflow.config import (build_coefficients, build_grid, build_initial_st
 from nematicflow.diagnostics import BlowupMonitorState
 from nematicflow.spectral import random_band_limited
 
-from conftest import (ACCEPTANCE_LINES, curl, divergence, l2_norm, laplacian, smooth_state,
-                      sup_norm, tension)
+from conftest import (ACCEPTANCE_LINES, constitutive_identity_gaps, curl, divergence, l2_norm,
+                      laplacian, smooth_state, sup_norm)
 from test_coeffs import _random_parodi_set
 
 TWO_PI = 2.0 * np.pi
@@ -142,19 +142,21 @@ def test_criterion_03_constitutive_identity():
     g = SpectralGrid(2, 32)
     c = from_alpha(1.0, 1.0)
     worst_id = 0.0
+    worst_quad = 0.0
     worst_rel = 0.0
     for seed in range(10):
         st = smooth_state(g, c, seed=seed)
         b = constitutive(st)
-        resid = c.lambda1 * b.N + c.lambda2 * b.Ad + tension(g, st.d, c.epsilon)
-        worst_id = max(worst_id, sup_norm(g, resid))
+        sup, quad = constitutive_identity_gaps(g, st, b)
+        worst_id, worst_quad = max(worst_id, sup), max(worst_quad, quad)
         rep = channels(st, b)
         rel = abs(rep.dissipation_general - rep.dissipation_case1) \
             / abs(rep.dissipation_general)
         worst_rel = max(worst_rel, rel)
 
-    ok = worst_id <= 1e-12 and worst_rel <= 1e-10
-    record(3, ok, f"identity sup residual {worst_id:.2e} (<= 1e-12) and "
+    ok = worst_id <= 1e-12 and worst_quad <= 1e-12 and worst_rel <= 1e-10
+    record(3, ok, f"identity sup residual {worst_id:.2e} (<= 1e-12), its quadratures' "
+                  f"relative gap {worst_quad:.2e} (<= 1e-12) and "
                   f"grouping relative gap {worst_rel:.2e} (<= 1e-10) on 10 states")
 
 

@@ -11,11 +11,11 @@ from nematicflow import (ConstitutiveBundle, FieldState, LeslieCoefficients, Par
                          RegimeError, RegularizationConfig, SpectralGrid, Stepper,
                          TimeStepperConfig, channels, constitutive, from_alpha,
                          penalty, rhs_hat)
-from nematicflow import physics
 from nematicflow.physics import director_rhs, mat_vec_director, momentum_rhs
 
-from conftest import (_full_transform_reference, divergence, laplacian, physical_rhs,
-                      smooth_state, sup_norm, tension, traced_peak_fields)
+from conftest import (_full_transform_reference, constitutive_identity_gaps, director_oracle,
+                      divergence, laplacian, physical_rhs, smooth_state, sup_norm,
+                      traced_peak_fields)
 
 TWO_PI = 2.0 * np.pi
 CASE2_SET = LeslieCoefficients(lambda1=-1.0, lambda2=0.2, mu1=0.5, mu2=-0.5,
@@ -115,13 +115,15 @@ def test_contraction_kernels_match_loops_bitwise(dim, n):
 
 def test_constitutive_identity(grid2d, alpha_one):
     """lambda1 N + lambda2 Ad + (Lap d - stage(grad_d W)) = 0 to rounding,
-    with the tension built from the oracles."""
+    read through the bundle's Leslie vector left = mu2 N + mu5 Ad and its
+    box quadratures of the tension, N and Ad, against the oracles' N* and
+    Ad*.  from_alpha(1, .) has mu3 = mu6 = 0, so the bundle holds no right."""
     for seed in range(3):
         st = smooth_state(grid2d, alpha_one, seed=seed)
         b = constitutive(st)
-        resid = (alpha_one.lambda1 * b.N + alpha_one.lambda2 * b.Ad
-                 + tension(grid2d, st.d, alpha_one.epsilon))
-        assert sup_norm(grid2d, resid) < 1e-12
+        assert b.right is None
+        sup, quad = constitutive_identity_gaps(grid2d, st, b)
+        assert sup < 1e-12 and quad < 1e-12, (sup, quad)
 
 
 def test_constitutive_requires_negative_lambda1(grid2d):
@@ -133,21 +135,24 @@ def test_constitutive_requires_negative_lambda1(grid2d):
         constitutive(st)
 
 
-def test_omega_antisymmetric_bitwise(monkeypatch, grid2d, grid3d, alpha_one):
-    """The bundle's omega d and, with staging switched off, its A d are the
-    antisymmetric and symmetric parts of grid.gradient(u) applied to d, to
-    rounding in 2D and 3D; in 2D both third components are exactly zero."""
-    monkeypatch.setattr(physics, "_stage", lambda g, f: f)
+def test_omega_antisymmetric_bitwise(grid2d, grid3d, alpha_one):
+    """The bundle's omega d is the antisymmetric part of grid.gradient(u)
+    applied to d, to rounding in 2D and 3D, and its Leslie vector left =
+    mu2 N + mu5 Ad reads the staged symmetric part, Ad = stage(A d); in 2D
+    omega d's third component is exactly zero, and left has only dim
+    components."""
     for grid in (grid2d, grid3d):
         st = smooth_state(grid, alpha_one, seed=4)
         b = constitutive(st)
         G = grid.gradient(st.u)
-        A, omega = 0.5 * (G + G.swapaxes(0, 1)), 0.5 * (G - G.swapaxes(0, 1))
-        for got, want in ((b.omega_d, mat_vec_director(omega, st.d)),
-                          (b.Ad, mat_vec_director(A, st.d))):
-            assert np.abs(got - want).max() <= 1e-12, grid.dim
+        omega = 0.5 * (G - G.swapaxes(0, 1))
+        assert np.abs(b.omega_d - mat_vec_director(omega, st.d)).max() <= 1e-12, grid.dim
+        N, Ad = director_oracle(grid, st)
+        want = (alpha_one.mu2 * N + alpha_one.mu5 * Ad)[:grid.dim]
+        assert b.left.shape == want.shape
+        assert np.abs(b.left - want).max() <= 1e-12, grid.dim
         if grid.dim == 2:
-            assert not b.omega_d[2].any() and not b.Ad[2].any()
+            assert not b.omega_d[2].any()
 
 
 def _strain(b):
@@ -181,7 +186,8 @@ def _reference_force_hat(st, b, reg):
     regularised scheme's advecting [u]_M and monitor flux |grad u|^(r-2) grad u / M."""
     g, c, u = st.grid, st.coeffs, st.u
     A = _strain(b)
-    stress = leslie_stress(g, c, st.d, A, b.N, b.Ad) - c.mu4 * A - ericksen_stress(b.grad_d)
+    stress = (leslie_stress(g, c, st.d, A, *director_oracle(g, st)) - c.mu4 * A
+              - ericksen_stress(b.grad_d))
     if reg is None:
         stress -= _outer(u, u)
     else:
@@ -192,9 +198,10 @@ def _reference_force_hat(st, b, reg):
 
 def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
     """The momentum force, built entry by entry in one buffer from the bundle,
-    equals the divergence of the reference stresses to rounding: 2D and 3D,
-    mu1 = 0 and mu1 != 0, plain and regularised.  momentum_rhs consumes
-    the fields it reads last, so each case builds its own bundle."""
+    equals the divergence of the reference stresses, on the oracles' N* and
+    Ad*, to rounding: 2D and 3D, mu1 = 0 and mu1 != 0, plain and
+    regularised.  momentum_rhs consumes the fields it reads last, so each
+    case builds its own bundle."""
     for grid in (grid2d, grid3d):
         for coeffs in (alpha_one, CASE2_SET):
             st = smooth_state(grid, coeffs, seed=5)
@@ -211,13 +218,14 @@ def test_leslie_stress_matches_bundle(grid2d, grid3d, alpha_one):
 @pytest.mark.parametrize("case", ["2d-alpha", "2d-regularised", "3d-case2"])
 def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_one,
                                                           case, stepped):
-    """rhs_hat gives the bytes of (leray_hat(momentum_rhs), director_rhs) on a
-    fresh bundle, from a state built from fields (its fields transformed
-    onto box(band)) and from a stepped one (carried box coefficients).  It
-    leaves every array of the bundle it consumed None: d_hat, omega_d and
-    gradW_hat, N, Ad, grad_d and, when mu1 != 0, dAd; u_hat and
-    grad_u too, by rhs_hat when unregularised and by momentum_rhs when
-    regularised.  Only the numbers stay: E_penalty and tension_sq."""
+    """rhs_hat gives the bytes of (momentum_rhs, director_rhs), the momentum
+    force unprojected, on a fresh bundle, from a state built from fields
+    (its fields transformed onto box(band)) and from a stepped one (carried
+    box coefficients).  It leaves every array of the bundle it consumed
+    None: d_hat, omega_d and box_force, left, right, grad_d and, when mu1 !=
+    0, dAd; u_hat and grad_u too, by rhs_hat when unregularised and by
+    momentum_rhs when regularised.  Only the numbers stay: E_penalty and the
+    box quadratures."""
     grid, coeffs, reg = {
         "2d-alpha": (grid2d, alpha_one, None),
         "2d-regularised": (grid2d, alpha_one, RegularizationConfig(M=4, r=4.0)),
@@ -230,7 +238,7 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
     b = constitutive(st)
     assert (b.dAd is None) == (coeffs.mu1 == 0.0)
     F_d = director_rhs(st, b)  # momentum_rhs consumes grad_d, which director_rhs reads
-    want = (grid.leray_hat(momentum_rhs(st, b, reg)), F_d)
+    want = (momentum_rhs(st, b, reg), F_d)
     consumed = constitutive(st)
     got = rhs_hat(st, consumed, reg)
     assert len(got) == 2
@@ -238,7 +246,7 @@ def test_rhs_hat_is_both_forces_and_consumes_the_bundle(grid2d, grid3d, alpha_on
         assert g_hat.shape == w_hat.shape == (g_hat.shape[0],) + grid.box(grid.band).shape
         assert g_hat.tobytes() == w_hat.tobytes()
     for f in fields(ConstitutiveBundle):
-        if f.name in ("E_penalty", "tension_sq"):
+        if f.name in ("E_penalty", "tension_sq", "N_sq", "Ad_sq", "N_Ad"):
             assert getattr(consumed, f.name) == getattr(b, f.name), f.name
         else:
             assert getattr(consumed, f.name) is None, f.name
@@ -352,8 +360,8 @@ def test_constitutive_3d(grid3d):
     c = from_alpha(0.8, 1.0)
     st = smooth_state(grid3d, c, seed=9)
     b = constitutive(st)
-    resid = c.lambda1 * b.N + c.lambda2 * b.Ad + tension(grid3d, st.d, c.epsilon)
-    assert sup_norm(grid3d, resid) < 1e-12
+    sup, quad = constitutive_identity_gaps(grid3d, st, b)
+    assert sup < 1e-12 and quad < 1e-12, (sup, quad)
     rhs, _ = physical_rhs(st)
     assert sup_norm(grid3d, divergence(grid3d, rhs)) < 1e-9
 
@@ -368,6 +376,29 @@ def test_semi_discrete_energy_law(request, grid_name, coeffs, reg):
     channels) to rounding: the spatial assembly balances the energy law exactly."""
     grid = request.getfixturevalue(grid_name)
     assert _energy_law_defect(smooth_state(grid, coeffs, seed=31), reg) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_n, cfg, reg, bound", [
+    (64, TimeStepperConfig(dt=5e-4, t_end=5e-3), None, 1.5e-14),
+    (128, TimeStepperConfig(dt=5e-4, t_end=5e-3, scheme="imex-bdf2"),
+     RegularizationConfig(M=8, r=4.0), 2.5e-14),
+], ids=["audit", "stride"])
+def test_semi_discrete_energy_law_on_stepped_runs(grid_n, cfg, reg, bound):
+    """The energy law on the states of 10 steps of the audit configuration
+    (2D n=64, from_alpha(1, 1), euler) and of the regularised stride one
+    (2D n=128, imex-bdf2, M = 8, r = 4), both at dt = 5e-4 from u = 0 and
+    a director perturbed by 0.1 with modes up to 4: the two paths whose
+    bundle holds one Leslie vector.  Each bound is about ten times the
+    largest |dE/dt + D|/D over the 10 states at seeds 0, 1, 2 and 31:
+    1.25e-15 (audit) and 2.3e-15 (stride)."""
+    grid = SpectralGrid(2, grid_n)
+    st = smooth_state(grid, from_alpha(1.0, 1.0), seed=31, u_amp=0.0, kmax=4)
+    stepper = Stepper(grid, st.coeffs, cfg, reg)
+    defects = []
+    for _ in range(cfg.n_steps()):
+        st = stepper.step_pair(st)
+        defects.append(_energy_law_defect(st, reg))
+    assert max(defects) <= bound, defects
 
 
 def _energy_law_defect(st, reg=None):
@@ -450,16 +481,17 @@ def _count_transforms(monkeypatch):
 
 
 @pytest.mark.parametrize("grid_name, coeffs, forward, inverse", [
-    ("grid2d", from_alpha(1.0, 1.0), 4, 4),
+    ("grid2d", from_alpha(1.0, 1.0), 4, 3),
     ("grid2d", CASE2_SET, 5, 5),
     ("grid3d", CASE2_SET, 5, 5),
 ], ids=["2d-alpha", "2d-case2", "3d-case2"])
 def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
                                                      grid_name, coeffs, forward, inverse):
-    """A state built from fields: u, d, grad_d W and Ad take 4 forward
-    transforms, and grad u, grad d, the tension and Ad one inverse each;
-    d.Ad adds one forward and one inverse transform, and only when
-    mu1 != 0: d(x)d is never staged."""
+    """A state built from fields: u, d, grad_d W and A d take 4 forward
+    transforms, and grad u, grad d and the Leslie vector left one inverse
+    each, right one more unless mu3 = mu6 = 0 (from_alpha(1, .)); d.Ad adds
+    one forward and one inverse transform, and only when mu1 != 0: d(x)d
+    is never staged."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, coeffs, seed=37)
     counts = _count_transforms(monkeypatch)
@@ -473,21 +505,63 @@ def test_constitutive_stages_mu1_block_only_when_used(request, monkeypatch,
         assert channels(st, b).D_mu1 > 0.0
 
 
-@pytest.mark.parametrize("grid_name, fields", [("grid2d", 20), ("grid3d", 28)])
+@pytest.mark.parametrize("grid_name, fields", [("grid2d", 18), ("grid3d", 28)])
 def test_bundle_holds_each_field_once(request, grid_name, fields):
-    """A Case 2 bundle holds grad u, grad d, Ad, omega d, N and dAd as
-    real grid fields, once each: dim^2 + 3 dim + 3*3 + 1, with no A,
-    omega, tension or d(x)d.  The penalty energy is a number, the mean of
-    W(d), bit for bit, and so is the tension's squared norm."""
+    """A Case 2 bundle holds grad u, grad d, omega d, the two Leslie
+    vectors and dAd as real grid fields, once each: dim^2 + 3 dim + 3 +
+    2 dim + 1, with no A, omega, Ad, N, tension or d(x)d.  The penalty
+    energy is a number, the mean of W(d), bit for bit, and so are the box
+    quadratures of the tension, N and Ad."""
     grid = request.getfixturevalue(grid_name)
     st = smooth_state(grid, CASE2_SET, seed=39)
     b = constitutive(st)
-    assert grid.dim ** 2 + 3 * grid.dim + 3 * 3 + 1 == fields
-    real = sum(v.size for v in _bundle_arrays(b).values() if not np.iscomplexobj(v))
-    assert real == fields * grid.npoints
+    assert grid.dim ** 2 + 3 * grid.dim + 3 + 2 * grid.dim + 1 == fields
+    arrays = _bundle_arrays(b).values()
+    assert all(v.base is None for v in arrays)  # no view keeps a larger buffer alive
+    assert sum(v.size for v in arrays if not np.iscomplexobj(v)) == fields * grid.npoints
     assert type(b.E_penalty) is float
     assert b.E_penalty == float(penalty(st.d, CASE2_SET.epsilon)[0].mean())
-    assert type(b.tension_sq) is float
+    for number in (b.tension_sq, b.N_sq, b.Ad_sq, b.N_Ad):
+        assert type(number) is float
+
+
+def _count_components(monkeypatch):
+    """Count fft and ifft by the components they transform, and leray_hat
+    by its calls."""
+    counts = {"fft": 0, "ifft": 0, "leray_hat": 0}
+    for name in counts:
+        def counted(self, f, *args, _orig=getattr(SpectralGrid, name), _name=name, **kwargs):
+            counts[_name] += 1 if _name == "leray_hat" else int(np.prod(f.shape[:-self.dim]))
+            return _orig(self, f, *args, **kwargs)
+        monkeypatch.setattr(SpectralGrid, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("grid_name, coeffs, forward, inverse", [
+    ("grid2d", from_alpha(1.0, 1.0), 12, 17),
+    ("grid2d", from_alpha(0.5, 1.0), 12, 19),
+    ("grid3d", CASE2_SET, 19, 31),
+], ids=["2d-alpha-1", "2d-alpha-0.5", "3d-case2"])
+def test_step_inverts_only_the_leslie_vectors(request, monkeypatch, grid_name, coeffs,
+                                              forward, inverse):
+    """A step from a stepped state makes one Leray projection and transforms
+    forward grad_d W, A d, the director force and the stress, and inverse
+    grad u, grad d, the Leslie vectors and the new u and d (and, when mu1
+    != 0, d.Ad each way), counted in components: 2D 12 and 17 when mu3 =
+    mu6 = 0, as for from_alpha(1, .), whose bundle holds no right, and 12
+    and 19 otherwise; 3D Case 2 19 and 31.  Its momentum_rhs matches the
+    reference leslie_stress path to 1e-13 relative."""
+    grid = request.getfixturevalue(grid_name)
+    stepped, _ = _stepped(grid, coeffs, seed=59)
+    b = constitutive(stepped)
+    assert (b.right is None) == (coeffs.mu3 == 0.0 and coeffs.mu6 == 0.0)
+    want = _reference_force_hat(stepped, b, None)
+    got = momentum_rhs(stepped, b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    stepper = Stepper(grid, coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01))
+    counts = _count_components(monkeypatch)
+    stepper.step_pair(stepped)
+    assert counts == {"fft": forward, "ifft": inverse, "leray_hat": 1}
 
 
 def _bundle_arrays(b):

@@ -20,8 +20,8 @@ from nematicflow.spectral import (SNAPSHOT_MAGIC, _sum_squares, load_snapshot,
                                   random_band_limited, read_snapshot_header,
                                   save_snapshot)
 
-from conftest import (box_index, box_mask, curl, curl_hat, divergence, l2_norm, laplacian,
-                      sup_norm, traced_peak_fields)
+from conftest import (box_index, box_mask, curl, curl_hat, director_oracle, divergence,
+                      l2_norm, laplacian, sup_norm, traced_peak_fields)
 
 TWO_PI = 2.0 * np.pi
 
@@ -239,23 +239,44 @@ def test_calculus_rejects_wrong_component_shape(grid2d, name, lead):
         getattr(grid2d, name)(np.zeros(lead + grid2d.shape))
 
 
-def test_strain_vorticity_decomposition(monkeypatch, grid2d, alpha_one):
-    """The bundle's omega d and, unstaged, its A d are the antisymmetric and
-    symmetric parts of the gradient of u applied to a tilted d.  u is not
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_box_inner_is_the_grid_inner_of_the_inverses(dim, n):
+    """box_inner_unchecked of two arrays on one box equals
+    l2_inner_unchecked of their inverse transforms to 1e-14 of the product
+    of the two norms, which bounds both by Cauchy-Schwarz: random
+    band-limited scalar, vector and tensor fields on box(band), on a
+    smaller box, as of N_modes, and on the full layout, whose Nyquist
+    column counts once."""
+    g = SpectralGrid(dim, n)
+    rng = np.random.default_rng(dim)
+    for M in (g.band, g.band // 2, n // 2):
+        for lead in ((), (3,), (dim, dim)):
+            ahat, bhat = (g.fft(rng.standard_normal(lead + g.shape), M=M) for _ in range(2))
+            a, b = g.ifft(ahat), g.ifft(bhat)
+            for x, y, fx, fy in ((ahat, ahat, a, a), (ahat, bhat, a, b), (bhat, bhat, b, b)):
+                scale = np.sqrt(g.l2_inner_unchecked(fx, fx) * g.l2_inner_unchecked(fy, fy))
+                gap = abs(g.box_inner_unchecked(x, y) - g.l2_inner_unchecked(fx, fy))
+                assert gap <= 1e-14 * scale, (M, lead, gap / scale)
+
+
+def test_strain_vorticity_decomposition(grid2d, alpha_one):
+    """The bundle's omega d is the antisymmetric part of the gradient of u
+    applied to a tilted d, and its Leslie vector left = mu2 N + mu5 Ad
+    reads the staged symmetric part, Ad = stage(A d).  u is not
     band-limited, and the bundle reads it through its box(band) part, so
     the gradient is that part's."""
-    monkeypatch.setattr(physics, "_stage", lambda g, f: f)
     rng = np.random.default_rng(13)
     u = grid2d.leray(rng.standard_normal((2,) + grid2d.shape))
     d = np.zeros((3,) + grid2d.shape)
     d[2] = 1.0
     d += random_band_limited(grid2d, 3, 4, rng)
-    bundle = constitutive(FieldState(grid=grid2d, coeffs=alpha_one,
-                                     time=0.0, u=u, d=d))
+    state = FieldState(grid=grid2d, coeffs=alpha_one, time=0.0, u=u, d=d)
+    bundle = constitutive(state)
     G = grid2d.ifft(grid2d.grad_hat(grid2d.fft(u, M=grid2d.band)))
-    A, W = 0.5 * (G + G.swapaxes(0, 1)), 0.5 * (G - G.swapaxes(0, 1))
+    W = 0.5 * (G - G.swapaxes(0, 1))
     assert np.max(np.abs(bundle.omega_d - physics.mat_vec_director(W, d))) < 1e-12
-    assert np.max(np.abs(bundle.Ad - physics.mat_vec_director(A, d))) < 1e-12
+    N, Ad = director_oracle(grid2d, state)
+    assert np.max(np.abs(bundle.left - (alpha_one.mu2 * N + alpha_one.mu5 * Ad)[:2])) < 1e-12
 
 
 def test_random_band_limited(grid2d):
