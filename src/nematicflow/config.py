@@ -72,7 +72,6 @@ class RegSection:
     enabled: bool = False
     m: int = 8
     r: float = 4.0
-    n_modes: int | None = None
 
 
 @dataclass
@@ -114,11 +113,11 @@ PRESETS = ("quiescent", "taylor-green-uniform-director", "perturbed-director", "
 
 
 def _convert(section: str, key: str, raw: str, kind: str):
-    raw = raw.strip()
+    raw, kind = raw.strip(), kind.removeprefix("opt")  # an optional key parses as its base kind
     try:
-        if kind == "int" or kind == "optint":
+        if kind == "int":
             return int(raw)
-        if kind == "float" or kind == "optfloat":
+        if kind == "float":
             return float(raw)
         if kind == "bool":
             low = raw.lower()
@@ -127,9 +126,7 @@ def _convert(section: str, key: str, raw: str, kind: str):
             raise ValueError(raw)
         return raw
     except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected {kind.removeprefix('opt')}, got {raw!r}"
-        ) from None
+        raise ConfigError(f"[{section}] {key}: expected {kind}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -242,7 +239,7 @@ def build_regularization(cfg: RunConfig) -> RegularizationConfig | None:
     if not rg.enabled:
         return None
     with _in_section("regularization"):
-        return RegularizationConfig(M=rg.m, r=rg.r, N_modes=rg.n_modes)
+        return RegularizationConfig(M=rg.m, r=rg.r)
 
 
 def build_sampling(cfg: RunConfig, cadence: int | None = None) -> tuple[int, int]:
@@ -304,7 +301,9 @@ def check_initial_condition(cfg: RunConfig, grid: SpectralGrid) -> float:
 
 def build_initial_state(cfg: RunConfig, grid: SpectralGrid,
                         coeffs: LeslieCoefficients) -> FieldState:
-    """Materialize the configured initial condition (band-limited by design)."""
+    """Materialize the configured initial condition.  The presets other
+    than snapshot are band-limited; a snapshot is loaded as written, with
+    no band or divergence check (see FieldState)."""
     time = check_initial_condition(cfg, grid)
     ic = cfg.initial_condition
     e3 = np.reshape([0.0, 0.0, 1.0], (3,) + (1,) * grid.dim)  # broadcast over the grid

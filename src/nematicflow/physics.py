@@ -28,7 +28,8 @@ integration act.  The tension, Ad (from A d = (G d + G^T d)/2, G = grad u)
 and N stay there: the channels take their norms by Parseval, and only the
 Leslie vectors mu2 N + mu5 Ad and mu3 N + mu6 Ad reach the grid.  d.Ad is
 staged from the unstaged A d, so neither A nor d(x)d is formed as a field.
-Every state is read through its box(band) part, carried or transformed once.
+Derivatives and staged fields read a state through its box(band) part,
+carried or transformed once; pointwise products read its fields (FieldState).
 
 With collocation (grid-mean) quadrature, staging and the stress truncation
 are grid projections, so the mu1 stress mu1 (d.Ad) d(x)d does on grad u
@@ -61,12 +62,14 @@ class FieldState:
     not enforce those invariants, only shapes and finiteness.
 
     spectra, set only by the stepper, holds the read-only coefficients
-    (u_hat, d_hat) the fields came from: u_hat on box(min(band, N_modes)),
-    d_hat on box(band), and u and d are their inverses; step_pair requires
-    those boxes.  Every other constructor, with_fields included, leaves it
-    None.  The solver reads a state only through these coefficients or, when
-    there are none, through the transforms of u and d onto box(band); modes
-    outside box(band) are not read.
+    (u_hat, d_hat) the fields came from, both on box(band), and u and d are
+    their inverses.  Every other constructor, with_fields included, leaves
+    it None.  Derivatives and staged fields read a state through these
+    coefficients or, when there are none, through the transforms of u and d
+    onto box(band); the pointwise products (the penalty, A d, omega d, the
+    stresses, the convection) read u and d as given.  A stepped state is
+    thus read through box(band) alone, but the products of a state built
+    from fields also read its modes outside box(band) (ROADMAP.md, item 18).
     """
 
     grid: SpectralGrid
@@ -137,29 +140,20 @@ class RegularizationConfig:
 
     Adds (1/M) div(|grad u|^(r-2) grad u) to the momentum RHS and advects
     with the truncated velocity [u]_M (modes up to M) in divergence form
-    div([u]_M (x) u); [u]_M is u when M reaches u's box.  N_modes, when set,
-    additionally truncates the evolved velocity to |k_j| <= N_modes each
-    step (the director is untouched).
+    div([u]_M (x) u); [u]_M is u when M reaches box(band), u's box.
     """
 
     M: int = 8
     r: float = 4.0
-    N_modes: int | None = None
 
     def __post_init__(self):
-        for name, v in (("M", self.M), ("N_modes", self.N_modes)):
-            if v is not None and not isinstance(v, (int, np.integer)):
-                raise ParameterError(f"regularization {name} must be an integer, got {v!r}")
+        if not isinstance(self.M, (int, np.integer)):
+            raise ParameterError(f"regularization M must be an integer, got {self.M!r}")
         if self.M < 1:
             raise ParameterError(f"regularization M must be >= 1, got {self.M}")
         if not (np.isfinite(self.r) and self.r > 10.0 / 3.0):
             raise ParameterError(
                 f"regularization exponent r must be finite and exceed 10/3, got {self.r}")
-        if self.N_modes is not None:
-            if self.N_modes < 1:
-                raise ParameterError(f"N_modes must be >= 1, got {self.N_modes}")
-            if self.M > self.N_modes:
-                raise ParameterError(f"require M <= N_modes, got M={self.M}, N_modes={self.N_modes}")
 
 
 @dataclass
@@ -174,12 +168,12 @@ class ConstitutiveBundle:
 
     rhs_hat consumes a bundle after the sample and the vorticity guard have
     read it, setting each array to None after its last reader: u_hat and
-    d_hat, the step (u_hat gathered into u's box); grad_u, the guard;
-    box_force and omega_d, director_rhs; grad_d, left, right and dAd,
-    momentum_rhs, where a regularised step's u_hat and grad_u go last.
+    d_hat, the step; grad_u, the guard; box_force and omega_d,
+    director_rhs; grad_d, left, right and dAd, momentum_rhs, where a
+    regularised step's u_hat and grad_u go last.
     """
 
-    u_hat: np.ndarray        # coefficients of u: carried, else on box(band)
+    u_hat: np.ndarray        # coefficients of u on box(band)
     d_hat: np.ndarray        # coefficients of d on box(band)
     grad_u: np.ndarray       # (dim, dim) + grid, grad_u[i, j] = d_i u_j
     grad_d: np.ndarray       # (dim, 3) + grid
@@ -204,8 +198,8 @@ def constitutive(state: FieldState) -> ConstitutiveBundle:
     gradient and Leslie vector one inverse.  dAd is staged in place, only
     when mu1 != 0, from the unstaged A d, whose buffer then receives left.
 
-    The state is read through its coefficients (see FieldState), u_hat and
-    d_hat on box(band) unless carried; a state built from fields thus has
+    u_hat and d_hat are the state's box(band) coefficients, transformed
+    unless carried (see FieldState); a state built from fields thus has
     the bundle of the same state carrying its box(band) coefficients
     (test_field_built_state_reads_through_its_boxes).  The bundle depends
     on the state alone: only the forces and channels' D_reg read a

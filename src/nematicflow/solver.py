@@ -15,11 +15,10 @@ One rule updates both fields, with z = dt L:
                           bootstrapped by one euler step.
 
 Stepper builds the three diagonal factors of each field once.  y, F, the
-factors, the BDF2 history and both updates live in the dealias box: d in
-box(band), u in box(min(band, N_modes)), gathered there from box(band) when
-N_modes < band.  The update of u is Leray-projected, the step's one
-projection (it commutes with the factors, so F_u needs none), and both are
-read back from their boxes, so a quiescent state is a bitwise fixed point
+factors, the BDF2 history and both updates live in the dealias box
+box(band), u and d alike.  The update of u is Leray-projected, the step's
+one projection (it commutes with the factors, so F_u needs none), and both
+are read back from the box, so a quiescent state is a bitwise fixed point
 and pure Stokes decay integrates exactly.  The new state carries those
 coefficients, so only a step from a state built from fields transforms u
 and d forward.
@@ -102,11 +101,8 @@ class Stepper:
         self.cfg = cfg
         self.reg = reg
         dt = cfg.dt
-        # u lives in box(band) & box(N_modes) == box(min(band, N_modes)), d in box(band)
-        n_modes = grid.band if reg is None or reg.N_modes is None else reg.N_modes
-        self._band_u = min(grid.band, n_modes)
-        symbols = (-0.5 * coeffs.mu4 * grid.box(self._band_u).ksq,
-                   grid.box(grid.band).ksq / coeffs.lambda1)
+        ksq = grid.box(grid.band).ksq  # u and d both live in box(band)
+        symbols = (-0.5 * coeffs.mu4 * ksq, ksq / coeffs.lambda1)
         # the linear part of (u, d): e^{dt L} and dt phi1(dt L) for euler, 3 - 2 dt L for SBDF2
         self._linear = [(np.exp(dt * L), dt * _phi1(dt * L), 3.0 - 2.0 * dt * L)
                         for L in symbols]
@@ -144,10 +140,9 @@ class Stepper:
         g = self.grid
         dt = self.cfg.dt
         bundle = self._visit(state, sample)
-        y = (g.to_box(bundle.u_hat, self._band_u), bundle.d_hat)  # d_hat is on box(band)
-        F_u, F_d = rhs_hat(state, bundle, self.reg)
+        y = (bundle.u_hat, bundle.d_hat)
+        F = rhs_hat(state, bundle, self.reg)
         del bundle  # the fields no force reads, freed before the update
-        F = (g.to_box(F_u, self._band_u), F_d)
 
         new = []  # each update built in place, by its formula's operations in order
         if self.cfg.scheme == "imex-bdf2" and self._hist is not None and self._hist[0] is state:

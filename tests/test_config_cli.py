@@ -5,6 +5,7 @@ import importlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -185,9 +186,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"unknown section \[solvr\]"):
             parse_config_text("[solvr]\ndt = 0.1\n")
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match=r"\[stepper\] unknown key"):
-            parse_config_text("[stepper]\ndtt = 0.1\n")
+    def test_unknown_key(self, cfg_file, tmp_path, capsys):
+        """A key no section declares is refused, also the removed
+        [regularization] n_modes: parsing raises and run exits 1."""
+        for text, message in (("[stepper]\ndtt = 0.1\n", "[stepper] unknown key 'dtt'"),
+                              ("[regularization]\nn_modes = 8\n",
+                               "[regularization] unknown key 'n_modes'")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_config_text(text)
+            out = tmp_path / "out"
+            assert main(["run", "--config", cfg_file(text), "--output-dir", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match=r"\[grid\] n: expected int"):
@@ -226,6 +236,23 @@ class TestConfigParsing:
         cfg.initial_condition.preset = "spiral"
         with pytest.raises(ConfigError, match="unknown preset"):
             build_initial_state(cfg, grid, coeffs)
+
+
+def test_readme_lists_the_config_keys():
+    """README's configuration table lists the (section, key) pairs of
+    config._SECTIONS, in order; `lambda1..mu6` stands for the eight Leslie
+    values and a blank Section cell continues the row above."""
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    leslie = ["lambda1", "lambda2"] + [f"mu{i}" for i in range(1, 7)]
+    pairs, name = [], None
+    for row in rows:
+        sec, keys = (cell.strip() for cell in row.split("|")[1:3])
+        name = sec.strip("`[]") or name
+        for key in re.findall(r"`([^`]+)`", keys):
+            pairs += [(name, k) for k in (leslie if key == "lambda1..mu6" else [key])]
+    assert pairs == [(sec, key) for sec, (_, schema) in _SECTIONS.items() for key in schema]
 
 
 def parse_and_build(text):

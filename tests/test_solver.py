@@ -164,33 +164,32 @@ def _phi1(z):
 
 
 @pytest.mark.parametrize("scheme", ["semi-implicit-euler", "imex-bdf2"])
-@pytest.mark.parametrize("case", ["2d-n-modes", "3d-case2"])
+@pytest.mark.parametrize("case", ["2d-regularised", "3d-case2"])
 def test_update_rules_match_their_formulas_bitwise(grid2d, grid3d, alpha_one, case, scheme):
     """Two steps of each scheme give the bytes of the update rules written
-    out here, with L = -(mu4/2)|kappa|^2 for u on box(min(band, N_modes)) and
-    L = |kappa|^2/lambda1 for d on box(band):
+    out here, with L = -(mu4/2)|kappa|^2 for u and L = |kappa|^2/lambda1
+    for d, both on box(band):
       euler  y1 = e^{dt L} y0 + dt phi1(dt L) F0,
       SBDF2  y2 = (4 y1 - y0 + 2 dt (2 F1 - F0)) / (3 - 2 dt L),
     with F the momentum_rhs for u, unprojected, and director_rhs for d, and
-    u Leray-projected after the update, the step's one projection.  imex-bdf2 boots with euler.  In 2D
-    N_modes < band, so u and d live on different boxes."""
+    u Leray-projected after the update, the step's one projection.
+    imex-bdf2 boots with euler.  The 2D case is regularised with M < band."""
     if case == "3d-case2":
         g, st, reg = grid3d, smooth_state(grid3d, CASE2, seed=16), None
-        bands = (g.band, g.band)
     else:
         g, st = grid2d, smooth_state(grid2d, alpha_one, seed=17, kmax=4)
-        reg = RegularizationConfig(M=4, r=4.0, N_modes=6)
-        bands = (6, g.band)
-        assert bands[0] < g.band
+        reg = RegularizationConfig(M=4, r=4.0)
+        assert reg.M < g.band
     c, dt = st.coeffs, 1e-3
-    symbols = (-0.5 * c.mu4 * g.box(bands[0]).ksq, g.box(bands[1]).ksq / c.lambda1)
+    ksq = g.box(g.band).ksq
+    symbols = (-0.5 * c.mu4 * ksq, ksq / c.lambda1)
     stepper = Stepper(g, c, TimeStepperConfig(dt=dt, t_end=0.01, scheme=scheme), reg)
 
     def pair(state):
         b = constitutive(state)
-        y = (g.to_box(b.u_hat, bands[0]), g.to_box(b.d_hat, bands[1]))
+        y = (b.u_hat, b.d_hat)
         F_d = director_rhs(state, b)  # momentum_rhs consumes grad_d, which director_rhs reads
-        F = (g.to_box(momentum_rhs(state, b, reg), bands[0]), F_d)
+        F = (momentum_rhs(state, b, reg), F_d)
         return y, F
 
     y0, F0 = pair(st)
@@ -260,19 +259,6 @@ def test_regularized_step_from_rest_matches_plain(grid2d, alpha_one):
     regd = Stepper(grid2d, alpha_one, cfg, reg).step_pair(st)
     assert sup_norm(grid2d, plain.u - regd.u) < 1e-13
     assert sup_norm(grid2d, plain.d - regd.d) < 1e-13
-
-
-def test_n_modes_truncates_velocity(grid2d, alpha_one):
-    st = smooth_state(grid2d, alpha_one, seed=8, kmax=6)
-    reg = RegularizationConfig(M=2, r=4.0, N_modes=2)
-    cfg = TimeStepperConfig(dt=1e-3, t_end=0.01)
-    fin = run(st, cfg, reg=reg, cadence=10 ** 9).final_state
-    uhat = grid2d.fft(fin.u)
-    outside = ~box_mask(grid2d, 2)
-    assert np.max(np.abs(uhat[:, outside])) < 1e-10
-    # the director band is untouched by N_modes
-    dhat = grid2d.fft(fin.d)
-    assert np.max(np.abs(dhat[:, outside & box_mask(grid2d, grid2d.band)])) > 1e-6
 
 
 def test_vorticity_threshold_raises(grid2d, alpha_one):
@@ -531,8 +517,7 @@ def test_in_step_sample_matches_sampling_after_the_step(grid2d, grid3d, alpha_on
         st = smooth_state(grid3d, CASE2, seed=21)
     else:
         st = smooth_state(grid2d, alpha_one, seed=22)
-        reg = RegularizationConfig(M=4, r=4.0, N_modes=8)
-        assert reg.N_modes < grid2d.band
+        reg = RegularizationConfig(M=4, r=4.0)
     cfg = TimeStepperConfig(dt=1e-3, t_end=7e-3, scheme=scheme)
     reports, monitor, steps, final = _sample_after_step(st, cfg, reg, cadence)
     traj = run(st, cfg, reg=reg, cadence=cadence)
@@ -659,24 +644,23 @@ def test_run_drops_the_initial_state(grid2d, alpha_one, scheme):
 @pytest.mark.parametrize("case", ["2d-plain", "2d-regularised", "3d-case2"])
 def test_stepped_states_carry_their_band_limited_spectra(grid2d, grid3d, alpha_one,
                                                          case, scheme):
-    """Every stepped state carries read-only coefficients on the box its
-    fields are read from (u on box(min(band, N_modes)), d on box(band)),
-    whose inverses are its fields byte for byte, also as numpy's irfftn of
-    the zero-padded full half spectrum; with_fields drops them."""
+    """Every stepped state carries read-only coefficients on box(band), the
+    box its fields are read from, regularised or not, whose inverses are
+    its fields byte for byte, also as numpy's irfftn of the zero-padded full
+    half spectrum; with_fields drops them."""
     reg = None
     if case == "3d-case2":
         g, st = grid3d, smooth_state(grid3d, CASE2, seed=14)
     else:
         g, st = grid2d, smooth_state(grid2d, alpha_one, seed=15)
         if case == "2d-regularised":
-            reg = RegularizationConfig(M=4, r=4.0, N_modes=8)
-    band_u = g.band if reg is None else min(g.band, reg.N_modes)
+            reg = RegularizationConfig(M=4, r=4.0)
     stepper = Stepper(g, st.coeffs, TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme), reg)
     assert st.spectra is None
     for _ in range(4):
         st = stepper.step_pair(st)
         u_hat, d_hat = st.spectra
-        assert u_hat.shape == (g.dim,) + g.box(band_u).shape
+        assert u_hat.shape == (g.dim,) + g.box(g.band).shape
         assert d_hat.shape == (3,) + g.box(g.band).shape
         for hat, field in ((u_hat, st.u), (d_hat, st.d)):
             assert g.ifft(hat).tobytes() == field.tobytes()
@@ -707,8 +691,8 @@ def test_pruned_transforms_reproduce_the_masked_run(grid2d, grid3d, alpha_one,
         reg, expected_M = None, {grid3d.band}
     else:
         st = smooth_state(grid2d, alpha_one, seed=13, kmax=4)
-        scheme, reg = "imex-bdf2", RegularizationConfig(M=4, r=4.0, N_modes=8)
-        expected_M = {grid2d.band, 4, 8}
+        scheme, reg = "imex-bdf2", RegularizationConfig(M=4, r=4.0)
+        expected_M = {grid2d.band, 4}
     cfg = TimeStepperConfig(dt=1e-3, t_end=0.01, scheme=scheme, max_vorticity_sup=1e6)
     pruned = run(st, cfg, reg=reg, cadence=1)
     assert not pruned.blown_up and pruned.n_steps == 10

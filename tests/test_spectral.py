@@ -245,7 +245,7 @@ def test_box_inner_is_the_grid_inner_of_the_inverses(dim, n):
     l2_inner_unchecked of their inverse transforms to 1e-14 of the product
     of the two norms, which bounds both by Cauchy-Schwarz: random
     band-limited scalar, vector and tensor fields on box(band), on a
-    smaller box, as of N_modes, and on the full layout, whose Nyquist
+    smaller box, and on the full layout, whose Nyquist
     column counts once."""
     g = SpectralGrid(dim, n)
     rng = np.random.default_rng(dim)
